@@ -186,7 +186,12 @@ def cmd_impact(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ArchDeltaError(f"invalid replay config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ArchDeltaError(f"replay config {args.config} is not a JSON object")
     base = Path(args.config).resolve().parent
 
     def resolve(path: str) -> Path:

@@ -228,10 +228,6 @@ class ParsedAnnotation:
         return f"{self.name}({body})" if body else self.name
 
 
-def annotation_name(text: str) -> str:
-    return text.split("(", 1)[0].strip()
-
-
 def _annotations_in(code: str, start: int, end: int) -> list[ParsedAnnotation]:
     """All annotations found in code[start:end] (used for class headers)."""
     found = []

@@ -121,7 +121,8 @@ def replay(
 
     Versions are checkout roots (optionally labeled).  A version whose tree
     cannot be read is skipped with a notice and the chain re-anchors with a
-    full reconstruction at the next readable version.
+    full reconstruction at the next readable version; when no version can be
+    read the replay fails.
     """
     ordered = _normalize_versions(versions)
     if not ordered:
@@ -199,6 +200,9 @@ def replay(
         prev_system = system
         prev_irs = irs
 
+    if not entries:
+        labels = ", ".join(notice.label for notice in skipped)
+        raise ArchDeltaError(f"replay read no version; skipped {labels}")
     rule_names = [r.name for r in rule_list]
     per_rule_series = {
         name: [

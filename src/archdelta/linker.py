@@ -4,14 +4,15 @@ This is the second dimension of the representation.  Matching is by
 approximation (equal verb, equal normalized path, plus target-service
 agreement when the call's host resolved); ambiguous matches are dropped
 rather than guessed so that downstream impact traversal never follows an
-invented edge.
+invented edge.  Every system carries one ``LinkIndex`` holding where each call
+resolves; rules and reports read it, and merging derives it incrementally.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 from .errors import LinkError, UndefinedSimilarityError
 from .model import (
@@ -33,16 +34,6 @@ from .model import (
 DEFAULT_OVERLAP_THRESHOLD = 0.5
 
 
-def _as_service_map(
-    system: Mapping[str, MicroserviceIR] | Iterable[MicroserviceIR] | SystemIR,
-) -> Mapping[str, MicroserviceIR]:
-    if isinstance(system, SystemIR):
-        return system.services
-    if isinstance(system, Mapping):
-        return system
-    return {ir.name: ir for ir in system}
-
-
 def _endpoint_sort_key(ep: Endpoint) -> tuple:
     return (
         ep.owning_component.microservice,
@@ -51,6 +42,144 @@ def _endpoint_sort_key(ep: Endpoint) -> tuple:
         ep.http_method,
         ep.path,
     )
+
+
+Shape = tuple[str, str]  # (HTTP verb, normalized path)
+
+
+def _shape(item: Endpoint | RestCall) -> Shape:
+    return (item.http_method, item.path)
+
+
+def _groups(endpoints: Iterable[Endpoint]) -> dict[Shape, tuple[Endpoint, ...]]:
+    groups: dict[Shape, list[Endpoint]] = {}
+    for ep in endpoints:
+        groups.setdefault(_shape(ep), []).append(ep)
+    return {s: tuple(sorted(g, key=_endpoint_sort_key)) for s, g in groups.items()}
+
+
+@dataclass(frozen=True)
+class LinkIndex:
+    """Where every rest call of a system resolves.
+
+    Endpoint groups are keyed by shape and sorted by ``_endpoint_sort_key``,
+    system-wide in ``endpoints`` and per service in ``service_endpoints``.
+    ``resolved`` maps each service's distinct calls to their endpoint (or
+    None), ``callers`` each called endpoint to the distinct calls resolving
+    to it (same-service calls included), and ``unmatched`` holds the calls
+    that resolve to nothing.  Per-service mappings are never mutated, so an
+    increment's index shares those of every service its delta left alone.
+    """
+
+    endpoints: Mapping[Shape, tuple[Endpoint, ...]]
+    service_endpoints: Mapping[str, Mapping[Shape, tuple[Endpoint, ...]]]
+    resolved: Mapping[str, Mapping[RestCall, Endpoint | None]]
+    callers: Mapping[Endpoint, frozenset[RestCall]]
+    unmatched: frozenset[RestCall]
+
+    @classmethod
+    def build(cls, services: Mapping[str, MicroserviceIR]) -> LinkIndex:
+        """Index a system from scratch."""
+        empty = cls({}, {}, {}, {}, frozenset())
+        added = [comp for ir in services.values() for comp in ir.components.values()]
+        return empty.updated(services, (), added)[0]
+
+    @classmethod
+    def of(cls, system: SystemIR) -> LinkIndex:
+        """The system's index, built on first use and kept with the system."""
+        if system.link_index is None:
+            object.__setattr__(system, "link_index", cls.build(system.services))
+        return system.link_index
+
+    def resolve(self, call: RestCall) -> Endpoint | None:
+        """The endpoint ``call`` matches in this index's system, if any."""
+        if call.target_service == UNRESOLVED:
+            candidates = self.endpoints.get(_shape(call), ())
+            return candidates[0] if len(candidates) == 1 else None
+        # Duplicate (verb, path) pairs within a service violate an invariant
+        # the scanner already warned about; the sorted group resolves them
+        # deterministically.
+        own = self.service_endpoints.get(call.target_service, {})
+        candidates = own.get(_shape(call))
+        return candidates[0] if candidates else None
+
+    def updated(
+        self,
+        services: Mapping[str, MicroserviceIR],
+        before: Sequence[Component],
+        after: Sequence[Component],
+    ) -> tuple[LinkIndex, set[RestCall]]:
+        """The index of ``services``: this index's system with the components
+        ``before`` replaced by ``after`` (either side may lack an id).
+
+        Only two groups of calls are resolved again: those of the replaced
+        components, and those whose shape gained or lost an endpoint, which
+        covers ambiguity both appearing and resolving.  Returns the new index
+        and those calls; every other call keeps its resolution.
+        """
+        changed = {comp.id for comp in (*before, *after)}
+        names = {cid.microservice for cid in changed}
+        service_endpoints = {n: self.service_endpoints.get(n, {}) for n in services}
+        moved: set[Shape] = set()
+        for n in names:
+            was = service_endpoints[n]
+            now = service_endpoints[n] = _groups(services[n].iter_endpoints())
+            moved.update(s for s in was.keys() | now.keys() if was.get(s) != now.get(s))
+        endpoints = dict(self.endpoints)
+        for shape in moved:
+            group = [ep for n in names for ep in service_endpoints[n].get(shape, ())]
+            group += (
+                ep
+                for ep in endpoints.get(shape, ())
+                if ep.owning_component.microservice not in names
+            )
+            _put(endpoints, shape, tuple(sorted(group, key=_endpoint_sort_key)))
+
+        # A moved shape's matched calls are the callers of its old endpoints.
+        affected = {
+            call
+            for shape in moved
+            for ep in self.endpoints.get(shape, ())
+            for call in self.callers.get(ep, ())
+        }
+        affected.update(call for call in self.unmatched if _shape(call) in moved)
+        affected = {c for c in affected if c.owning_component not in changed}
+        old = {
+            call: self.resolved[call.owning_component.microservice][call]
+            for call in affected.union(*(comp.rest_calls() for comp in before))
+        }
+        lookup = replace(
+            self, endpoints=endpoints, service_endpoints=service_endpoints
+        )
+        new = {
+            call: lookup.resolve(call)
+            for call in affected.union(*(comp.rest_calls() for comp in after))
+        }
+
+        resolved = {n: self.resolved.get(n, {}) for n in services}
+        for n in {call.owning_component.microservice for call in (*old, *new)}:
+            resolved[n] = dict(resolved[n])
+        joined: dict[Endpoint | None, set[RestCall]] = {}  # None: unmatched
+        for call in old:
+            del resolved[call.owning_component.microservice][call]
+        for call, ep in new.items():
+            resolved[call.owning_component.microservice][call] = ep
+            joined.setdefault(ep, set()).add(call)
+        callers = dict(self.callers)
+        for ep in {*old.values(), *joined} - {None}:
+            calls = callers.get(ep, frozenset()).difference(old)
+            _put(callers, ep, calls | joined.get(ep, set()))
+        unmatched = self.unmatched.difference(old) | joined.get(None, set())
+        index = replace(lookup, resolved=resolved, callers=callers, unmatched=unmatched)
+        return index, old.keys() | new.keys()
+
+
+def _put(mapping: dict, key, value) -> None:
+    """Store ``value`` under ``key``, or drop the key when ``value`` is empty."""
+    if value:
+        mapping[key] = value
+    else:
+        mapping.pop(key, None)
 
 
 def match_call_to_endpoint(
@@ -64,30 +193,10 @@ def match_call_to_endpoint(
     candidates are ambiguous and match nothing.  No match is a legitimate
     outcome consumed by the rules.
     """
-    services = _as_service_map(system)
-    if call.target_service != UNRESOLVED:
-        service = services.get(call.target_service)
-        if service is None:
-            return None
-        candidates = [
-            ep
-            for ep in service.iter_endpoints()
-            if ep.http_method == call.http_method and ep.path == call.path
-        ]
-        if not candidates:
-            return None
-        # Duplicate (verb, path) pairs within a service violate an invariant
-        # the scanner already warned about; resolve them deterministically.
-        return min(candidates, key=_endpoint_sort_key)
-    candidates = [
-        ep
-        for name in sorted(services)
-        for ep in services[name].iter_endpoints()
-        if ep.http_method == call.http_method and ep.path == call.path
-    ]
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+    if isinstance(system, SystemIR):
+        return LinkIndex.of(system).resolve(call)
+    services = system if isinstance(system, Mapping) else {ir.name: ir for ir in system}
+    return LinkIndex.build(services).resolve(call)
 
 
 def entity_overlap(a: Entity, b: Entity) -> float:
@@ -102,24 +211,27 @@ def entity_overlap(a: Entity, b: Entity) -> float:
 
 
 def remote_call_edges(
-    services: Mapping[str, MicroserviceIR],
+    index: LinkIndex, calls: Iterable[RestCall] | None = None
 ) -> frozenset[DependencyEdge]:
+    """RemoteCall edges of the index's calls, or of those of ``calls`` the
+    index holds: one per distinct call whose endpoint is in another service."""
+    if calls is None:
+        calls = [call for part in index.resolved.values() for call in part]
     edges = set()
-    for name in sorted(services):
-        for call in services[name].iter_rest_calls():
-            endpoint = match_call_to_endpoint(call, services)
-            if endpoint is None:
-                continue
-            if endpoint.owning_component.microservice == name:
-                continue  # cross-service dependencies only
-            edges.add(
-                DependencyEdge(
-                    kind=EdgeKind.REMOTE_CALL,
-                    source=call.owning_component,
-                    target=endpoint.owning_component,
-                    evidence=RemoteCallEvidence(rest_call=call, endpoint=endpoint),
-                )
+    for call in calls:
+        source = call.owning_component
+        endpoint = index.resolved.get(source.microservice, {}).get(call)
+        target = endpoint.owning_component if endpoint else source
+        if target.microservice == source.microservice:
+            continue  # unmatched, or not a cross-service dependency
+        edges.add(
+            DependencyEdge(
+                kind=EdgeKind.REMOTE_CALL,
+                source=source,
+                target=target,
+                evidence=RemoteCallEvidence(rest_call=call, endpoint=endpoint),
             )
+        )
     return frozenset(edges)
 
 
@@ -179,7 +291,8 @@ def build_system_ir(
         if ir.name in service_map:
             raise LinkError(f"duplicate service name {ir.name!r}")
         service_map[ir.name] = ir
-    edges = remote_call_edges(service_map) | data_overlap_edges(
+    index = LinkIndex.build(service_map)
+    edges = remote_call_edges(index) | data_overlap_edges(
         service_map, overlap_threshold
     )
     system = SystemIR(
@@ -190,6 +303,7 @@ def build_system_ir(
         ),
         services=service_map,
         cross_edges=frozenset(edges),
+        link_index=index,
     )
     validate_system_ir(system)
     return system
@@ -200,40 +314,38 @@ def build_system_ir(
 # ---------------------------------------------------------------------------
 
 
-def matched_endpoints(system: SystemIR) -> frozenset[Endpoint]:
-    hit = set()
-    for call in system.iter_rest_calls():
-        endpoint = match_call_to_endpoint(call, system)
-        if endpoint is not None:
-            hit.add(endpoint)
-    return frozenset(hit)
+def _call_key(call: RestCall) -> tuple:
+    return (
+        str(call.owning_component),
+        call.http_method,
+        call.target_service,
+        call.path,
+    )
 
 
 def unmatched_calls(system: SystemIR) -> list[RestCall]:
-    """Distinct rest calls with no matching endpoint anywhere in the system."""
-    seen: set[tuple] = set()
+    """Distinct rest calls with no matching endpoint anywhere in the system.
+
+    Calls differing only in their site count once, as the first of them in
+    their component's method order.
+    """
+    unmatched = LinkIndex.of(system).unmatched
     out: list[RestCall] = []
-    for call in system.iter_rest_calls():
-        if match_call_to_endpoint(call, system) is not None:
-            continue
-        key = (
-            str(call.owning_component),
-            call.http_method,
-            call.target_service,
-            call.path,
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(call)
+    for cid in {call.owning_component for call in unmatched}:
+        seen: set[tuple] = set()
+        for m in system.component(cid).methods:
+            for call in m.rest_calls:
+                if call in unmatched and _call_key(call) not in seen:
+                    seen.add(_call_key(call))
+                    out.append(call)
     out.sort(key=lambda c: (str(c.owning_component), c.signature(), c.site_method))
     return out
 
 
 def uncalled_endpoints(system: SystemIR) -> list[Endpoint]:
     """Endpoints matched by zero rest calls system-wide."""
-    hit = matched_endpoints(system)
-    out = [ep for ep in system.iter_endpoints() if ep not in hit]
+    called = LinkIndex.of(system).callers
+    out = [ep for ep in system.iter_endpoints() if ep not in called]
     out.sort(key=_endpoint_sort_key)
     return out
 
@@ -257,23 +369,15 @@ class LinkReport:
 
 
 def link_report(system: SystemIR) -> LinkReport:
-    distinct: set[tuple] = set()
-    matched = 0
-    for call in system.iter_rest_calls():
-        key = (
-            str(call.owning_component),
-            call.http_method,
-            call.target_service,
-            call.path,
-        )
-        if key in distinct:
-            continue
-        distinct.add(key)
-        if match_call_to_endpoint(call, system) is not None:
-            matched += 1
+    matched = {
+        _call_key(call): endpoint is not None
+        for part in LinkIndex.of(system).resolved.values()
+        for call, endpoint in part.items()
+    }
+    matched_count = sum(matched.values())
     return LinkReport(
-        matched_call_count=matched,
-        unmatched_call_count=len(distinct) - matched,
+        matched_call_count=matched_count,
+        unmatched_call_count=len(matched) - matched_count,
         uncalled_endpoint_count=len(uncalled_endpoints(system)),
         remote_call_edge_count=sum(
             1 for e in system.cross_edges if e.kind is EdgeKind.REMOTE_CALL

@@ -1,11 +1,11 @@
 """Applying a delta to a system baseline: the increment.
 
 Cross-service edges are maintained incrementally rather than relinked from
-scratch: edges incident to changed components are dropped and re-derived,
-every currently unmatched call is re-matched (an added endpoint can satisfy
-a dangling call in another service), and kept edges whose call could now be
-shadowed by a changed endpoint are re-verified.  The result is structurally
-identical to a full rebuild over the updated services.
+scratch.  The increment's link index is derived from the baseline's: only the
+changed components' calls and the calls whose (verb, path) shape gained or
+lost an endpoint are resolved again, and only their RemoteCall edges are
+replaced.  DataOverlap edges are re-derived for changed entities alone.  The
+result is structurally identical to a full rebuild over the updated services.
 """
 
 from __future__ import annotations
@@ -14,26 +14,19 @@ from .delta import apply_to_service
 from .errors import MergeError
 from .linker import (
     DEFAULT_OVERLAP_THRESHOLD,
-    match_call_to_endpoint,
+    LinkIndex,
     overlap_edges_for_pairs,
+    remote_call_edges,
 )
 from .model import (
     ChangeKind,
     Delta,
-    DependencyEdge,
     EdgeKind,
     MicroserviceIR,
-    RemoteCallEvidence,
     SystemIR,
     system_version_label,
     validate_system_ir,
 )
-
-
-def _empty_service(name: str, version_id: str) -> MicroserviceIR:
-    return MicroserviceIR(
-        name=name, version_id=version_id, components={}, call_graph_edges=frozenset()
-    )
 
 
 def apply_delta(
@@ -49,97 +42,43 @@ def apply_delta(
                 f"delta targets unknown service {d.microservice!r} "
                 "and is not purely additive"
             )
-        old_service = _empty_service(d.microservice, d.old_version_id)
+        old_service = MicroserviceIR(d.microservice, d.old_version_id, {}, frozenset())
     new_service = apply_to_service(old_service, d)
     services = dict(baseline.services)
     services[d.microservice] = new_service
 
     changed = d.change_ids()
-    kept: set[DependencyEdge] = {
-        edge
-        for edge in baseline.cross_edges
-        if edge.source not in changed and edge.target not in changed
-    }
+    before = [old_service.components[c] for c in changed if c in old_service.components]
+    after = [new_service.components[c] for c in changed if c in new_service.components]
+    old_index = LinkIndex.of(baseline)
+    index, rematched = old_index.updated(services, before, after)
 
-    # Kept edges can be shadowed by an endpoint the delta introduced or
-    # modified: re-verify any kept edge whose call shape such an endpoint
-    # now also serves.
-    changed_after = [
-        ch.new_component
-        for ch in d.changes
-        if ch.kind in (ChangeKind.ADD, ChangeKind.MODIFY)
-    ]
-    new_endpoint_shapes = {
-        (ep.http_method, ep.path) for comp in changed_after for ep in comp.endpoints
-    }
-    edges: set[DependencyEdge] = set()
-    covered_calls = set()
-    for edge in kept:
-        if edge.kind is not EdgeKind.REMOTE_CALL:
-            edges.add(edge)
-            continue
-        call = edge.evidence.rest_call
-        if (call.http_method, call.path) in new_endpoint_shapes:
-            endpoint = match_call_to_endpoint(call, services)
-            if (
-                endpoint is not None
-                and endpoint.owning_component.microservice
-                != call.owning_component.microservice
-            ):
-                edges.add(
-                    DependencyEdge(
-                        kind=EdgeKind.REMOTE_CALL,
-                        source=call.owning_component,
-                        target=endpoint.owning_component,
-                        evidence=RemoteCallEvidence(rest_call=call, endpoint=endpoint),
-                    )
-                )
-                covered_calls.add(call)
-            continue
-        edges.add(edge)
-        covered_calls.add(call)
-
-    # Re-match every call without a surviving edge; this re-derives edges of
-    # changed components and lets new endpoints satisfy old dangling calls.
-    for name in sorted(services):
-        for call in services[name].iter_rest_calls():
-            if call in covered_calls:
-                continue
-            endpoint = match_call_to_endpoint(call, services)
-            if endpoint is None:
-                continue
-            if endpoint.owning_component.microservice == name:
-                continue
-            edges.add(
-                DependencyEdge(
-                    kind=EdgeKind.REMOTE_CALL,
-                    source=call.owning_component,
-                    target=endpoint.owning_component,
-                    evidence=RemoteCallEvidence(rest_call=call, endpoint=endpoint),
-                )
-            )
-
+    dropped = remote_call_edges(old_index, rematched)
+    added = remote_call_edges(index, rematched)
     # Data overlaps only change for pairs involving a changed entity.
-    changed_entities = [
-        comp for comp in changed_after if comp.entity_ref is not None
-    ]
-    other_entities = [
-        comp
-        for name in sorted(services)
-        for comp, _ in services[name].entities()
-    ]
-    pairs = [
-        (a, b)
-        for a in changed_entities
-        for b in other_entities
-        if a.id.microservice != b.id.microservice
-    ]
-    edges |= overlap_edges_for_pairs(pairs, overlap_threshold)
+    entities = {comp.id for comp in (*before, *after) if comp.entity_ref is not None}
+    if entities:
+        dropped |= {
+            edge
+            for edge in baseline.cross_edges
+            if edge.kind is EdgeKind.DATA_OVERLAP
+            and (edge.source in entities or edge.target in entities)
+        }
+        others = [comp for ir in services.values() for comp, _ in ir.entities()]
+        pairs = [
+            (a, b)
+            for a in after
+            if a.entity_ref is not None
+            for b in others
+            if a.id.microservice != b.id.microservice
+        ]
+        added |= overlap_edges_for_pairs(pairs, overlap_threshold)
 
     increment = SystemIR(
         version_label=system_version_label(services),
         services=services,
-        cross_edges=frozenset(edges),
+        cross_edges=(baseline.cross_edges - dropped) | added,
+        link_index=index,
     )
     validate_system_ir(increment)
     return increment

@@ -15,9 +15,12 @@ identities.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .linker import LinkIndex
 
 UNRESOLVED = "UNRESOLVED"
 PATH_VAR = "{*}"
@@ -281,6 +284,10 @@ class Component:
     source_path: str = ""
     content_hash: str = ""
 
+    def rest_calls(self) -> frozenset[RestCall]:
+        """The distinct rest calls made by the component's methods."""
+        return frozenset(call for m in self.methods for call in m.rest_calls)
+
 
 def _method_sort_key(m: Method) -> tuple:
     return (m.name, m.arity, m.signature())
@@ -452,9 +459,17 @@ class DependencyEdge:
 
 @dataclass(frozen=True)
 class SystemIR:
+    """A linked system version.
+
+    ``link_index`` holds where every rest call resolves; ``LinkIndex.of``
+    builds it on first use.  It is derived data: it takes no part in
+    equality, ``repr`` or documents.
+    """
+
     version_label: str
     services: Mapping[str, MicroserviceIR]
     cross_edges: frozenset[DependencyEdge]
+    link_index: LinkIndex | None = field(default=None, compare=False, repr=False)
 
     def component(self, cid: ComponentId) -> Component | None:
         svc = self.services.get(cid.microservice)

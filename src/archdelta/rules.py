@@ -26,7 +26,7 @@ import jsonschema
 from .delta import apply_to_service
 from .errors import DocumentError, RuleBindingError
 from .extractor import parse_call_target, type_name_parts
-from .linker import match_call_to_endpoint, uncalled_endpoints, unmatched_calls
+from .linker import LinkIndex, uncalled_endpoints, unmatched_calls
 from .model import (
     ChangeKind,
     Component,
@@ -295,6 +295,22 @@ def _changed_ids(deltas: Sequence[Delta]) -> dict[ComponentId, ChangeKind]:
     return merged
 
 
+def _link_violation(
+    rule_name: str,
+    increment: SystemIR,
+    item: ImpactedItem,
+    culprits: Iterable[ComponentId],
+    changed: Mapping[ComponentId, ChangeKind],
+) -> Violation:
+    """A violation of a link rule, triggered by those culprits the deltas changed."""
+    return make_violation(
+        rule_name,
+        increment.version_label,
+        impacted=[item],
+        triggering=[TriggerItem(c, changed[c]) for c in culprits if c in changed],
+    )
+
+
 def detect_invalid_calls(
     increment: SystemIR,
     *,
@@ -310,35 +326,14 @@ def detect_invalid_calls(
     changed = _changed_ids(deltas)
     violations = []
     for call in unmatched_calls(increment):
-        triggering = []
-        if call.owning_component in changed:
-            triggering.append(
-                TriggerItem(call.owning_component, changed[call.owning_component])
-            )
-        elif baseline is not None:
-            old_endpoint = match_call_to_endpoint(call, baseline)
-            if old_endpoint is not None and old_endpoint.owning_component in changed:
-                triggering.append(
-                    TriggerItem(
-                        old_endpoint.owning_component,
-                        changed[old_endpoint.owning_component],
-                    )
-                )
-        violations.append(
-            make_violation(
-                "IC",
-                increment.version_label,
-                impacted=[
-                    ImpactedItem(
-                        component_id=call.owning_component,
-                        kind="restCall",
-                        evidence=call.signature(),
-                        site=call.site_method,
-                    )
-                ],
-                triggering=triggering,
-            )
+        culprits = [call.owning_component]
+        if call.owning_component not in changed and baseline is not None:
+            old_endpoint = LinkIndex.of(baseline).resolve(call)
+            culprits = [old_endpoint.owning_component] if old_endpoint else []
+        item = ImpactedItem(
+            call.owning_component, "restCall", call.signature(), call.site_method
         )
+        violations.append(_link_violation("IC", increment, item, culprits, changed))
     return violations
 
 
@@ -354,44 +349,22 @@ def detect_uncalled_endpoints(
     here as ghost predictions; that caveat is inherent to static scope.
     """
     changed = _changed_ids(deltas)
-    old_callers: dict = {}
-    if baseline is not None and changed:
-        for call in baseline.iter_rest_calls():
-            endpoint = match_call_to_endpoint(call, baseline)
-            if endpoint is not None:
-                old_callers.setdefault(endpoint.signature(), set()).add(
-                    call.owning_component
-                )
     violations = []
     for endpoint in uncalled_endpoints(increment):
-        triggering = []
-        if endpoint.owning_component in changed:
-            triggering.append(
-                TriggerItem(
-                    endpoint.owning_component, changed[endpoint.owning_component]
-                )
-            )
-        else:
-            for caller in sorted(
-                old_callers.get(endpoint.signature(), ()), key=str
-            ):
-                if caller in changed:
-                    triggering.append(TriggerItem(caller, changed[caller]))
-        violations.append(
-            make_violation(
-                "UEM",
-                increment.version_label,
-                impacted=[
-                    ImpactedItem(
-                        component_id=endpoint.owning_component,
-                        kind="endpoint",
-                        evidence=endpoint.signature(),
-                        site=endpoint.handler_method,
-                    )
-                ],
-                triggering=triggering,
-            )
+        owner = endpoint.owning_component
+        culprits = {owner}
+        if baseline is not None and changed and owner not in changed:
+            # the components whose calls reached this shape in the baseline
+            old = LinkIndex.of(baseline)
+            culprits = {
+                call.owning_component
+                for ep in old.endpoints.get((endpoint.http_method, endpoint.path), ())
+                for call in old.callers.get(ep, ())
+            }
+        item = ImpactedItem(
+            owner, "endpoint", endpoint.signature(), endpoint.handler_method
         )
+        violations.append(_link_violation("UEM", increment, item, culprits, changed))
     return violations
 
 
@@ -569,26 +542,15 @@ def detect_repository_method_modifications(
 def _component_touches_virtual(
     token: str, old_comp: Component | None, new_comp: Component | None
 ) -> bool:
-    if token == "Endpoint":
-        old_eps = frozenset(old_comp.endpoints) if old_comp else frozenset()
-        new_eps = frozenset(new_comp.endpoints) if new_comp else frozenset()
-        return bool(old_eps or new_eps) and (
-            old_comp is None or new_comp is None or old_eps != new_eps
-        )
-    if token == "Call":
-        old_calls = frozenset(c for _, m in _iter_comp_methods(old_comp) for c in m.rest_calls)
-        new_calls = frozenset(c for _, m in _iter_comp_methods(new_comp) for c in m.rest_calls)
-        return bool(old_calls or new_calls) and (
-            old_comp is None or new_comp is None or old_calls != new_calls
-        )
-    return False
+    """Whether the change alters the component's endpoints or its calls."""
 
+    def members(comp: Component | None) -> frozenset:
+        if comp is None:
+            return frozenset()
+        return frozenset(comp.endpoints) if token == "Endpoint" else comp.rest_calls()
 
-def _iter_comp_methods(comp: Component | None):
-    if comp is None:
-        return
-    for m in comp.methods:
-        yield comp, m
+    old, new = members(old_comp), members(new_comp)
+    return bool(old or new) and (old_comp is None or new_comp is None or old != new)
 
 
 def _change_matches(
@@ -629,39 +591,30 @@ def _impact_items_for_component(
     increment: SystemIR,
     baseline: SystemIR | None,
     unmatched: frozenset,
-    uncalled: frozenset,
 ) -> list[ImpactedItem]:
     monitored = rule.monitored_impact
     ctype = monitored.component_type
     impact = monitored.impact_type
     items: list[ImpactedItem] = []
-    if ctype == "Call":
-        for m in comp.methods:
-            for call in m.rest_calls:
-                if impact in ("Unmatched", "Unused"):
-                    if call in unmatched:
-                        items.append(
-                            ImpactedItem(comp.id, "restCall", call.signature(), m.name)
-                        )
-                elif impact == "Inconsistent":
-                    if _is_inconsistent(comp, baseline):
-                        items.append(
-                            ImpactedItem(comp.id, "restCall", call.signature(), m.name)
-                        )
-        return items
-    if ctype == "Endpoint":
-        for ep in comp.endpoints:
-            if impact in ("Unmatched", "Unused"):
-                if ep in uncalled:
-                    items.append(
-                        ImpactedItem(comp.id, "endpoint", ep.signature(), ep.handler_method)
-                    )
-            elif impact == "Inconsistent":
-                if _is_inconsistent(comp, baseline):
-                    items.append(
-                        ImpactedItem(comp.id, "endpoint", ep.signature(), ep.handler_method)
-                    )
-        return items
+    if ctype in ("Call", "Endpoint"):
+        if ctype == "Call":
+            members = [
+                (call in unmatched, "restCall", call.signature(), m.name)
+                for m in comp.methods
+                for call in m.rest_calls
+            ]
+        else:
+            called = LinkIndex.of(increment).callers
+            members = [
+                (ep not in called, "endpoint", ep.signature(), ep.handler_method)
+                for ep in comp.endpoints
+            ]
+        inconsistent = _is_inconsistent(comp, baseline)
+        return [
+            ImpactedItem(comp.id, kind, evidence, site)
+            for unlinked, kind, evidence, site in members
+            if (unlinked if impact in ("Unmatched", "Unused") else inconsistent)
+        ]
     if comp.id.component_type.value != ctype:
         return items
     if impact == "Inconsistent":
@@ -700,11 +653,10 @@ def _evaluate_generic_system(
     rule: Rule, increment: SystemIR, baseline: SystemIR | None
 ) -> list[Violation]:
     unmatched = frozenset(unmatched_calls(increment))
-    uncalled = frozenset(uncalled_endpoints(increment))
     violations = []
     for comp in increment.iter_components():
         for item in _impact_items_for_component(
-            rule, comp, increment, baseline, unmatched, uncalled
+            rule, comp, increment, baseline, unmatched
         ):
             violations.append(
                 make_violation(rule.name, increment.version_label, impacted=[item])
@@ -736,7 +688,6 @@ def _evaluate_generic_delta(
         ]
         reached.update(frontier)
     unmatched = frozenset(unmatched_calls(increment))
-    uncalled = frozenset(uncalled_endpoints(increment))
     triggering = [TriggerItem(ch.component_id, ch.kind) for ch in seeds]
     violations = []
     for cid in sorted(reached, key=str):
@@ -744,7 +695,7 @@ def _evaluate_generic_delta(
         if comp is None:
             continue  # deleted by this delta
         for item in _impact_items_for_component(
-            rule, comp, increment, baseline, unmatched, uncalled
+            rule, comp, increment, baseline, unmatched
         ):
             violations.append(
                 make_violation(

@@ -191,3 +191,87 @@ def entities(draw, min_fields: int = 0):
         fields=tuple(EntityField(field_name=n, declared_type="String") for n in names),
         annotations=("Entity",),
     )
+
+
+# Link-churn strategies.  Endpoints and calls share a pool of two shapes, so
+# that shapes collide within a service (duplicate endpoints) and across
+# services (ambiguous UNRESOLVED calls), and edits make them appear and vanish.
+LINK_SERVICES = ("svc-a", "svc-b", "svc-c")
+_LINK_SHAPE = st.sampled_from([("GET", "/api/a/{*}"), ("POST", "/api/a")])
+
+
+@st.composite
+def linked_components(draw, service: str, qualified_name: str, ctype=None):
+    """A controller or service component with endpoints and calls from the pool."""
+    ctype = ctype or draw(
+        st.sampled_from([ComponentType.CONTROLLER, ComponentType.SERVICE])
+    )
+    cid = component_id(service, ctype, qualified_name)
+    endpoints = []
+    if ctype is ComponentType.CONTROLLER:
+        for i, (verb, path) in enumerate(draw(st.lists(_LINK_SHAPE, max_size=2))):
+            endpoints.append(Endpoint(verb, path, f"handle{i}", cid))
+    method_list = []
+    for i in range(draw(st.integers(0, 2))):
+        calls = tuple(
+            RestCall(
+                http_method=verb,
+                target_service=draw(
+                    st.sampled_from([UNRESOLVED, UNRESOLVED, *LINK_SERVICES])
+                ),
+                path=path,
+                site_method=f"{qualified_name}.call{i}",
+                owning_component=cid,
+            )
+            for verb, path in draw(st.lists(_LINK_SHAPE, max_size=2))
+        )
+        body = f"call{i}(); // {draw(st.integers(0, 10**6))}"
+        method_list.append(
+            Method(
+                name=f"call{i}",
+                rest_calls=calls,
+                content_hash=method_content_hash(body),
+            )
+        )
+    return make_component(
+        cid,
+        methods=method_list,
+        endpoints=endpoints,
+        source_path=f"src/{qualified_name}.java",
+    )
+
+
+def _service(name: str, version: str, comps: dict) -> MicroserviceIR:
+    return MicroserviceIR(name, version, comps, resolve_call_graph(comps))
+
+
+@st.composite
+def linked_irs(draw, name: str, version: str = "v0"):
+    comps = {}
+    for i in range(draw(st.integers(0, 3))):
+        comp = draw(linked_components(name, f"pkg.Unit{i}"))
+        comps[comp.id] = comp
+    return _service(name, version, comps)
+
+
+@st.composite
+def relinked(draw, ir: MicroserviceIR, version: str):
+    """A successor of ``ir``: components added, removed or redrawn in place."""
+    comps = dict(ir.components)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["add", "remove", "modify"]))
+        if op == "add":
+            name = f"pkg.Added{draw(st.integers(0, 9))}"
+            comp = draw(linked_components(ir.name, name))
+            comps[comp.id] = comp
+        elif comps:
+            victim = draw(st.sampled_from(sorted(comps, key=str)))
+            if op == "remove":
+                del comps[victim]
+            else:
+                comps[victim] = draw(
+                    linked_components(
+                        ir.name, victim.qualified_name, victim.component_type
+                    )
+                )
+    return _service(ir.name, version, comps)

@@ -134,6 +134,23 @@ def test_replay_command_artifacts(summary_versions, tmp_path, capsys):
     assert run_cli("replay", config, "--fail-on-violation") == 1
 
 
+@pytest.mark.parametrize("text", ['{"versions": [', "[1]"])
+def test_malformed_replay_config_exits_with_usage_error(tmp_path, capsys, text):
+    config = tmp_path / "replay.json"
+    config.write_text(text)
+    assert run_cli("replay", config) == 2
+    assert "replay config" in capsys.readouterr().err
+
+
+def test_replay_of_only_unreadable_versions_fails(tmp_path, capsys):
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({"versions": ["nope1", "nope2"]}))
+    assert run_cli("replay", config) == 2
+    captured = capsys.readouterr()
+    assert "Commits" not in captured.out
+    assert "nope1" in captured.err and "nope2" in captured.err
+
+
 def test_bad_input_exits_with_usage_error(tmp_path):
     bogus = tmp_path / "bogus.json"
     bogus.write_text("{not json")

@@ -1,19 +1,30 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strategies import LINK_SERVICES, linked_irs, relinked
 
 from archdelta.delta import compute_delta, empty_delta
 from archdelta.documents import serialize_ir, serialize_microservice_ir
 from archdelta.errors import MergeError, StaleBaselineError
 from archdelta.extractor import scan_repository
-from archdelta.linker import build_system_ir, unmatched_calls
+from archdelta.linker import (
+    LinkIndex,
+    build_system_ir,
+    match_call_to_endpoint,
+    unmatched_calls,
+)
 from archdelta.merge import apply_delta, remove_service
 from archdelta.model import (
+    UNRESOLVED,
     ChangeKind,
     ComponentChange,
     ComponentType,
     Delta,
     EdgeKind,
+    MicroserviceIR,
     ir_content_digest,
 )
 from archdelta.profiles import default_profile
@@ -81,6 +92,10 @@ def test_locality_of_untouched_services(history_versions):
         assert serialize_microservice_ir(increment.services[name]) == (
             serialize_microservice_ir(base.services[name])
         )
+        # their parts of the link index are shared, not copied
+        old_index, new_index = LinkIndex.of(base), LinkIndex.of(increment)
+        assert new_index.service_endpoints[name] is old_index.service_endpoints[name]
+        assert new_index.resolved[name] is old_index.resolved[name]
 
 
 def test_added_endpoint_satisfies_dangling_call(history_versions):
@@ -274,3 +289,61 @@ def test_remove_service_drops_its_edges(history_versions):
         )
     # the order service call now dangles
     assert [c.target_service for c in unmatched_calls(trimmed)] == ["ts-station"]
+
+
+def _linear_match(call, services):
+    """Reference matcher: a linear scan over the endpoints of the system.
+
+    A resolved host considers only its own service, where duplicate shapes
+    resolve to the smallest endpoint; an unresolved host needs a unique
+    candidate system-wide.
+    """
+
+    def same_shape(service):
+        return [
+            ep
+            for ep in service.iter_endpoints()
+            if ep.http_method == call.http_method and ep.path == call.path
+        ]
+
+    if call.target_service != UNRESOLVED:
+        service = services.get(call.target_service)
+        candidates = same_shape(service) if service is not None else []
+        return min(
+            candidates,
+            key=lambda ep: (
+                ep.owning_component.microservice,
+                str(ep.owning_component),
+                ep.handler_method,
+                ep.http_method,
+                ep.path,
+            ),
+            default=None,
+        )
+    candidates = [ep for name in sorted(services) for ep in same_shape(services[name])]
+    return candidates[0] if len(candidates) == 1 else None
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_increment_link_index_equals_rebuild(data):
+    # Endpoints come and go on a few shared shapes, so unresolved calls turn
+    # ambiguous and unique again and services hold duplicate shapes.
+    system = build_system_ir([data.draw(linked_irs(name)) for name in LINK_SERVICES])
+    for step in range(1, data.draw(st.integers(1, 6)) + 1):
+        name = data.draw(st.sampled_from(LINK_SERVICES))
+        if name in system.services and data.draw(st.sampled_from("ddddr")) == "r":
+            system = remove_service(system, name)
+        else:
+            current = system.services.get(name) or MicroserviceIR(
+                name, "", {}, frozenset()
+            )
+            successor = data.draw(relinked(current, f"v{step}"))
+            system = apply_delta(system, compute_delta(current, successor))
+        rebuilt = build_system_ir(list(system.services.values()))
+        assert serialize_ir(system) == serialize_ir(rebuilt)
+        assert LinkIndex.of(system) == LinkIndex.build(system.services)
+        for call in system.iter_rest_calls():
+            assert match_call_to_endpoint(call, system) == _linear_match(
+                call, system.services
+            )
