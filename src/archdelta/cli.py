@@ -26,12 +26,7 @@ from .documents import (
 )
 from .errors import ArchDeltaError
 from .extractor import ScanWarning, scan_repository
-from .history import (
-    git_revisions,
-    materialize_revisions,
-    render_summary_table,
-    replay,
-)
+from .history import git_revisions, render_summary_table, replay, stream_revisions
 from .impact import impact_graph_doc, impact_report_to_doc, impact_set
 from .linker import DEFAULT_OVERLAP_THRESHOLD, build_system_ir, link_report
 from .merge import apply_delta
@@ -220,7 +215,11 @@ def cmd_replay(args) -> int:
             revisions = config.get("revisions") or git_revisions(
                 repo, first_parent=bool(config.get("firstParent", True))
             )
-            versions = materialize_revisions(repo, revisions, scratch)
+            if not isinstance(revisions, list) or not all(
+                isinstance(rev, str) for rev in revisions
+            ):
+                raise ArchDeltaError("replay config 'revisions' is not a list of names")
+            versions = stream_revisions(repo, revisions, scratch)
         else:
             raise ArchDeltaError("replay config needs 'versions' or 'repository'")
         record = replay(

@@ -2,26 +2,34 @@
 
 Each step extracts the changed services (a content-addressed cache makes
 unchanged files free), computes per-service deltas, applies them to the
-moving baseline, evaluates the rules and records everything.  Per-service
-version ids are content digests, so an increment and a from-scratch
-reconstruction of the same sources are label-identical, which is what the
-chain-integrity check compares.
+moving baseline, evaluates the rules and records everything.  A version that
+names the paths changed since the previous one, as the git revisions read by
+:func:`stream_revisions` do, rescans only the services holding them.
+Per-service version ids are content digests, so an increment and a
+from-scratch reconstruction of the same sources are label-identical, which
+is what the chain-integrity check compares.
 """
 
 from __future__ import annotations
 
-import io
 import logging
+import shutil
 import subprocess
-import tarfile
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .delta import compute_delta
 from .documents import canonical_json, delta_to_doc, serialize_ir
 from .errors import ArchDeltaError, ExtractionError
-from .extractor import ExtractionCache, ScanWarning, discover_services, scan_repository
+from .extractor import (
+    BUILD_DESCRIPTORS,
+    ExtractionCache,
+    ScanWarning,
+    discover_services,
+    scan_repository,
+)
 from .linker import DEFAULT_OVERLAP_THRESHOLD, build_system_ir
 from .merge import apply_delta, remove_service
 from .model import Delta, MicroserviceIR, SystemIR, ir_content_digest, with_content_version
@@ -65,33 +73,84 @@ class EvolutionRecord:
     scan_warnings: list[ScanWarning] = field(default_factory=list)
 
 
+# A checkout root, optionally labeled, optionally with the repository-relative
+# POSIX paths that differ from the previous version's tree (None: unknown).
+Version = (
+    str
+    | Path
+    | tuple[str, str | Path]
+    | tuple[str, str | Path, Collection[str] | None]
+)
+
+
 def _normalize_versions(
-    versions: Sequence[str | Path | tuple[str, str | Path]],
-) -> list[tuple[str, Path]]:
-    out = []
+    versions: Iterable[Version],
+) -> Iterator[tuple[str, Path, frozenset[str] | None]]:
     for item in versions:
         if isinstance(item, tuple):
-            label, root = item
-            out.append((str(label), Path(root)))
+            label, root, *rest = item
+            changed = rest[0] if rest else None
+            yield (
+                str(label),
+                Path(root),
+                None if changed is None else frozenset(changed),
+            )
         else:
-            out.append((Path(item).name, Path(item)))
-    return out
+            yield Path(item).name, Path(item), None
 
 
-def _extract_all(
+# Discovered services of a version: (name, root relative to the checkout).
+Services = list[tuple[str, str]]
+
+
+def _holds_changed_path(service_root: str, changed: frozenset[str]) -> bool:
+    if service_root == ".":
+        return bool(changed)
+    prefix = service_root + "/"
+    return any(path.startswith(prefix) for path in changed)
+
+
+def _extract(
     root: Path,
+    changed: frozenset[str] | None,
+    previous: tuple[Services, dict[str, MicroserviceIR]] | None,
     profile: MarkerProfile,
     service_names: Mapping[str, str] | None,
     cache: ExtractionCache,
     warnings: list[ScanWarning],
-) -> dict[str, MicroserviceIR]:
+) -> tuple[Services, dict[str, MicroserviceIR]]:
+    """Per-service representations of the version checked out at ``root``.
+
+    ``previous`` is the prior version's result when ``changed`` names every
+    path that differs from it.  Then, unless a path component is a build
+    descriptor (which can move service roots), discovery is reused and only
+    services holding a changed path are rescanned; otherwise everything is
+    discovered and scanned.
+    """
+    if (
+        previous is not None
+        and changed is not None
+        and not any(
+            part in BUILD_DESCRIPTORS for path in changed for part in path.split("/")
+        )
+    ):
+        services, previous_irs = previous
+    else:
+        services = [
+            (name, path.relative_to(root).as_posix())
+            for name, path in discover_services(root, service_names)
+        ]
+        previous_irs = {}
     irs: dict[str, MicroserviceIR] = {}
-    for name, path in discover_services(root, service_names):
+    for name, rel in services:
+        if name in previous_irs and not _holds_changed_path(rel, changed):
+            irs[name] = previous_irs[name]
+            continue
         ir = scan_repository(
-            path, profile, name, version_id="", warnings=warnings, cache=cache
+            root / rel, profile, name, version_id="", warnings=warnings, cache=cache
         )
         irs[name] = with_content_version(ir)
-    return irs
+    return services, irs
 
 
 def _empty_service_ir(name: str) -> MicroserviceIR:
@@ -107,7 +166,7 @@ def _empty_service_ir(name: str) -> MicroserviceIR:
 
 
 def replay(
-    versions: Sequence[str | Path | tuple[str, str | Path]],
+    versions: Iterable[Version],
     profile: MarkerProfile | None = None,
     rules: Sequence[Rule] | None = None,
     overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
@@ -119,14 +178,15 @@ def replay(
 ) -> EvolutionRecord:
     """Replay an oldest-first version history and evaluate rules per step.
 
-    Versions are checkout roots (optionally labeled).  A version whose tree
-    cannot be read is skipped with a notice and the chain re-anchors with a
-    full reconstruction at the next readable version; when no version can be
-    read the replay fails.
+    Versions are checkout roots, optionally labeled as ``(label, root)``, or
+    ``(label, root, changed_paths)`` triples such as :func:`stream_revisions`
+    yields; a triple's root is read before the next version is drawn, so one
+    tree may be advanced in place.  Changed paths let a step rescan only the
+    services holding them; the first version, re-anchors and checkpoints scan
+    everything.  A version whose tree cannot be read is skipped with a notice
+    and the chain re-anchors with a full reconstruction at the next readable
+    version; when no version can be read the replay fails.
     """
-    ordered = _normalize_versions(versions)
-    if not ordered:
-        raise ArchDeltaError("replay requires at least one version")
     profile = profile if profile is not None else default_profile()
     rule_list = list(rules) if rules is not None else builtin_rules()
 
@@ -135,13 +195,20 @@ def replay(
     entries: list[VersionEntry] = []
     skipped: list[SkipNotice] = []
     prev_system: SystemIR | None = None
+    prev_services: Services = []
     prev_irs: dict[str, MicroserviceIR] = {}
     need_reanchor = False
     since_checkpoint = 0
 
-    for label, root in ordered:
+    for label, root, changed in _normalize_versions(versions):
+        rebuild = (
+            prev_system is None or need_reanchor or since_checkpoint >= checkpoint_every
+        )
+        previous = None if rebuild else (prev_services, prev_irs)
         try:
-            irs = _extract_all(root, profile, service_names, cache, warnings)
+            services, irs = _extract(
+                root, changed, previous, profile, service_names, cache, warnings
+            )
         except ExtractionError as exc:
             logger.warning("skipping version %s: %s", label, exc)
             skipped.append(SkipNotice(label=label, reason=str(exc)))
@@ -149,7 +216,7 @@ def replay(
             continue
 
         removed: tuple[str, ...] = ()
-        if prev_system is None or need_reanchor or since_checkpoint >= checkpoint_every:
+        if rebuild:
             system = build_system_ir(irs.values(), overlap_threshold)
             deltas: list[Delta] = []
             violations = evaluate_many(None, [], system, rule_list)
@@ -198,8 +265,10 @@ def replay(
             )
             since_checkpoint += 1
         prev_system = system
-        prev_irs = irs
+        prev_services, prev_irs = services, irs
 
+    if not entries and not skipped:
+        raise ArchDeltaError("replay requires at least one version")
     if not entries:
         labels = ", ".join(notice.label for notice in skipped)
         raise ArchDeltaError(f"replay read no version; skipped {labels}")
@@ -304,36 +373,138 @@ def write_artifacts(record: EvolutionRecord, out_dir: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Tree entry modes written to the checkout: regular and executable files.
+# Symlinks (120000) and submodules (160000) are never written.
+_REGULAR_MODES = frozenset({"100644", "100755"})
+
+
+def _git(repo: str | Path, *args: str, stdin: bytes | None = None) -> bytes:
+    result = subprocess.run(
+        ["git", "-C", str(repo), *args], input=stdin, capture_output=True
+    )
+    if result.returncode != 0:
+        raise ExtractionError(
+            f"git {args[0]} failed: {result.stderr.decode(errors='replace').strip()}"
+        )
+    return result.stdout
+
+
 def git_revisions(repo: str | Path, first_parent: bool = True) -> list[str]:
     """Oldest-first revision list of a local repository's current branch."""
-    cmd = ["git", "-C", str(repo), "rev-list", "--reverse"]
+    args = ["rev-list", "--reverse"]
     if first_parent:
-        cmd.append("--first-parent")
-    cmd.append("HEAD")
-    result = subprocess.run(cmd, capture_output=True, text=True)
-    if result.returncode != 0:
-        raise ExtractionError(f"git rev-list failed: {result.stderr.strip()}")
-    return [line for line in result.stdout.splitlines() if line]
+        args.append("--first-parent")
+    out = _git(repo, *args, "HEAD").decode()
+    return [line for line in out.splitlines() if line]
+
+
+def _tree_changes(
+    repo: str | Path, previous: str | None, rev: str
+) -> list[tuple[str, str, str, str]]:
+    """``(old mode, new mode, new blob id, path)`` for each path ``rev`` changes.
+
+    Against no previous revision every entry of ``rev``'s tree is an addition.
+    """
+    if previous is None:
+        fields = _git(repo, "ls-tree", "-r", "-z", "--full-tree", rev).split(b"\0")
+        changes = []
+        for entry in fields[:-1]:
+            meta, path = entry.split(b"\t", 1)
+            mode, _, oid = meta.decode().split(" ")
+            changes.append(("000000", mode, oid, path.decode(errors="surrogateescape")))
+        return changes
+    fields = _git(
+        repo, "diff-tree", "-r", "-z", "--no-renames", previous, rev
+    ).split(b"\0")
+    changes = []
+    for meta, path in zip(fields[:-1:2], fields[1::2]):
+        old_mode, new_mode, _, oid, _ = meta.decode().lstrip(":").split(" ")
+        changes.append((old_mode, new_mode, oid, path.decode(errors="surrogateescape")))
+    return changes
+
+
+def _read_blobs(repo: str | Path, oids: Sequence[str]) -> list[memoryview]:
+    """Contents of ``oids``, in order, from one ``git cat-file --batch``."""
+    request = "".join(f"{oid}\n" for oid in oids).encode()
+    out = _git(repo, "cat-file", "--batch", stdin=request)
+    view = memoryview(out)
+    blobs = []
+    pos = 0
+    for oid in oids:
+        end = out.index(b"\n", pos)
+        header = out[pos:end].split()  # <oid> blob <size>, or <oid> missing
+        if len(header) != 3 or header[1] != b"blob":
+            raise ExtractionError(f"git cat-file: no blob {oid}")
+        start = end + 1
+        pos = start + int(header[2])
+        blobs.append(view[start:pos])
+        pos += 1  # the newline after the contents
+    return blobs
+
+
+def _safe_relative(path: str) -> bool:
+    return not path.startswith("/") and all(
+        part not in ("", ".", "..") for part in path.split("/")
+    )
+
+
+def stream_revisions(
+    repo: str | Path, revisions: Iterable[str], scratch: str | Path
+) -> Iterator[tuple[str, Path, frozenset[str]]]:
+    """Advance one checkout through oldest-first ``revisions``.
+
+    The checkout is a new directory under ``scratch`` named after the
+    repository's directory.  The first revision's tree is listed with ``git ls-tree``, each later one
+    is diffed against its predecessor with ``git diff-tree``; the added and
+    modified blobs of a revision come from one ``git cat-file --batch`` and
+    deleted paths are unlinked.  Blobs are written as committed, with no
+    attribute filters or end-of-line conversion.  Only regular files are
+    written: symlinks, submodules and paths that would leave the checkout are
+    skipped.  After the checkout holds ``rev`` this yields ``(rev, tree,
+    changed_paths)``, the repository-relative paths whose file was written or
+    removed; the tree changes when the next revision is drawn.  A git
+    failure, such as an unknown revision, raises :class:`ExtractionError`.
+    """
+    tree = Path(scratch) / (Path(repo).resolve().name or "repository")
+    tree.mkdir(parents=True)
+    previous: str | None = None
+    for rev in revisions:
+        if rev.startswith("-"):  # git would parse it as an option
+            raise ExtractionError(f"not a revision: {rev!r}")
+        changes = [c for c in _tree_changes(repo, previous, rev) if _safe_relative(c[3])]
+        removed = [
+            path
+            for old, new, _, path in changes
+            if old in _REGULAR_MODES and new not in _REGULAR_MODES
+        ]
+        written = [(oid, path) for _, new, oid, path in changes if new in _REGULAR_MODES]
+        for path in removed:
+            target = tree / path
+            target.unlink(missing_ok=True)
+            for parent in target.parents:
+                if parent == tree:
+                    break
+                try:
+                    parent.rmdir()
+                except OSError:  # not empty
+                    break
+        blobs = _read_blobs(repo, [oid for oid, _ in written]) if written else []
+        for (_, path), data in zip(written, blobs):
+            target = tree / path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+        yield rev, tree, frozenset(removed) | {path for _, path in written}
+        previous = rev
 
 
 def materialize_revisions(
     repo: str | Path, revisions: Sequence[str], dest: str | Path
 ) -> list[tuple[str, Path]]:
-    """Check out revisions of a local repository into per-revision trees."""
+    """Copy each revision's tree, read by :func:`stream_revisions`, to ``dest/<rev>``."""
     out = []
-    dest = Path(dest)
-    for rev in revisions:
-        target = dest / rev
-        target.mkdir(parents=True, exist_ok=True)
-        result = subprocess.run(
-            ["git", "-C", str(repo), "archive", "--format=tar", rev],
-            capture_output=True,
-        )
-        if result.returncode != 0:
-            raise ExtractionError(
-                f"git archive {rev} failed: {result.stderr.decode().strip()}"
-            )
-        with tarfile.open(fileobj=io.BytesIO(result.stdout)) as tar:
-            tar.extractall(target)
-        out.append((rev, target))
+    with tempfile.TemporaryDirectory(prefix="archdelta-revisions-") as scratch:
+        for rev, tree, _ in stream_revisions(repo, revisions, scratch):
+            target = Path(dest) / rev
+            shutil.copytree(tree, target, dirs_exist_ok=True)
+            out.append((rev, target))
     return out

@@ -20,6 +20,8 @@ overrides on top of version N-1; a None value deletes the file):
 
 from __future__ import annotations
 
+import shutil
+import subprocess
 from pathlib import Path
 
 POM = """<?xml version="1.0" encoding="UTF-8"?>
@@ -563,3 +565,63 @@ def write_history_corpus(root: Path) -> list[Path]:
 
 def write_summary_corpus(root: Path) -> list[Path]:
     return materialize_history(SUMMARY_BASE, SUMMARY_STEPS, root)
+
+
+# ---------------------------------------------------------------------------
+# Git histories
+# ---------------------------------------------------------------------------
+
+_EXTRA_SERVICE = {
+    "ts-extra/pom.xml": POM.format(name="ts-extra"),
+    "ts-extra/src/main/java/alpha/AlphaController.java": ALPHA_CONTROLLER,
+    "ts-extra/src/main/java/alpha/AlphaService.java": ALPHA_SERVICE_V0,
+}
+
+# HISTORY followed by the revision shapes that decide what a git replay may
+# skip rescanning: a service (with its build descriptor) added and removed
+# again, a revision touching no source file, a two-service edit and more
+# deletions.  HISTORY itself already edits two services at once (v4) and
+# deletes a source file (v5).
+HISTORY_GIT_STEPS: list[dict[str, str | None]] = HISTORY_STEPS + [
+    dict(_EXTRA_SERVICE),
+    {"ts-order/README.md": "Order service.\n", "docs/notes.txt": "notes\n"},
+    {
+        "ts-order/src/main/java/order/OrderService.java": ORDER_SERVICE_V0,
+        "ts-extra/src/main/java/alpha/AlphaService.java": ALPHA_SERVICE_V2,
+    },
+    dict.fromkeys(_EXTRA_SERVICE),
+    {
+        "ts-order/src/main/java/order/Payment.java": None,
+        "docs/notes.txt": None,
+    },
+]
+
+GIT_IDENTITY = (
+    "-c", "user.name=fixture",
+    "-c", "user.email=fixture@example.invalid",
+    "-c", "commit.gpgsign=false",
+)
+
+
+def git(repo: Path, *args: str, input: str | None = None) -> str:
+    return subprocess.run(
+        ["git", "-C", str(repo), *GIT_IDENTITY, *args],
+        input=input,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+
+
+def commit_versions(repo: Path, version_roots: list[Path]) -> list[str]:
+    """Commit each version tree in turn to a new repository; revisions oldest-first."""
+    repo.mkdir(parents=True)
+    git(repo, "init", "--quiet")
+    for i, version_root in enumerate(version_roots):
+        for child in repo.iterdir():
+            if child.name != ".git":
+                shutil.rmtree(child) if child.is_dir() else child.unlink()
+        shutil.copytree(version_root, repo, dirs_exist_ok=True)
+        git(repo, "add", "-A")
+        git(repo, "commit", "--quiet", "--allow-empty", "-m", f"step {i}")
+    return git(repo, "rev-list", "--reverse", "HEAD").split()

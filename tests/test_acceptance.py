@@ -294,16 +294,14 @@ NETWORK_REPO = "https://github.com/shabbirdwd53/Springboot-Microservice"
 def test_c8_live_repository_replay(tmp_path):
     """Non-gating smoke run over a small public multi-service repository."""
     with criterion(8, "live repository replay smoke (optional)"):
-        from archdelta.history import git_revisions, materialize_revisions
+        from archdelta.history import git_revisions, stream_revisions
 
         checkout = tmp_path / "repo"
         subprocess.run(
             ["git", "clone", "--quiet", NETWORK_REPO, str(checkout)], check=True
         )
         revisions = git_revisions(checkout)
-        versions = materialize_revisions(
-            checkout, revisions, tmp_path / "versions"
-        )
+        versions = stream_revisions(checkout, revisions, tmp_path / "versions")
         record = replay(versions, verify_each_step=True)
-        assert len(record.versions) == len(versions)
+        assert len(record.versions) == len(revisions)
         assert record.unique_totals["UEM"] > 0

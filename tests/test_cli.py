@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import filecmp
 import json
 
 import pytest
+
+from corpus import HISTORY_BASE, HISTORY_GIT_STEPS, commit_versions, materialize_history
 
 from archdelta.cli import main
 from archdelta.documents import deserialize_ir, deserialize_microservice_ir
@@ -149,6 +152,89 @@ def test_replay_of_only_unreadable_versions_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Commits" not in captured.out
     assert "nope1" in captured.err and "nope2" in captured.err
+
+
+def _same_tree(left, right) -> bool:
+    cmp = filecmp.dircmp(left, right)
+    _, mismatch, errors = filecmp.cmpfiles(
+        left, right, cmp.common_files, shallow=False
+    )
+    return (
+        not (cmp.left_only or cmp.right_only or mismatch or errors)
+        and not cmp.common_funny
+        and all(_same_tree(left / d, right / d) for d in cmp.common_dirs)
+    )
+
+
+def test_git_replay_artifacts_match_directory_replay(tmp_path, capsys):
+    roots = materialize_history(HISTORY_BASE, HISTORY_GIT_STEPS, tmp_path / "trees")
+    commit_versions(tmp_path / "repo", roots)
+    runs = {
+        "directories": {"versions": [str(root) for root in roots]},
+        "repository": {"repository": "repo"},
+    }
+    for name, config in runs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "out": str(tmp_path / name)}))
+        assert run_cli("replay", path) == 0
+    summary = json.loads((tmp_path / "repository" / "summary.json").read_text())
+    assert summary["commits"] == len(HISTORY_GIT_STEPS)
+    assert summary["skipped"] == []
+    assert sorted(p.name for p in (tmp_path / "repository").iterdir()) == [
+        "deltas", "ir", "summary.json", "timeseries.csv", "violations",
+    ]
+    assert _same_tree(tmp_path / "directories", tmp_path / "repository")
+
+
+@pytest.fixture
+def git_repo(summary_versions, tmp_path):
+    repo = tmp_path / "repo"
+    return repo, commit_versions(repo, summary_versions)
+
+
+@pytest.mark.parametrize(
+    "revisions",
+    [
+        lambda known: ["no-such-revision"],
+        lambda known: [known[0], "no-such-revision"],
+        lambda known: [known[0], "--output=written-by-git"],
+        lambda known: "not a list",
+        lambda known: [1],
+    ],
+    ids=["unknown", "unknown-later", "option", "string", "number"],
+)
+def test_replay_of_bad_revisions_exits_with_usage_error(
+    git_repo, tmp_path, capsys, revisions
+):
+    repo, known = git_repo
+    revisions = revisions(known)
+    config = tmp_path / "replay.json"
+    config.write_text(
+        json.dumps(
+            {"repository": str(repo), "revisions": revisions, "out": str(tmp_path / "run")}
+        )
+    )
+    assert run_cli("replay", config) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Commits" not in captured.out
+    assert not (tmp_path / "run").exists()
+    assert not list(tmp_path.rglob("written-by-git"))
+
+
+@pytest.mark.parametrize("revisions", [None, ["HEAD"]])
+def test_replay_of_a_directory_that_is_no_repository_fails(
+    tmp_path, capsys, monkeypatch, revisions
+):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    (tmp_path / "plain").mkdir()
+    config = tmp_path / "replay.json"
+    doc = {"repository": "plain", "out": str(tmp_path / "run")}
+    if revisions:
+        doc["revisions"] = revisions
+    config.write_text(json.dumps(doc))
+    assert run_cli("replay", config) == 2
+    assert "git" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_bad_input_exits_with_usage_error(tmp_path):

@@ -1,23 +1,51 @@
 from __future__ import annotations
 
 import filecmp
+from pathlib import Path
 
 import pytest
 
 from corpus import (
+    HISTORY_BASE,
     HISTORY_EXPECTED_SERIES,
     HISTORY_EXPECTED_UNIQUE,
+    ORDER_SERVICE_V0,
+    ORDER_SERVICE_V1,
+    POM,
+    STATION_CONTROLLER_V0,
+    STATION_CONTROLLER_V2,
     SUMMARY_EXPECTED_SERIES,
     SUMMARY_EXPECTED_UNIQUE,
+    commit_versions,
+    git,
+    materialize_history,
 )
 
+from archdelta import history
 from archdelta.history import (
     emit_summary,
     emit_timeseries,
+    git_revisions,
     render_summary_table,
     replay,
+    stream_revisions,
     write_artifacts,
 )
+
+LEAK = "ts-order/src/main/java/order/Leak.java"
+LEAK_CONTROLLER = """package order;
+
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+public class Leak {
+    @GetMapping("/leak")
+    public String leak() {
+        return "";
+    }
+}
+"""
+GITLINK = "ts-order/src/main/java/order/vendor"
 
 
 @pytest.fixture(scope="module")
@@ -145,38 +173,189 @@ def test_empty_rule_set_yields_zero_totals(summary_versions):
 
 
 def test_replay_from_local_git_history(summary_versions, tmp_path):
-    import shutil
-    import subprocess
-
-    from archdelta.history import git_revisions, materialize_revisions
-
     repo = tmp_path / "repo"
-    repo.mkdir()
-    env_args = [
-        "-c", "user.name=fixture",
-        "-c", "user.email=fixture@example.invalid",
-    ]
-    subprocess.run(["git", "-C", repo, "init", "--quiet"], check=True)
-    for i, version_root in enumerate(summary_versions):
-        for child in repo.iterdir():
-            if child.name != ".git":
-                shutil.rmtree(child) if child.is_dir() else child.unlink()
-        for item in version_root.iterdir():
-            if item.is_dir():
-                shutil.copytree(item, repo / item.name)
-            else:
-                shutil.copy2(item, repo / item.name)
-        subprocess.run(["git", "-C", repo, "add", "-A"], check=True)
-        subprocess.run(
-            ["git", "-C", repo, *env_args, "commit", "--quiet", "-m", f"step {i}"],
-            check=True,
-        )
+    commit_versions(repo, summary_versions)
     revisions = git_revisions(repo)
     assert len(revisions) == 4
-    versions = materialize_revisions(repo, revisions, tmp_path / "checkouts")
-    record = replay(versions)
+    record = replay(stream_revisions(repo, revisions, tmp_path / "scratch"))
     assert record.per_rule_series == SUMMARY_EXPECTED_SERIES
     assert record.unique_totals == SUMMARY_EXPECTED_UNIQUE
+
+
+def _counting_scans(monkeypatch):
+    """Record, per version drawn by ``replay``, the services it scanned."""
+    per_version: list[list[str]] = []
+    original = history.scan_repository
+
+    def counting(root, profile, name, *args, **kwargs):
+        per_version[-1].append(name)
+        return original(root, profile, name, *args, **kwargs)
+
+    monkeypatch.setattr(history, "scan_repository", counting)
+
+    def drawn(versions):
+        for version in versions:
+            per_version.append([])
+            yield version
+
+    return per_version, drawn
+
+
+def _history_repo(tmp_path, steps) -> tuple[Path, list[str]]:
+    roots = materialize_history(HISTORY_BASE, steps, tmp_path / "trees")
+    repo = tmp_path / "repo"
+    return repo, commit_versions(repo, roots)
+
+
+ALL_SERVICES = ["ts-order", "ts-station", "ts-user"]
+ORDER_SERVICE = "ts-order/src/main/java/order/OrderService.java"
+STATION_CONTROLLER = "ts-station/src/main/java/station/StationController.java"
+
+
+def test_replay_rescans_only_services_holding_changed_paths(tmp_path, monkeypatch):
+    repo, revisions = _history_repo(
+        tmp_path,
+        [
+            {},
+            {ORDER_SERVICE: ORDER_SERVICE_V1},
+            {STATION_CONTROLLER: STATION_CONTROLLER_V2},
+            {"ts-user/pom.xml": POM.format(name="ts-user") + "<!-- edited -->\n"},
+            {ORDER_SERVICE: ORDER_SERVICE_V0},
+            {STATION_CONTROLLER: STATION_CONTROLLER_V0},
+            {"docs/notes.txt": "outside every service\n"},
+        ],
+    )
+    per_version, drawn = _counting_scans(monkeypatch)
+
+    def with_gap(stream):
+        for i, version in enumerate(stream):
+            if i == 5:
+                yield "gap", tmp_path / "unreadable"
+            yield version
+
+    stream = stream_revisions(repo, revisions, tmp_path / "scratch")
+    record = replay(drawn(with_gap(stream)))
+    assert [e.reanchored for e in record.versions] == [False] * 5 + [True, False]
+    assert per_version == [
+        ALL_SERVICES,
+        ["ts-order"],
+        ["ts-station"],
+        ALL_SERVICES,  # a build descriptor changed
+        ["ts-order"],
+        [],  # the unreadable gap
+        ALL_SERVICES,  # re-anchor after the gap
+        [],  # no service holds a changed path
+    ]
+    assert record.versions[-1].system == record.versions[-2].system
+
+
+def test_checkpoint_rescans_every_service(tmp_path, monkeypatch):
+    repo, revisions = _history_repo(
+        tmp_path,
+        [{}, {ORDER_SERVICE: ORDER_SERVICE_V1}, {STATION_CONTROLLER: STATION_CONTROLLER_V2}],
+    )
+    per_version, drawn = _counting_scans(monkeypatch)
+    stream = stream_revisions(repo, revisions, tmp_path / "scratch")
+    replay(drawn(stream), checkpoint_every=1)
+    assert per_version == [ALL_SERVICES, ["ts-order"], ALL_SERVICES]
+
+
+def test_git_replay_writes_no_symlink_or_submodule(tmp_path):
+    """A committed symlink is never followed out of the checkout."""
+    outside = tmp_path / "outside.txt"
+    outside.write_text(
+        LEAK_CONTROLLER.replace("class Leak", "class Outside"), encoding="utf-8"
+    )
+    repo, revisions = _history_repo(tmp_path, [{LEAK: LEAK_CONTROLLER}])
+    (repo / LEAK).unlink()
+    (repo / LEAK).symlink_to(outside)
+    git(repo, "add", "-A")
+    git(repo, "update-index", "--add", "--cacheinfo", f"160000,{revisions[0]},{GITLINK}")
+    git(repo, "commit", "--quiet", "-m", "symlink and submodule")
+    (repo / LEAK).unlink()
+    (repo / LEAK).write_text(LEAK_CONTROLLER, encoding="utf-8")
+    git(repo, "add", "-A")
+    git(repo, "commit", "--quiet", "-m", "regular file again")
+    revisions = git_revisions(repo)
+    assert len(revisions) == 3
+
+    def leak_components(system):
+        return [
+            c.id.qualified_name
+            for c in system.services["ts-order"].components.values()
+            if "Leak" in c.source_path or c.id.qualified_name.endswith("Outside")
+        ]
+
+    trees = []
+
+    def checked(stream):
+        for rev, tree, changed in stream:
+            trees.append((tree / LEAK).is_file() or (tree / LEAK).is_symlink())
+            assert not (tree / GITLINK).exists() and not (tree / GITLINK).is_symlink()
+            yield rev, tree, changed
+
+    record = replay(checked(stream_revisions(repo, revisions, tmp_path / "scratch")))
+    assert trees == [True, False, True]
+    assert [leak_components(e.system) for e in record.versions] == [
+        ["order.Leak"],
+        [],
+        ["order.Leak"],
+    ]
+
+
+def test_stream_revisions_writes_nothing_outside_the_checkout(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "--quiet")
+    blob = git(repo, "hash-object", "-w", "--stdin", input="escaped\n").strip()
+    inner = git(repo, "mktree", input=f"100644 blob {blob}\tevil.txt\n").strip()
+    root = git(
+        repo, "mktree", input=f"040000 tree {inner}\t..\n100644 blob {blob}\tkept.txt\n"
+    ).strip()
+    commit = git(repo, "commit-tree", root, "-m", "entry named ..").strip()
+    scratch = tmp_path / "scratch"
+    [(_, tree, changed)] = stream_revisions(repo, [commit], scratch)
+    assert changed == {"kept.txt"}
+    assert [p.relative_to(scratch).as_posix() for p in scratch.rglob("*")] == [
+        "repo",
+        "repo/kept.txt",
+    ]
+
+
+def test_stream_revisions_tracks_each_tree_exactly(tmp_path):
+    """Files become directories and back; emptied directories disappear."""
+    trees = [
+        {"svc/pom.xml": "a", "svc/doc": "file", "svc/x/y/z.txt": "deep"},
+        {"svc/pom.xml": "a", "svc/doc/part.txt": "now a directory"},
+        {"svc/pom.xml": "b", "svc/doc": "file again", "svc/run.sh": "#!/bin/sh\n"},
+    ]
+    roots = []
+    for i, files in enumerate(trees):
+        for rel, content in files.items():
+            (tmp_path / f"t{i}" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / f"t{i}" / rel).write_text(content)
+        roots.append(tmp_path / f"t{i}")
+    repo = tmp_path / "repo"
+    revisions = commit_versions(repo, roots)
+    seen = []
+    for rev, tree, changed in stream_revisions(repo, revisions, tmp_path / "scratch"):
+        seen.append(changed)
+        files = {
+            p.relative_to(tree).as_posix(): p.read_text()
+            for p in tree.rglob("*")
+            if p.is_file()
+        }
+        dirs = {p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_dir()}
+        assert files == trees[len(seen) - 1]
+        assert dirs == {
+            d.as_posix() for f in files for d in Path(f).parents if d != Path(".")
+        }
+    assert tree == tmp_path / "scratch" / "repo"
+    assert seen == [
+        {"svc/pom.xml", "svc/doc", "svc/x/y/z.txt"},
+        {"svc/doc", "svc/doc/part.txt", "svc/x/y/z.txt"},
+        {"svc/pom.xml", "svc/doc", "svc/doc/part.txt", "svc/run.sh"},
+    ]
 
 
 def test_removed_service_marked_in_entry(history_versions, tmp_path):
