@@ -203,7 +203,7 @@ def cmd_replay(args) -> int:
         rules = []
         for path in config["rules"]:
             rules.extend(load_rules(resolve(path).read_bytes()))
-    out_dir = args.out or config.get("out")
+    out_dir = args.out or (resolve(config["out"]) if config.get("out") else None)
     threshold = float(config.get("overlapThreshold", DEFAULT_OVERLAP_THRESHOLD))
     service_names = config.get("serviceNames")
 

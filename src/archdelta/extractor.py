@@ -5,10 +5,16 @@ annotations, method signatures and bodies as token streams, which is all the
 downstream analysis consumes.  It never executes builds and it degrades to
 warnings on files it cannot make sense of.
 
-Parsing runs over two aligned views of each file: ``code`` (comments blanked)
-for extracting values, and ``skel`` (comments and string literals blanked)
-for structure scanning, so braces and keywords inside string literals cannot
-confuse bracket matching.
+Each file is tokenized once, by ``model.source_views``: the tokens are string
+and char literals, ``\"\"\"`` text blocks and comments.  That pass yields two
+offset-aligned views.  ``code`` has comments blanked and is where values are
+read.  ``skel`` also blanks literal interiors, keeping the quotes, and is
+where structure is found, so braces and keywords inside literals cannot
+confuse it.  One stack pass over ``skel`` pairs every ``(`` and ``{`` with its
+closer.  Parsing then works on spans of the file: it finds structure in
+``skel``, steps over bracketed groups through that table and slices values
+out of ``code``.  Each method body is type-scanned and call-scanned once; the
+call graph and the remote calls read the same scan.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, MutableMapping
+from typing import Mapping, MutableMapping, NamedTuple
 
 from .errors import AmbiguousMarkerError, ExtractionError
 from .model import (
@@ -34,15 +41,16 @@ from .model import (
     MicroserviceIR,
     Parameter,
     RestCall,
-    blank_comments,
     component_id,
     make_component,
     method_content_hash,
     normalize_path,
     normalize_source_text,
+    source_views,
     validate_microservice_ir,
 )
 from .profiles import FROM_ATTRIBUTE, MarkerProfile
+
 
 logger = logging.getLogger(__name__)
 
@@ -92,109 +100,60 @@ class ScanWarning:
 # ---------------------------------------------------------------------------
 
 
-def _blank_strings(text: str) -> str:
-    """Blank the contents of string/char literals, keeping the quotes."""
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"' or c == "'":
-            quote = c
-            i += 1
-            while i < n:
-                if text[i] == "\\":
-                    out[i] = " "
-                    if i + 1 < n:
-                        out[i + 1] = " "
-                    i += 2
-                    continue
-                if text[i] == quote:
-                    i += 1
-                    break
-                out[i] = " "
-                i += 1
-            continue
-        i += 1
-    return "".join(out)
+_BRACKETS = re.compile(r"[(){}]")
+_SPLIT_PUNCT = re.compile(r"[()\[\]{}<>,=+]")
 
 
-def _match_brace(skel: str, open_idx: int) -> int:
-    """Index of the '}' matching skel[open_idx] == '{'. Raises on imbalance."""
-    depth = 0
-    for i in range(open_idx, len(skel)):
-        c = skel[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise ExtractionError("unbalanced braces")
+class _Source:
+    """One file's aligned views and bracket-match table; parsing uses spans."""
 
+    def __init__(self, text: str):
+        self.code, self.skel = source_views(text)
+        self.closer: dict[int, int] = {}
+        stacks: dict[str, list[int]] = {"(": [], "{": []}
+        for m in _BRACKETS.finditer(self.skel):
+            c = m.group()
+            if c in stacks:
+                stacks[c].append(m.start())
+            else:
+                stack = stacks["(" if c == ")" else "{"]
+                if stack:  # a closer without an opener pairs with nothing
+                    self.closer[stack.pop()] = m.start()
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on ``sep`` outside parens/brackets/braces/generics and strings."""
-    parts: list[str] = []
-    depth = 0
-    angle = 0
-    start = 0
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in "\"'":
-            quote = c
-            i += 1
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if text[i] == quote:
-                    i += 1
-                    break
-                i += 1
-            continue
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == "<":
-            angle += 1
-        elif c == ">":
-            if angle > 0:
-                angle -= 1
-        elif c == sep and depth == 0 and angle == 0:
-            parts.append(text[start:i])
-            start = i + 1
-        i += 1
-    parts.append(text[start:])
-    return parts
+    def close(self, open_idx: int, end: int) -> int:
+        """Offset of the bracket closing ``open_idx``; it must lie before ``end``."""
+        close = self.closer.get(open_idx, end)
+        if close >= end:
+            kind = "parentheses" if self.skel[open_idx] == "(" else "braces"
+            raise ExtractionError(f"unbalanced {kind}")
+        return close
 
+    def strip(self, start: int, end: int) -> tuple[int, int]:
+        """The span without its leading and trailing whitespace."""
+        text = self.code[start:end]
+        stripped = text.lstrip()
+        start += len(text) - len(stripped)
+        return start, start + len(stripped.rstrip())
 
-def _matching_paren(text: str, open_idx: int) -> int:
-    depth = 0
-    i, n = open_idx, len(text)
-    while i < n:
-        c = text[i]
-        if c in "\"'":
-            quote = c
-            i += 1
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if text[i] == quote:
-                    i += 1
-                    break
-                i += 1
-            continue
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    raise ExtractionError("unbalanced parentheses")
+    def split(self, start: int, end: int, sep: str) -> list[tuple[int, int]]:
+        """Split a span on ``sep`` outside brackets, braces and generics."""
+        parts: list[tuple[int, int]] = []
+        depth = angle = 0
+        for m in _SPLIT_PUNCT.finditer(self.skel, start, end):
+            c = m.group()
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                depth -= 1
+            elif c == "<":
+                angle += 1
+            elif c == ">":
+                angle = max(angle - 1, 0)
+            elif c == sep and depth == 0 and angle == 0:
+                parts.append((start, m.start()))
+                start = m.end()
+        parts.append((start, end))
+        return parts
 
 
 def _collapse_type(text: str) -> str:
@@ -213,6 +172,17 @@ def type_name_parts(declared: str) -> frozenset[str]:
     return frozenset(n.rsplit(".", 1)[-1] for n in names)
 
 
+def _split_modifiers(decl: str) -> tuple[list[str], str]:
+    """Leading modifier keywords of a declaration, and the text after them."""
+    modifiers: list[str] = []
+    head = decl.split(None, 1)
+    while head and head[0] in _MODIFIERS:
+        modifiers.append(head[0])
+        decl = head[1] if len(head) == 2 else ""
+        head = decl.split(None, 1)
+    return modifiers, decl
+
+
 # ---------------------------------------------------------------------------
 # Annotations
 # ---------------------------------------------------------------------------
@@ -228,47 +198,36 @@ class ParsedAnnotation:
         return f"{self.name}({body})" if body else self.name
 
 
-def _annotations_in(code: str, start: int, end: int) -> list[ParsedAnnotation]:
-    """All annotations found in code[start:end] (used for class headers)."""
-    found = []
-    region = code[start:end]
-    skel = _blank_strings(region)
-    for m in re.finditer(r"@\s*([\w.]+)", skel):
-        name = m.group(1).rsplit(".", 1)[-1]
-        j = m.end()
-        while j < len(skel) and skel[j].isspace():
-            j += 1
-        args = ""
-        if j < len(skel) and skel[j] == "(":
-            close = _matching_paren(region, j)
-            args = region[j + 1 : close]
-        found.append(ParsedAnnotation(name, args))
-    return found
+_ANNOTATION = re.compile(r"@\s*([\w.]+)\s*(\()?")
+_LEADING_ANNOTATION = re.compile(r"\s*" + _ANNOTATION.pattern)
 
 
-def _leading_annotations(text: str) -> tuple[list[ParsedAnnotation], int]:
+def _annotation(src: _Source, m: re.Match, end: int) -> tuple[ParsedAnnotation, int]:
+    """The annotation ``m`` found in a span ending at ``end``; offset after it."""
+    name = m.group(1).rsplit(".", 1)[-1]
+    if not m.group(2):
+        return ParsedAnnotation(name, ""), m.end()
+    close = src.close(m.end() - 1, end)
+    return ParsedAnnotation(name, src.code[m.end() : close]), close + 1
+
+
+def _annotations_in(src: _Source, start: int, end: int) -> list[ParsedAnnotation]:
+    """All annotations found in a span (used for class headers)."""
+    return [
+        _annotation(src, m, end)[0]
+        for m in _ANNOTATION.finditer(src.skel, start, end)
+    ]
+
+
+def _leading_annotations(
+    src: _Source, start: int, end: int
+) -> tuple[list[ParsedAnnotation], int]:
     """Annotations at the start of a member declaration; returns rest offset."""
     anns: list[ParsedAnnotation] = []
-    i, n = 0, len(text)
-    while True:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n or text[i] != "@":
-            return anns, i
-        m = re.match(r"@\s*([\w.]+)", text[i:])
-        if not m:
-            return anns, i
-        name = m.group(1).rsplit(".", 1)[-1]
-        i += m.end()
-        j = i
-        while j < n and text[j].isspace():
-            j += 1
-        args = ""
-        if j < n and text[j] == "(":
-            close = _matching_paren(text, j)
-            args = text[j + 1 : close]
-            i = close + 1
-        anns.append(ParsedAnnotation(name, args))
+    while m := _LEADING_ANNOTATION.match(src.skel, start, end):
+        ann, start = _annotation(src, m, end)
+        anns.append(ann)
+    return anns, start
 
 
 def _annotation_path_value(args: str) -> str:
@@ -304,6 +263,7 @@ class ParsedMethod:
     annotations: tuple[ParsedAnnotation, ...]
     modifiers: tuple[str, ...]
     body: str | None  # None for abstract/interface methods
+    body_span: tuple[int, int] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -314,6 +274,22 @@ class ParsedField:
     modifiers: tuple[str, ...]
 
 
+class _BodyCall(NamedTuple):
+    receiver: str | None  # None for bare calls
+    method: str
+    args: tuple[tuple[int, int], ...]  # stripped argument spans in the file
+
+    @property
+    def arity(self) -> int:
+        return len(self.args)
+
+
+@dataclass(frozen=True)
+class _BodyScan:
+    types: dict[str, str]  # receiver name -> simple type name
+    calls: tuple[_BodyCall, ...]  # in source order
+
+
 @dataclass(frozen=True)
 class ParsedUnit:
     package: str
@@ -322,127 +298,134 @@ class ParsedUnit:
     annotations: tuple[ParsedAnnotation, ...]
     fields: tuple[ParsedField, ...]
     methods: tuple[ParsedMethod, ...]
+    source: _Source = field(compare=False, repr=False)
 
     @property
     def qualified_name(self) -> str:
         return f"{self.package}.{self.type_name}" if self.package else self.type_name
 
+    @cached_property
+    def body_scans(self) -> tuple[_BodyScan | None, ...]:
+        """One type and call scan per method body, aligned with ``methods``."""
+        class_fields = {f.name: _simple_type(f.declared_type) for f in self.fields}
+        scans: list[_BodyScan | None] = []
+        for method in self.methods:
+            if method.body_span is None:
+                scans.append(None)
+                continue
+            types = dict(class_fields)
+            types.update(
+                {p.name: _simple_type(p.declared_type) for p in method.parameters}
+            )
+            types.update(_local_types(self.source.skel, *method.body_span))
+            scans.append(_BodyScan(types, _scan_calls(self.source, *method.body_span)))
+        return tuple(scans)
+
 
 _TYPE_DECL = re.compile(r"\b(class|interface|enum)\s+(\w+)")
+_TRAILING_NAME = re.compile(r"(\w+)\s*$")
+_THROWS = re.compile(r"\bthrows\b[\w.,<>\s]*$")
+_MEMBER_PUNCT = re.compile(r"[(){;=]")
+_NESTING = re.compile(r"[(\[{)\]};]")
 
 
-def _parse_params(params_text: str) -> tuple[Parameter, ...]:
+def _parse_params(src: _Source, start: int, end: int) -> tuple[Parameter, ...]:
     params: list[Parameter] = []
-    if not params_text.strip():
-        return ()
-    for raw in _split_top_level(params_text, ","):
-        anns, rest = _leading_annotations(raw)
-        part = raw[rest:].strip()
-        while True:
-            head = part.split(None, 1)
-            if len(head) == 2 and head[0] in _MODIFIERS:
-                part = head[1]
-            else:
-                break
-        m = re.search(r"(\w+)\s*$", part)
+    for part_start, part_end in src.split(start, end, ","):
+        _, rest = _leading_annotations(src, part_start, part_end)
+        _, part = _split_modifiers(src.code[rest:part_end].strip())
+        m = _TRAILING_NAME.search(part)
         if not m:
             continue
-        name = m.group(1)
         declared = _collapse_type(part[: m.start()])
-        if not declared:
-            continue
-        params.append(Parameter(name=name, declared_type=declared))
+        if declared:
+            params.append(Parameter(name=m.group(1), declared_type=declared))
     return tuple(params)
 
 
-def _try_parse_method(header: str, body: str | None) -> ParsedMethod | None:
-    anns, rest = _leading_annotations(header)
-    tail = header[rest:].strip()
-    tail = re.sub(r"\bthrows\b[\w.,<>\s]*$", "", tail).strip()
-    if not tail.endswith(")"):
+def _try_parse_method(
+    src: _Source, start: int, end: int, body_span: tuple[int, int] | None
+) -> ParsedMethod | None:
+    anns, rest = _leading_annotations(src, start, end)
+    start, end = src.strip(rest, end)
+    throws = _THROWS.search(src.code, start, end)
+    if throws:
+        start, end = src.strip(start, throws.start())
+    if not src.code.endswith(")", start, end):
         return None
-    open_idx = tail.find("(")
+    open_idx = src.skel.find("(", start, end)
     if open_idx < 0:
         return None
-    close_idx = _matching_paren(tail, open_idx)
-    if tail[close_idx + 1 :].strip():
+    close_idx = src.close(open_idx, end)
+    if src.code[close_idx + 1 : end].strip():
         return None
-    params_text = tail[open_idx + 1 : close_idx]
-    before = tail[:open_idx].strip()
-    m = re.search(r"(\w+)\s*$", before)
+    before = src.code[start:open_idx].strip()
+    m = _TRAILING_NAME.search(before)
     if not m:
         return None
-    name = m.group(1)
-    prefix = before[: m.start()].strip()
-    modifiers: list[str] = []
-    while True:
-        head = prefix.split(None, 1)
-        if head and head[0] in _MODIFIERS:
-            modifiers.append(head[0])
-            prefix = head[1] if len(head) == 2 else ""
-        else:
-            break
+    modifiers, prefix = _split_modifiers(before[: m.start()].strip())
     return_type = _collapse_type(prefix)
     if not return_type:
         return None  # constructor; outside the structural model
     return ParsedMethod(
-        name=name,
-        parameters=_parse_params(params_text),
+        name=m.group(1),
+        parameters=_parse_params(src, open_idx + 1, close_idx),
         return_type=return_type,
         annotations=tuple(anns),
         modifiers=tuple(modifiers),
-        body=body,
+        body=None if body_span is None else src.code[body_span[0] : body_span[1]],
+        body_span=body_span,
     )
 
 
-def _try_parse_fields(stmt: str) -> list[ParsedField]:
-    anns, rest = _leading_annotations(stmt)
-    decl = stmt[rest:]
-    decl = _split_top_level(decl, "=")[0].strip()
-    if not decl or "(" in _blank_strings(decl):
+def _try_parse_fields(src: _Source, start: int, end: int) -> list[ParsedField]:
+    anns, rest = _leading_annotations(src, start, end)
+    decl_start, decl_end = src.strip(*src.split(rest, end, "=")[0])
+    if decl_start == decl_end or "(" in src.skel[decl_start:decl_end]:
         return []
-    modifiers: list[str] = []
-    while True:
-        head = decl.split(None, 1)
-        if head and head[0] in _MODIFIERS:
-            modifiers.append(head[0])
-            decl = head[1] if len(head) == 2 else ""
-        else:
-            break
-    parts = _split_top_level(decl, ",")
-    first = parts[0].strip()
-    m = re.search(r"(\w+)\s*$", first)
+    modifiers, decl = _split_modifiers(src.code[decl_start:decl_end])
+    parts = src.split(decl_end - len(decl), decl_end, ",")
+    first = src.code[parts[0][0] : parts[0][1]].strip()
+    m = _TRAILING_NAME.search(first)
     if not m:
         return []
     declared = _collapse_type(first[: m.start()])
     if not declared:
         return []
-    fields = [
+    names = [m.group(1)]
+    for extra_start, extra_end in parts[1:]:
+        extra_name = src.code[extra_start:extra_end].strip()
+        if re.fullmatch(r"\w+", extra_name):
+            names.append(extra_name)
+    return [
         ParsedField(
-            name=m.group(1),
+            name=name,
             declared_type=declared,
             annotations=tuple(anns),
             modifiers=tuple(modifiers),
         )
+        for name in names
     ]
-    for extra in parts[1:]:
-        extra_name = extra.strip()
-        if re.fullmatch(r"\w+", extra_name):
-            fields.append(
-                ParsedField(
-                    name=extra_name,
-                    declared_type=declared,
-                    annotations=tuple(anns),
-                    modifiers=tuple(modifiers),
-                )
-            )
-    return fields
+
+
+def _statement_end(skel: str, start: int, end: int) -> int:
+    """Offset of the ``;`` that ends a field initializer, or ``end``."""
+    depth = 0
+    for m in _NESTING.finditer(skel, start, end):
+        c = m.group()
+        if c in "([{":
+            depth += 1
+        elif c != ";":
+            depth -= 1
+        elif depth == 0:
+            return m.start()
+    return end
 
 
 def parse_unit(text: str) -> ParsedUnit | None:
     """Parse one source unit; None when no type declaration is found."""
-    code = blank_comments(text)
-    skel = _blank_strings(code)
+    src = _Source(text)
+    skel = src.skel
 
     pkg_match = re.search(r"^\s*package\s+([\w.]+)\s*;", skel, re.MULTILINE)
     package = pkg_match.group(1) if pkg_match else ""
@@ -456,55 +439,42 @@ def parse_unit(text: str) -> ParsedUnit | None:
     boundary = max(skel.rfind(";", 0, decl.start()), skel.rfind("}", 0, decl.start()))
     if boundary >= 0:
         header_start = boundary + 1
-    class_annotations = _annotations_in(code, header_start, decl.start())
+    class_annotations = _annotations_in(src, header_start, decl.start())
 
     open_idx = skel.find("{", decl.end())
     if open_idx < 0:
         raise ExtractionError(f"type {type_name}: missing class body")
-    close_idx = _match_brace(skel, open_idx)
+    close_idx = src.close(open_idx, len(skel))
 
     fields: list[ParsedField] = []
     methods: list[ParsedMethod] = []
 
-    i = open_idx + 1
-    seg_start = i
+    i = seg_start = open_idx + 1
     paren_depth = 0
-    while i < close_idx:
-        c = skel[i]
+    while m := _MEMBER_PUNCT.search(skel, i, close_idx):
+        c, i = m.group(), m.start()
         if c == "(":
             paren_depth += 1
         elif c == ")":
             paren_depth -= 1
-        elif c == ";" and paren_depth == 0:
-            stmt = code[seg_start:i]
-            method = _try_parse_method(stmt, None)
+        elif paren_depth:
+            pass  # inside an unclosed parenthesis nothing ends a member
+        elif c == ";":
+            method = _try_parse_method(src, seg_start, i, None)
             if method is not None:
                 methods.append(method)
             else:
-                fields.extend(_try_parse_fields(stmt))
+                fields.extend(_try_parse_fields(src, seg_start, i))
             seg_start = i + 1
-        elif c == "=" and paren_depth == 0:
-            j = i
-            depth = 0
-            while j < close_idx:
-                cj = skel[j]
-                if cj in "({[":
-                    depth += 1
-                elif cj in ")}]":
-                    depth -= 1
-                elif cj == ";" and depth == 0:
-                    break
-                j += 1
-            fields.extend(_try_parse_fields(code[seg_start:j]))
-            seg_start = j + 1
-            i = j
-        elif c == "{" and paren_depth == 0:
-            block_close = _match_brace(skel, i)
-            header = code[seg_start:i]
-            if _TYPE_DECL.search(skel[seg_start:i]):
-                pass  # nested type declarations are outside the model
-            else:
-                method = _try_parse_method(header, code[i + 1 : block_close])
+        elif c == "=":
+            i = _statement_end(skel, i, close_idx)
+            fields.extend(_try_parse_fields(src, seg_start, i))
+            seg_start = i + 1
+        else:  # "{": a method body or a nested type, skipped whole
+            block_close = src.close(i, close_idx)
+            # nested type declarations are outside the model
+            if not _TYPE_DECL.search(skel, seg_start, i):
+                method = _try_parse_method(src, seg_start, i, (i + 1, block_close))
                 if method is not None:
                     methods.append(method)
             seg_start = block_close + 1
@@ -518,6 +488,7 @@ def parse_unit(text: str) -> ParsedUnit | None:
         annotations=tuple(class_annotations),
         fields=tuple(fields),
         methods=tuple(methods),
+        source=src,
     )
 
 
@@ -587,88 +558,64 @@ def extract_endpoints(
     return endpoints
 
 
-def _local_types(body_skel: str) -> dict[str, str]:
+_LOCAL_DECL = re.compile(
+    r"\b([A-Z]\w*(?:\s*<[^<>;={}]*>)?(?:\s*\[\s*\])*)\s+(\w+)\s*(?==[^=])"
+)
+_FOREACH_DECL = re.compile(r"\(\s*([A-Z]\w*(?:\s*<[^<>;={}]*>)?)\s+(\w+)\s*:")
+
+
+def _local_types(skel: str, start: int, end: int) -> dict[str, str]:
     env: dict[str, str] = {}
-    decl = re.compile(
-        r"\b([A-Z]\w*(?:\s*<[^<>;={}]*>)?(?:\s*\[\s*\])*)\s+(\w+)\s*(?==[^=])"
-    )
-    for m in decl.finditer(body_skel):
-        env[m.group(2)] = _simple_type(m.group(1))
-    foreach = re.compile(r"\(\s*([A-Z]\w*(?:\s*<[^<>;={}]*>)?)\s+(\w+)\s*:")
-    for m in foreach.finditer(body_skel):
-        env[m.group(2)] = _simple_type(m.group(1))
+    for decl in (_LOCAL_DECL, _FOREACH_DECL):
+        for m in decl.finditer(skel, start, end):
+            env[m.group(2)] = _simple_type(m.group(1))
     return env
 
 
-@dataclass(frozen=True)
-class _BodyCall:
-    position: int
-    receiver: str | None  # None for bare calls
-    method: str
-    arity: int
-    args_region: tuple[int, int]  # offsets into the body for argument slicing
+_RECEIVER_CALL = re.compile(r"(\w+)\s*\.\s*(\w+)\s*\(")
+# A bare call, with a preceding ``new`` matched along so that constructor
+# calls are told apart without looking back over the body.
+_BARE_CALL = re.compile(r"(new\s*)?(?<![.\w])(\w+)\s*\(")
 
 
-def _scan_calls(body_code: str, body_skel: str) -> list[_BodyCall]:
+def _scan_calls(src: _Source, start: int, end: int) -> tuple[_BodyCall, ...]:
+    """Receiver and bare calls in a body span, in source order."""
+    found = [
+        (m.start(), m.group(1), m.group(2), m.end() - 1)
+        for m in _RECEIVER_CALL.finditer(src.skel, start, end)
+    ]
+    found += [
+        (m.start(2), None, m.group(2), m.end() - 1)
+        for m in _BARE_CALL.finditer(src.skel, start, end)
+        if not m.group(1) and m.group(2) not in _CALL_KEYWORDS
+    ]
+    found.sort(key=lambda f: f[0])
     calls: list[_BodyCall] = []
-    for m in re.finditer(r"(\w+)\s*\.\s*(\w+)\s*\(", body_skel):
-        open_idx = m.end() - 1
-        try:
-            close_idx = _matching_paren(body_code, open_idx)
-        except ExtractionError:
-            continue
-        args_text = body_code[open_idx + 1 : close_idx]
-        arity = 0 if not args_text.strip() else len(_split_top_level(args_text, ","))
-        calls.append(
-            _BodyCall(
-                position=m.start(),
-                receiver=m.group(1),
-                method=m.group(2),
-                arity=arity,
-                args_region=(open_idx + 1, close_idx),
-            )
-        )
-    for m in re.finditer(r"(?<![.\w])(\w+)\s*\(", body_skel):
-        name = m.group(1)
-        if name in _CALL_KEYWORDS:
-            continue
-        before = body_skel[: m.start()].rstrip()
-        if before.endswith("new"):
-            continue
-        open_idx = m.end() - 1
-        try:
-            close_idx = _matching_paren(body_code, open_idx)
-        except ExtractionError:
-            continue
-        args_text = body_code[open_idx + 1 : close_idx]
-        arity = 0 if not args_text.strip() else len(_split_top_level(args_text, ","))
-        calls.append(
-            _BodyCall(
-                position=m.start(),
-                receiver=None,
-                method=name,
-                arity=arity,
-                args_region=(open_idx + 1, close_idx),
-            )
-        )
-    calls.sort(key=lambda c: c.position)
-    return calls
+    for _, receiver, method, open_idx in found:
+        close = src.closer.get(open_idx, end)
+        if close >= end:
+            continue  # unbalanced inside the body: not a call
+        args: tuple[tuple[int, int], ...] = ()
+        if src.code[open_idx + 1 : close].strip():
+            args = tuple(src.strip(*a) for a in src.split(open_idx + 1, close, ","))
+        calls.append(_BodyCall(receiver, method, args))
+    return tuple(calls)
 
 
-def _parse_url_expression(expr: str) -> tuple[str, str]:
-    """Resolve a URL argument expression to (target service, normalized path).
+def _parse_url_expression(src: _Source, start: int, end: int) -> tuple[str, str]:
+    """Resolve a URL argument span to (target service, normalized path).
 
     Literal fragments contribute text; non-literal fragments become
     placeholders that normalize to ``{*}`` in path position.  A URL whose
     host is not a single literal resolves to ``UNRESOLVED``.
     """
     pieces: list[str] = []
-    for token in _split_top_level(expr, "+"):
-        token = token.strip()
-        m = re.fullmatch(r"\"((?:[^\"\\]|\\.)*)\"", token, re.DOTALL)
-        if m:
-            pieces.append(m.group(1))
-        else:
+    for span in src.split(start, end, "+"):
+        piece_start, piece_end = src.strip(*span)
+        skel = src.skel[piece_start:piece_end]
+        if len(skel) >= 2 and skel[0] == skel[-1] == '"' and not skel[1:-1].strip():
+            pieces.append(src.code[piece_start + 1 : piece_end - 1])
+        else:  # anything but one string literal
             pieces.append(NON_LITERAL)
     joined = "".join(pieces)
     scheme = re.match(r"https?://", joined)
@@ -713,36 +660,27 @@ def extract_rest_calls(
 ) -> list[RestCall]:
     """Remote calls in all method bodies, matched by profile patterns."""
     calls: list[RestCall] = []
-    class_fields = {f.name: _simple_type(f.declared_type) for f in unit.fields}
-    for method in unit.methods:
-        if method.body is None:
+    code = unit.source.code
+    for method, scan in zip(unit.methods, unit.body_scans):
+        if scan is None:
             continue
-        body_skel = _blank_strings(method.body)
-        env = dict(class_fields)
-        env.update({p.name: _simple_type(p.declared_type) for p in method.parameters})
-        env.update(_local_types(body_skel))
         site = f"{unit.qualified_name}.{method.name}"
-        for call in _scan_calls(method.body, body_skel):
+        for call in scan.calls:
             if call.receiver is None:
                 continue
-            rtype = env.get(call.receiver)
+            rtype = scan.types.get(call.receiver)
             for pattern in profile.remote_call_patterns:
                 if call.method != pattern.method_name:
                     continue
                 if not _receiver_matches(call.receiver, rtype, pattern.receiver_type):
                     continue
-                args_text = method.body[call.args_region[0] : call.args_region[1]]
-                args = (
-                    [a.strip() for a in _split_top_level(args_text, ",")]
-                    if args_text.strip()
-                    else []
-                )
-                if pattern.url_arg >= len(args):
+                if pattern.url_arg >= call.arity:
                     continue
-                verb = _resolve_verb(pattern.verb, args)
+                verb = _resolve_verb(pattern.verb, [code[s:e] for s, e in call.args])
                 if verb is None:
                     continue
-                target, path = _parse_url_expression(args[pattern.url_arg])
+                url_start, url_end = call.args[pattern.url_arg]
+                target, path = _parse_url_expression(unit.source, url_start, url_end)
                 calls.append(
                     RestCall(
                         http_method=verb,
@@ -773,24 +711,18 @@ def extract_entity(unit: ParsedUnit) -> Entity:
 
 
 def _build_methods(unit: ParsedUnit, profile: MarkerProfile, cid: ComponentId):
-    class_fields = {f.name: _simple_type(f.declared_type) for f in unit.fields}
     rest_by_method = {}
     for call in extract_rest_calls(unit, profile, cid):
         rest_by_method.setdefault(call.site_method, []).append(call)
     methods = []
-    for pm in unit.methods:
+    for pm, scan in zip(unit.methods, unit.body_scans):
         targets: list[str] = []
-        if pm.body is not None:
-            body_skel = _blank_strings(pm.body)
-            env = dict(class_fields)
-            env.update({p.name: _simple_type(p.declared_type) for p in pm.parameters})
-            env.update(_local_types(body_skel))
-            for call in _scan_calls(pm.body, body_skel):
-                if call.receiver is None:
-                    targets.append(f"{call.method}/{call.arity}")
-                else:
-                    rtype = env.get(call.receiver, call.receiver)
-                    targets.append(f"{rtype}.{call.method}/{call.arity}")
+        for call in scan.calls if scan is not None else ():
+            if call.receiver is None:
+                targets.append(f"{call.method}/{call.arity}")
+            else:
+                rtype = scan.types.get(call.receiver, call.receiver)
+                targets.append(f"{rtype}.{call.method}/{call.arity}")
         site = f"{unit.qualified_name}.{pm.name}"
         methods.append(
             Method(

@@ -15,6 +15,7 @@ identities.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -57,88 +58,66 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def blank_comments(text: str) -> str:
-    """Replace comment characters with spaces, preserving offsets.
+# The one source tokenizer: literals, comments and whitespace runs.  A literal
+# is a string, char or ``"""`` text block; inside it a backslash escapes the
+# next character, and an unterminated literal or block comment runs to the end
+# of the text.  Whatever no token covers is code.
+_TOKEN = re.compile(
+    r"""(?P<literal>(?P<quote>"{3}|["'])(?:[^"'\\]+|\\.?|(?!(?P=quote))["'])*"""
+    r"(?P<close>(?P=quote))?)"
+    r"|(?P<comment>//[^\n]*|/\*.*?(?:\*/|\Z))"
+    r"|(?P<space>\s+)",
+    re.DOTALL,
+)
+_NOT_NEWLINE = re.compile(r"[^\n]")
 
-    String and character literals are respected, so ``"http://x"`` is never
-    mistaken for a line comment.  Newlines inside block comments survive so
-    line-based tooling keeps its bearings.
+
+def source_views(text: str) -> tuple[str, str]:
+    """The two offset-aligned views of a source text, from one token pass.
+
+    ``code`` has every comment character blanked except newlines, so
+    ``"http://x"`` stays intact.  ``skel`` additionally blanks the interior
+    of every literal, quotes kept, so any brace, keyword or separator found
+    in it is real code.
     """
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"' or c == "'":
-            quote = c
-            i += 1
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if text[i] == quote:
-                    i += 1
-                    break
-                i += 1
+    code: list[str] = []
+    skel: list[str] = []
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if c == "/" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "/":
-                while i < n and text[i] != "\n":
-                    out[i] = " "
-                    i += 1
-                continue
-            if nxt == "*":
-                end = text.find("*/", i + 2)
-                stop = n if end < 0 else end + 2
-                while i < stop:
-                    if text[i] != "\n":
-                        out[i] = " "
-                    i += 1
-                continue
-        i += 1
-    return "".join(out)
+        start, end = m.span()
+        code.append(text[pos:start])
+        skel.append(text[pos:start])
+        pos = end
+        if kind == "comment":
+            blank = _NOT_NEWLINE.sub(" ", m.group())
+            code.append(blank)
+            skel.append(blank)
+        else:
+            quote, close = m.group("quote"), m.group("close") or ""
+            code.append(m.group())
+            skel.append(quote + " " * (end - start - len(quote) - len(close)) + close)
+    code.append(text[pos:])
+    skel.append(text[pos:])
+    return "".join(code), "".join(skel)
 
 
 def normalize_source_text(text: str) -> str:
     """Canonical form of a source fragment for hashing.
 
     Comments are dropped and whitespace runs collapse to a single space, but
-    only outside string literals: whitespace inside a literal is content.
+    only outside literals: whitespace inside a literal is content.
     """
-    blanked = blank_comments(text)
-    out: list[str] = []
-    pending_space = False
-    i, n = 0, len(blanked)
-    while i < n:
-        c = blanked[i]
-        if c == '"' or c == "'":
-            if pending_space and out:
-                out.append(" ")
-            pending_space = False
-            quote = c
-            out.append(c)
-            i += 1
-            while i < n:
-                out.append(blanked[i])
-                if blanked[i] == "\\" and i + 1 < n:
-                    out.append(blanked[i + 1])
-                    i += 2
-                    continue
-                if blanked[i] == quote:
-                    i += 1
-                    break
-                i += 1
-            continue
-        if c.isspace():
-            pending_space = True
-            i += 1
-            continue
-        if pending_space and out:
-            out.append(" ")
-        pending_space = False
-        out.append(c)
-        i += 1
-    return "".join(out)
+    pieces: list[str] = []
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup != "literal":  # a comment or whitespace run ends a piece
+            pieces.append(text[pos : m.start()])
+            pos = m.end()
+    pieces.append(text[pos:])
+    return " ".join(piece for piece in pieces if piece)
 
 
 def method_content_hash(body_text: str | None) -> str:

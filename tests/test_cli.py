@@ -137,6 +137,27 @@ def test_replay_command_artifacts(summary_versions, tmp_path, capsys):
     assert run_cli("replay", config, "--fail-on-violation") == 1
 
 
+def test_replay_relative_out_resolves_against_the_config(
+    summary_versions, tmp_path, monkeypatch, capsys
+):
+    config_dir = tmp_path / "config"
+    config_dir.mkdir()
+    config = config_dir / "replay.json"
+    config.write_text(
+        json.dumps({"versions": [str(v) for v in summary_versions], "out": "artifacts"})
+    )
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert run_cli("replay", config) == 0
+    assert (config_dir / "artifacts" / "timeseries.csv").is_file()
+    assert not (elsewhere / "artifacts").exists()
+    # --out on the command line stays relative to the working directory.
+    assert run_cli("replay", config, "--out", "cli-artifacts") == 0
+    assert (elsewhere / "cli-artifacts" / "timeseries.csv").is_file()
+    assert not (config_dir / "cli-artifacts").exists()
+
+
 @pytest.mark.parametrize("text", ['{"versions": [', "[1]"])
 def test_malformed_replay_config_exits_with_usage_error(tmp_path, capsys, text):
     config = tmp_path / "replay.json"

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import time
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from corpus import ACCOUNT_ENTITY, ORDER_SERVICE_V0
 
+import archdelta.extractor as extractor
 from archdelta.errors import AmbiguousMarkerError
 from archdelta.extractor import (
     ScanWarning,
     classify_source_unit,
     discover_services,
+    extract_component,
     extract_endpoints,
     extract_entity,
     extract_rest_calls,
@@ -251,3 +257,171 @@ def test_paths_are_normalized_after_scan(history_versions):
     for call in ir.iter_rest_calls():
         assert call.path.startswith("/")
         assert "{" not in call.path or "{*}" in call.path
+
+
+TEXT_BLOCK_CONTROLLER = (
+    "package p;\n@RestController\n@RequestMapping(\"/api\")\n"
+    "public class C {\n"
+    "    private RestTemplate restTemplate;\n"
+    "    @GetMapping(\"/doc\")\n"
+    "    public String doc() {\n"
+    '        String q = """\n'
+    '            a " b { (\n'
+    '            """;\n'
+    "        return restTemplate.getForObject(\"http://ts-x/api/v1/y\", String.class);\n"
+    "    }\n"
+    "    @PostMapping(\"/other\")\n"
+    "    public String other() { return helper(); }\n"
+    "}\n"
+)
+
+
+def _method_hashes(text: str) -> dict[str, str]:
+    component, _ = extract_component(text, PROFILE, "svc", "C.java")
+    return {m.name: m.content_hash for m in component.methods}
+
+
+def test_text_block_controller_is_extracted(tmp_path):
+    (tmp_path / "C.java").write_text(TEXT_BLOCK_CONTROLLER)
+    warnings: list[ScanWarning] = []
+    ir = scan_repository(tmp_path, PROFILE, "svc", "v0", warnings=warnings)
+    assert warnings == []
+    (component,) = ir.components.values()
+    assert [(e.http_method, e.path) for e in component.endpoints] == [
+        ("GET", "/api/doc"),
+        ("POST", "/api/other"),
+    ]
+    assert [m.name for m in component.methods] == ["doc", "other"]
+    assert [c.signature() for c in component.rest_calls()] == ["GET ts-x /api/v1/y"]
+    # Whitespace inside the block is content; whitespace outside it is not.
+    base = _method_hashes(TEXT_BLOCK_CONTROLLER)
+    inside = _method_hashes(TEXT_BLOCK_CONTROLLER.replace('a " b', 'a  " b'))
+    outside = _method_hashes(TEXT_BLOCK_CONTROLLER.replace("String q =", "String  q ="))
+    assert inside["doc"] != base["doc"]
+    assert outside == base
+
+
+def test_each_file_is_tokenized_once_and_each_body_scanned_once(
+    history_versions, monkeypatch
+):
+    root = history_versions[0] / "ts-order"
+    files = sorted(root.rglob("*.java"))
+    bodies = 0
+    for path in files:
+        unit = parse_unit(path.read_text())
+        if classify_source_unit(path.read_text(), PROFILE) is not None:
+            bodies += sum(m.body is not None for m in unit.methods)
+    counts = {"views": 0, "scans": 0}
+
+    def counted(name, key):
+        original = getattr(extractor, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(extractor, name, wrapper)
+
+    counted("source_views", "views")
+    counted("_scan_calls", "scans")
+    ir = scan_repository(root, PROFILE, "ts-order", "v0")
+    assert ir.components and bodies
+    assert counts == {"views": len(files), "scans": bodies}
+
+
+def test_constructor_calls_are_not_call_targets():
+    text = (
+        "package p;\n@Service\npublic class S {\n    public void run() {\n"
+        "        Foo f = new Foo(1);\n        helper(new  Bar());\n        renew(f);\n"
+        "    }\n}\n"
+    )
+    component, _ = extract_component(text, PROFILE, "svc", "S.java")
+    assert component.methods[0].body_call_targets == ("helper/1", "renew/1")
+
+
+def test_call_scan_is_linear_in_the_number_of_calls():
+    def unit(calls: int) -> str:
+        return (
+            "package p;\n@Service\npublic class S {\n    public void run() {\n"
+            + "        f();\n" * calls
+            + "    }\n}\n"
+        )
+
+    n = 20_000
+    texts = (unit(n), unit(4 * n))
+    best = [float("inf")] * len(texts)
+    for _ in range(3):  # interleaved, so both sizes see the same host load
+        for i, text in enumerate(texts):
+            started = time.process_time()
+            extract_component(text, PROFILE, "svc", "S.java")
+            best[i] = min(best[i], time.process_time() - started)
+    assert best[1] < 6 * best[0]
+
+
+_FRAGMENTS = [
+    b"package p;\n",
+    b"@RestController\n",
+    b"@Service\n",
+    b"@Entity\n",
+    b"@GetMapping(\"/x/{id}\")\n",
+    b"@RequestMapping(",
+    b"public class C ",
+    b"interface I ",
+    b"enum E ",
+    b"void m(int a, String b) ",
+    b"private RestTemplate rest;\n",
+    b"rest.getForObject(\"http://svc/a\" + id, A.class);",
+    b"new A(",
+    b"int x = ",
+    b"{", b"}", b"(", b")", b"<", b">", b";", b",", b"=", b"+", b".", b"@",
+    b'"', b"'", b'"""', b"\\", b"/*", b"*/", b"//", b"\n", b" ",
+    b"\xff\xfe", b"\xc3", b"\x00",
+]
+
+
+# A unit is a classified class opening (or nothing), fragments and raw bytes,
+# then a closing brace (or nothing).
+_JAVA_BYTES = st.tuples(
+    st.sampled_from(
+        [
+            b"",
+            b"package p;\n@RestController\npublic class C {\n",
+            b"package p;\n@Service\nclass S {\nprivate RestTemplate rest;\n",
+            b"@Entity\npublic class E {\n",
+        ]
+    ),
+    st.lists(st.sampled_from(_FRAGMENTS) | st.binary(max_size=6), max_size=40),
+    st.sampled_from([b"", b"}\n"]),
+).map(lambda parts: parts[0] + b"".join(parts[1]) + parts[2])
+
+
+@given(st.lists(_JAVA_BYTES, min_size=1, max_size=4))
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+    derandomize=True,
+)
+def test_scan_is_total_on_arbitrary_bytes(tmp_path_factory, files):
+    root = tmp_path_factory.mktemp("fuzz")
+    names = []
+    for index, data in enumerate(files):
+        names.append(f"F{index}.java")
+        (root / names[-1]).write_bytes(data)
+    warnings: list[ScanWarning] = []
+    ir = scan_repository(root, PROFILE, "svc", "v0", warnings=warnings)
+    produced = [c.source_path for c in ir.components.values()]
+    warned = {w.path for w in warnings}
+    assert warned - {""} <= set(names)
+    # Each file yields one component, no component, or a warning.
+    for name in names:
+        text = (root / name).read_bytes().decode("utf-8", errors="replace")
+        try:
+            component, _ = extract_component(text, PROFILE, "svc", name)
+        except Exception:
+            assert name in warned and name not in produced
+            continue
+        if component is None:
+            assert name not in produced
+        else:
+            assert produced.count(name) == 1 or name in warned  # or a duplicate

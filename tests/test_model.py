@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import re
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_lexer
 
 from archdelta.model import (
     ComponentType,
@@ -11,12 +16,12 @@ from archdelta.model import (
     EntityField,
     Method,
     Parameter,
-    blank_comments,
     component_id,
     make_component,
     method_content_hash,
     normalize_path,
     normalize_source_text,
+    source_views,
 )
 
 
@@ -55,7 +60,7 @@ def test_normalize_path_variables_and_queries():
 
 def test_blank_comments_respects_string_literals():
     src = 'a = "http://x"; // trailing\n/* block */ b = 2;'
-    blanked = blank_comments(src)
+    blanked, _ = source_views(src)
     assert '"http://x"' in blanked
     assert "trailing" not in blanked
     assert "block" not in blanked
@@ -64,6 +69,36 @@ def test_blank_comments_respects_string_literals():
 
 def test_normalize_keeps_string_interior_whitespace():
     assert normalize_source_text('x  =  "a  b";') == 'x = "a  b";'
+
+
+# Text without text blocks, which the reference loops read as an empty string
+# followed by an open one.
+_LEXER_TEXTS = st.text(
+    alphabet="\"'\\/*{}()<>" + string.ascii_letters + "\n\t\x0b\x85 ", max_size=40
+).map(lambda text: re.sub('"{3,}', '""', text))
+
+
+@given(_LEXER_TEXTS)
+@settings(
+    max_examples=2000,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+    derandomize=True,
+)
+def test_token_pass_equals_the_reference_loops(text):
+    code, skel = source_views(text)
+    assert code == reference_lexer.blank_comments(text)
+    assert skel == reference_lexer.blank_strings(code)
+    assert normalize_source_text(text) == reference_lexer.normalize_source_text(text)
+
+
+def test_text_block_is_one_literal():
+    block = 'x = """\n a " b { ( // c\n """; y'
+    code, skel = source_views(block)
+    assert code == block
+    interior = len(block) - len('x = """') - len('"""; y')
+    assert skel == 'x = """' + " " * interior + '"""; y'
+    assert normalize_source_text(block) == block
 
 
 def _make(body: str, return_type: str = "Order", annotations=()):
