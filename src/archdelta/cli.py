@@ -180,6 +180,41 @@ def cmd_impact(args) -> int:
     return 0
 
 
+def _is_path(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_paths(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_flag(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_name_map(value) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
+# The JSON type each replay config key must have when it is present.
+_REPLAY_CONFIG_TYPES = {
+    "versions": ("a list of paths", _is_paths),
+    "repository": ("a path", _is_path),
+    "revisions": ("a list of names", _is_paths),
+    "firstParent": ("true or false", _is_flag),
+    "serviceNames": ("an object of names", _is_name_map),
+    "profile": ("a path", _is_path),
+    "rules": ("a list of paths", _is_paths),
+    "overlapThreshold": ("a number", _is_number),
+    "out": ("a path", _is_path),
+    "verifyEachStep": ("true or false", _is_flag),
+}
+
+
 def cmd_replay(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -187,6 +222,9 @@ def cmd_replay(args) -> int:
         raise ArchDeltaError(f"invalid replay config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise ArchDeltaError(f"replay config {args.config} is not a JSON object")
+    for key, (kind, valid) in _REPLAY_CONFIG_TYPES.items():
+        if key in config and not valid(config[key]):
+            raise ArchDeltaError(f"replay config '{key}' must be {kind}")
     base = Path(args.config).resolve().parent
 
     def resolve(path: str) -> Path:
@@ -205,7 +243,6 @@ def cmd_replay(args) -> int:
             rules.extend(load_rules(resolve(path).read_bytes()))
     out_dir = args.out or (resolve(config["out"]) if config.get("out") else None)
     threshold = float(config.get("overlapThreshold", DEFAULT_OVERLAP_THRESHOLD))
-    service_names = config.get("serviceNames")
 
     with tempfile.TemporaryDirectory(prefix="archdelta-replay-") as scratch:
         if config.get("versions"):
@@ -213,12 +250,8 @@ def cmd_replay(args) -> int:
         elif config.get("repository"):
             repo = resolve(config["repository"])
             revisions = config.get("revisions") or git_revisions(
-                repo, first_parent=bool(config.get("firstParent", True))
+                repo, first_parent=config.get("firstParent", True)
             )
-            if not isinstance(revisions, list) or not all(
-                isinstance(rev, str) for rev in revisions
-            ):
-                raise ArchDeltaError("replay config 'revisions' is not a list of names")
             versions = stream_revisions(repo, revisions, scratch)
         else:
             raise ArchDeltaError("replay config needs 'versions' or 'repository'")
@@ -227,8 +260,8 @@ def cmd_replay(args) -> int:
             profile=profile,
             rules=rules,
             overlap_threshold=threshold,
-            service_names=service_names,
-            verify_each_step=bool(config.get("verifyEachStep", True)),
+            service_names=config.get("serviceNames"),
+            verify_each_step=config.get("verifyEachStep", True),
             out_dir=out_dir,
         )
     sys.stdout.write(render_summary_table(record))

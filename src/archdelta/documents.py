@@ -10,7 +10,7 @@ ones) and reports failures with a JSON-path style location.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from .errors import DocumentError
 from .model import (
@@ -426,9 +426,75 @@ def system_ir_from_doc(doc: Any, loc: str = "$") -> SystemIR:
     return system
 
 
-def serialize_ir(system: SystemIR) -> bytes:
-    """Single system-wide document; round-trips to a structurally equal IR."""
-    return canonical_json(system_ir_to_doc(system))
+def _fragment(doc: Any, depth: int) -> bytes:
+    """``doc`` encoded as it reads nested ``depth`` levels deep in a document.
+
+    Inner lines take the enclosing indent.  Encoded JSON strings never hold a
+    raw newline, so this equals embedding ``doc`` in the outer value.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + "  " * depth).encode("utf-8")
+
+
+class FragmentWindow:
+    """Encoded services and cross edges of the last system serialized through it.
+
+    A service or edge that is the same object as one of the previous system's
+    reuses its bytes.  Only that one system's fragments are kept.
+    """
+
+    def __init__(self) -> None:
+        self._previous: dict[int, tuple[Any, bytes]] = {}
+        self._current: dict[int, tuple[Any, bytes]] = {}
+
+    def encode(self, obj: Any, to_doc: Callable[[Any], dict]) -> bytes:
+        hit = self._previous.get(id(obj))
+        if hit is not None and hit[0] is obj:
+            data = hit[1]
+        else:
+            data = _fragment(to_doc(obj), 2)
+        self._current[id(obj)] = (obj, data)
+        return data
+
+    def advance(self) -> None:
+        self._previous, self._current = self._current, {}
+
+
+def _system_pieces(system: SystemIR, window: FragmentWindow) -> Iterator[bytes]:
+    """The bytes of ``canonical_json(system_ir_to_doc(system))``, in pieces.
+
+    The top-level keys in sorted order: crossEdges, schema, services,
+    versionLabel; each cross edge and each service is one fragment.
+    """
+    yield b'{\n  "crossEdges": ['
+    sep = b"\n    "
+    for edge in sorted(system.cross_edges, key=_edge_sort_key):
+        yield sep
+        yield window.encode(edge, _edge_to_doc)
+        sep = b",\n    "
+    yield b"\n  ]" if system.cross_edges else b"]"
+    yield b',\n  "schema": ' + _fragment(SYSTEM_IR_SCHEMA, 1)
+    yield b',\n  "services": {'
+    sep = b"\n    "
+    for name in sorted(system.services):
+        yield sep + _fragment(name, 2) + b": "
+        yield window.encode(system.services[name], microservice_ir_to_doc)
+        sep = b",\n    "
+    yield b"\n  }" if system.services else b"}"
+    yield b',\n  "versionLabel": ' + _fragment(system.version_label, 1) + b"\n}\n"
+
+
+def serialize_ir(system: SystemIR, window: FragmentWindow | None = None) -> bytes:
+    """Single system-wide document; round-trips to a structurally equal IR.
+
+    Consecutive versions serialized through one ``window`` encode only the
+    services and cross edges that are not shared with the previous version.
+    The bytes do not depend on the window.
+    """
+    window = window if window is not None else FragmentWindow()
+    data = b"".join(_system_pieces(system, window))
+    window.advance()
+    return data
 
 
 def deserialize_ir(data: bytes | str) -> SystemIR:

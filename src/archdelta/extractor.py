@@ -212,11 +212,16 @@ def _annotation(src: _Source, m: re.Match, end: int) -> tuple[ParsedAnnotation, 
 
 
 def _annotations_in(src: _Source, start: int, end: int) -> list[ParsedAnnotation]:
-    """All annotations found in a span (used for class headers)."""
-    return [
-        _annotation(src, m, end)[0]
-        for m in _ANNOTATION.finditer(src.skel, start, end)
-    ]
+    """The annotations of a span (used for class headers).
+
+    Each search resumes after the previous annotation's arguments, so an
+    annotation nested in another's arguments is not one of the span's.
+    """
+    anns: list[ParsedAnnotation] = []
+    while m := _ANNOTATION.search(src.skel, start, end):
+        ann, start = _annotation(src, m, end)
+        anns.append(ann)
+    return anns
 
 
 def _leading_annotations(

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .delta import compute_delta
-from .documents import canonical_json, delta_to_doc, serialize_ir
+from .documents import FragmentWindow, canonical_json, delta_to_doc, serialize_ir
 from .errors import ArchDeltaError, ExtractionError
 from .extractor import (
     BUILD_DESCRIPTORS,
@@ -246,9 +246,12 @@ def replay(
             removed = tuple(sorted(set(prev_irs) - set(irs)))
             for name in removed:
                 system = remove_service(system, name, overlap_threshold)
+            # Equality covers every field the document holds.  The extraction
+            # cache hands both sides the same component objects, so mostly
+            # the cross edges are compared value by value.
             if verify_each_step:
                 fresh = build_system_ir(irs.values(), overlap_threshold)
-                if serialize_ir(fresh) != serialize_ir(system):
+                if fresh != system:
                     raise ArchDeltaError(
                         f"chain integrity: increment at {label} diverged from "
                         "full reconstruction"
@@ -349,8 +352,9 @@ def write_artifacts(record: EvolutionRecord, out_dir: str | Path) -> None:
     out = Path(out_dir)
     for sub in ("ir", "deltas", "violations"):
         (out / sub).mkdir(parents=True, exist_ok=True)
+    window = FragmentWindow()
     for i, entry in enumerate(record.versions):
-        (out / "ir" / f"{i}.json").write_bytes(serialize_ir(entry.system))
+        (out / "ir" / f"{i}.json").write_bytes(serialize_ir(entry.system, window))
         if i > 0:
             delta_set = {
                 "schema": DELTA_SET_SCHEMA,

@@ -166,6 +166,33 @@ def test_malformed_replay_config_exits_with_usage_error(tmp_path, capsys, text):
     assert "replay config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("versions", [5]),
+        ("repository", ["repo"]),
+        ("out", 5),
+        ("profile", 7),
+        ("rules", "r.json"),
+        ("overlapThreshold", "x"),
+        ("serviceNames", ["ts-order"]),
+        ("verifyEachStep", "yes"),
+        ("firstParent", 1),
+    ],
+)
+def test_replay_config_value_of_the_wrong_type_exits_with_usage_error(
+    summary_versions, tmp_path, capsys, key, value
+):
+    config = tmp_path / "replay.json"
+    doc = {"versions": [str(v) for v in summary_versions], "out": str(tmp_path / "run")}
+    config.write_text(json.dumps({**doc, key: value}))
+    assert run_cli("replay", config) == 2
+    captured = capsys.readouterr()
+    assert f"replay config '{key}' must be" in captured.err
+    assert "Commits" not in captured.out
+    assert not list(tmp_path.rglob("timeseries.csv"))
+
+
 def test_replay_of_only_unreadable_versions_fails(tmp_path, capsys):
     config = tmp_path / "replay.json"
     config.write_text(json.dumps({"versions": ["nope1", "nope2"]}))

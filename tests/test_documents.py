@@ -4,20 +4,41 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import ir_chains, system_irs
+from strategies import LINK_SERVICES, ir_chains, linked_irs, relinked, system_irs
 
 from archdelta.delta import compute_delta
 from archdelta.documents import (
+    FragmentWindow,
+    canonical_json,
     deserialize_delta,
     deserialize_ir,
     deserialize_microservice_ir,
     serialize_delta,
     serialize_ir,
     serialize_microservice_ir,
+    system_ir_to_doc,
 )
 from archdelta.errors import DocumentError
 from archdelta.linker import build_system_ir
+from archdelta.merge import apply_delta, remove_service
+from archdelta.model import (
+    ComponentType,
+    DependencyEdge,
+    EdgeKind,
+    Endpoint,
+    Entity,
+    EntityField,
+    Method,
+    MicroserviceIR,
+    OverlapEvidence,
+    RemoteCallEvidence,
+    RestCall,
+    SystemIR,
+    component_id,
+    make_component,
+)
 
 
 def test_empty_system_round_trips():
@@ -115,3 +136,112 @@ def test_unknown_schema_tag_is_rejected():
     with pytest.raises(DocumentError) as excinfo:
         deserialize_ir(json.dumps({"schema": "bogus@9"}))
     assert excinfo.value.location == "$.schema"
+
+
+def _reference(system: SystemIR) -> bytes:
+    return canonical_json(system_ir_to_doc(system))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_windowed_serialization_equals_the_reference_on_link_churn(data):
+    # One window across the chain, as write_artifacts uses it: most services
+    # and edges are the previous version's objects and reuse their bytes.
+    window = FragmentWindow()
+    names = data.draw(st.lists(st.sampled_from(LINK_SERVICES), unique=True))
+    system = build_system_ir([data.draw(linked_irs(name)) for name in names])
+    assert serialize_ir(system, window) == _reference(system)
+    for step in range(1, data.draw(st.integers(1, 6)) + 1):
+        name = data.draw(st.sampled_from(LINK_SERVICES))
+        if name in system.services and data.draw(st.sampled_from("ddddr")) == "r":
+            system = remove_service(system, name)
+        else:
+            current = system.services.get(name) or MicroserviceIR(
+                name, "", {}, frozenset()
+            )
+            successor = data.draw(relinked(current, f"v{step}"))
+            system = apply_delta(system, compute_delta(current, successor))
+        assert serialize_ir(system, window) == _reference(system)
+        assert serialize_ir(system) == _reference(system)
+
+
+def test_empty_shapes_serialize_like_the_reference():
+    empty_service = MicroserviceIR("svc-a", "v0", {}, frozenset())
+    for system in (
+        build_system_ir([]),
+        build_system_ir([empty_service]),
+        build_system_ir([empty_service, MicroserviceIR("svc-b", "v0", {}, frozenset())]),
+    ):
+        assert system.cross_edges == frozenset()
+        window = FragmentWindow()
+        assert serialize_ir(system, window) == _reference(system)
+        assert serialize_ir(system, window) == _reference(system)
+
+
+_AWKWARD = st.text(
+    alphabet=st.sampled_from(["a", "\n", '"', "\\", "\u00e9", "\u2028", "\u00a0", "/", " ", "{"]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def awkward_systems(draw):
+    """Two services whose names, paths and labels hold escapes, linked both ways."""
+    source_name, target_name = draw(st.lists(_AWKWARD, min_size=2, max_size=2, unique=True))
+    path = "/" + draw(_AWKWARD)
+    target = component_id(target_name, ComponentType.CONTROLLER, "p." + draw(_AWKWARD))
+    endpoint = Endpoint("GET", path, draw(_AWKWARD), target)
+    caller = component_id(source_name, ComponentType.SERVICE, "p." + draw(_AWKWARD))
+    call = RestCall("GET", target_name, path, draw(_AWKWARD), caller)
+    field = EntityField(draw(_AWKWARD), draw(_AWKWARD))
+    entities = [
+        make_component(
+            component_id(name, ComponentType.ENTITY, "e." + draw(_AWKWARD)),
+            entity_ref=Entity(draw(_AWKWARD), (field,), (draw(_AWKWARD),)),
+            source_path=draw(_AWKWARD),
+        )
+        for name in (source_name, target_name)
+    ]
+    comps = {
+        source_name: [
+            make_component(
+                caller,
+                methods=[Method(draw(_AWKWARD), rest_calls=(call,))],
+                source_path=draw(_AWKWARD),
+            ),
+            entities[0],
+        ],
+        target_name: [
+            make_component(target, endpoints=[endpoint], source_path=draw(_AWKWARD)),
+            entities[1],
+        ],
+    }
+    services = {
+        name: MicroserviceIR(name, draw(_AWKWARD), {c.id: c for c in group}, frozenset())
+        for name, group in comps.items()
+    }
+    edges = frozenset(
+        {
+            DependencyEdge(
+                EdgeKind.REMOTE_CALL, caller, target, RemoteCallEvidence(call, endpoint)
+            ),
+            DependencyEdge(
+                EdgeKind.DATA_OVERLAP,
+                entities[0].id,
+                entities[1].id,
+                OverlapEvidence(draw(st.floats(0, 1))),
+            ),
+        }
+    )
+    return SystemIR(draw(_AWKWARD), services, edges)
+
+
+@given(awkward_systems())
+@settings(max_examples=150, deadline=None)
+def test_escaped_text_serializes_like_the_reference(system):
+    window = FragmentWindow()
+    expected = _reference(system)
+    assert serialize_ir(system, window) == expected
+    assert serialize_ir(system, window) == expected  # every fragment reused
+    assert deserialize_ir(expected) == system

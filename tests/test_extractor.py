@@ -425,3 +425,44 @@ def test_scan_is_total_on_arbitrary_bytes(tmp_path_factory, files):
             assert name not in produced
         else:
             assert produced.count(name) == 1 or name in warned  # or a duplicate
+
+
+NESTED_ANNOTATION_ENTITY = """package shop;
+
+import javax.persistence.*;
+
+@Entity
+@Table(name = "orders", indexes = @Index(columnList = "a"))
+public class Order {
+    @Id
+    private Long id;
+    private String status;
+}
+"""
+
+NESTED_MARKER_SERVICE = """package shop;
+
+import org.springframework.context.annotation.Import;
+import org.springframework.stereotype.*;
+
+@Service
+@Import(@Repository)
+public class Billing {
+    public void bill() {
+    }
+}
+"""
+
+
+def test_annotation_nested_in_arguments_is_not_a_class_annotation():
+    component, _ = extract_component(NESTED_ANNOTATION_ENTITY, PROFILE, "svc", "O.java")
+    assert component.entity_ref.annotations == (
+        "Entity",
+        'Table(name = "orders", indexes = @Index(columnList = "a"))',
+    )
+
+
+def test_marker_nested_in_arguments_does_not_make_the_unit_ambiguous():
+    component, _ = extract_component(NESTED_MARKER_SERVICE, PROFILE, "svc", "B.java")
+    assert component.id == component_id("svc", ComponentType.SERVICE, "shop.Billing")
+    assert [m.name for m in component.methods] == ["bill"]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import filecmp
+import json
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,9 @@ from corpus import (
     materialize_history,
 )
 
-from archdelta import history
+from archdelta import documents, history
+from archdelta.cli import main
+from archdelta.errors import ArchDeltaError
 from archdelta.history import (
     emit_summary,
     emit_timeseries,
@@ -369,3 +373,86 @@ def test_removed_service_marked_in_entry(history_versions, tmp_path):
     last = record.versions[-1]
     assert last.removed_services == ("ts-user",)
     assert "ts-user" not in last.system.services
+
+
+def _drop_cross_edge(system, delta):
+    assert system.cross_edges
+    return dataclasses.replace(
+        system, cross_edges=system.cross_edges - {min(system.cross_edges, key=str)}
+    )
+
+
+def _move_component(system, delta):
+    service = system.services[delta.microservice]
+    cid = min(service.components)
+    moved = dataclasses.replace(service.components[cid], source_path="elsewhere.java")
+    service = dataclasses.replace(service, components={**service.components, cid: moved})
+    return dataclasses.replace(
+        system, services={**system.services, delta.microservice: service}
+    )
+
+
+def _relabel(system, delta):
+    return dataclasses.replace(system, version_label=system.version_label + "+")
+
+
+@pytest.mark.parametrize(
+    "flaw",
+    [_drop_cross_edge, _move_component, _relabel],
+    ids=["dropped-cross-edge", "moved-component", "version-label"],
+)
+def test_corrupted_increment_breaks_the_chain(
+    history_versions, tmp_path, monkeypatch, capsys, flaw
+):
+    original = history.apply_delta
+
+    def flawed(system, delta, *args):
+        return flaw(original(system, delta, *args), delta)
+
+    monkeypatch.setattr(history, "apply_delta", flawed)
+    with pytest.raises(ArchDeltaError, match="chain integrity"):
+        replay(history_versions)
+
+    config = tmp_path / "replay.json"
+    out = tmp_path / "artifacts"
+    config.write_text(
+        json.dumps({"versions": [str(v) for v in history_versions], "out": str(out)})
+    )
+    assert main(["replay", str(config)]) == 2
+    assert "chain integrity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_verifies_without_serializing_and_writes_each_service_once(
+    history_versions, tmp_path, monkeypatch
+):
+    serialized = []
+    original_serialize = documents.serialize_ir
+
+    def counting_serialize(system, *args):
+        serialized.append(system)
+        return original_serialize(system, *args)
+
+    monkeypatch.setattr(history, "serialize_ir", counting_serialize)
+    monkeypatch.setattr(documents, "serialize_ir", counting_serialize)
+    record = replay(history_versions)
+    assert len(record.versions) == len(history_versions)
+    assert serialized == []
+
+    encoded = []
+    original_to_doc = documents.microservice_ir_to_doc
+
+    def counting_to_doc(ir):
+        encoded.append(ir)
+        return original_to_doc(ir)
+
+    monkeypatch.setattr(documents, "microservice_ir_to_doc", counting_to_doc)
+    write_artifacts(record, tmp_path / "artifacts")
+    assert len(serialized) == len(record.versions)
+    distinct = {
+        id(ir): ir for entry in record.versions for ir in entry.system.services.values()
+    }
+    assert sorted(map(id, encoded)) == sorted(distinct)
+    # Fewer encodings than service slots: unchanged services were reused.
+    slots = sum(len(entry.system.services) for entry in record.versions)
+    assert len(encoded) < slots
