@@ -6,6 +6,16 @@ direction (impact flows to dependents), cross-service edges in both
 directions (a broken link hurts caller and provider alike).  Each indirect
 component carries the shortest evidence path back to a direct one, and
 every path edge re-verifies against the graph it was found in.
+
+The traversal is lazy: it expands only the nodes it reaches, so its cost
+follows the impact and not the system.  A node's neighbours come from its
+service's reverse call graph (``MicroserviceIR.callers``), the system's
+incidence map (``Incidence``, cross edges by component) and, on request, its
+service's entity users.  Each map is built once per object: untouched
+services are shared across versions, and ``apply_delta`` derives an
+increment's incidence map from its baseline's.  Neighbours are sorted when
+their node is expanded, by neighbour, edge kind and the edge's two ends: a
+total order, so evidence paths do not depend on set iteration order.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import ComponentId, Delta, EdgeKind, SystemIR
+from .model import ComponentId, Delta, EdgeKind, Incidence, SystemIR
 
 IMPACT_REPORT_SCHEMA = "impact-report@1"
 
@@ -44,68 +54,34 @@ class _Step:
     crosses_service: bool
 
 
-def _entity_usage_steps(system: SystemIR) -> dict[ComponentId, list[_Step]]:
-    """Edges from an entity to the same-service components referencing it."""
-    from .extractor import parse_call_target, type_name_parts
-
-    steps: dict[ComponentId, list[_Step]] = {}
-    for name in system.services:
-        service = system.services[name]
-        entity_names = {
-            comp.entity_ref.name: comp.id for comp, _ in service.entities()
-        }
-        if not entity_names:
-            continue
-        for comp in service.components.values():
-            if comp.entity_ref is not None:
-                continue
-            mentioned: set[str] = set()
-            for m in comp.methods:
-                mentioned |= type_name_parts(m.return_type)
-                for p in m.parameters:
-                    mentioned |= type_name_parts(p.declared_type)
-                for target in m.body_call_targets:
-                    receiver, _, _ = parse_call_target(target)
-                    if receiver:
-                        mentioned.add(receiver)
-            for entity_name, entity_id in entity_names.items():
-                if entity_name in mentioned:
-                    steps.setdefault(entity_id, []).append(
-                        _Step(
-                            neighbor=comp.id,
-                            edge=PathEdge("entityUsage", entity_id, comp.id),
-                            crosses_service=False,
-                        )
-                    )
-    return steps
-
-
-def _adjacency(
-    system: SystemIR, include_data_overlap: bool, include_entity_usage: bool
-) -> dict[ComponentId, list[_Step]]:
-    adj: dict[ComponentId, list[_Step]] = {}
-
-    def add(node: ComponentId, step: _Step) -> None:
-        adj.setdefault(node, []).append(step)
-
-    for name in system.services:
-        for caller, callee in system.services[name].call_graph_edges:
-            # reversed: impact on the callee reaches its callers
-            add(callee, _Step(caller, PathEdge("call", caller, callee), False))
-    for edge in system.cross_edges:
+def _expand(
+    system: SystemIR,
+    node: ComponentId,
+    include_data_overlap: bool,
+    include_entity_usage: bool,
+) -> list[_Step]:
+    """The steps leaving ``node``, sorted by neighbour, edge kind and ends."""
+    steps = []
+    service = system.services.get(node.microservice)
+    if service is not None:
+        # reversed: impact on the callee reaches its callers
+        for caller in service.callers.get(node, ()):
+            steps.append(_Step(caller, PathEdge("call", caller, node), False))
+        if include_entity_usage:
+            for user in service.entity_users.get(node, ()):
+                steps.append(_Step(user, PathEdge("entityUsage", node, user), False))
+    for edge in Incidence.of(system).edges(node):
         if edge.kind is EdgeKind.DATA_OVERLAP and not include_data_overlap:
             continue
         kind = "remoteCall" if edge.kind is EdgeKind.REMOTE_CALL else "dataOverlap"
-        path_edge = PathEdge(kind, edge.source, edge.target)
-        add(edge.source, _Step(edge.target, path_edge, True))
-        add(edge.target, _Step(edge.source, path_edge, True))
-    if include_entity_usage:
-        for entity_id, steps in _entity_usage_steps(system).items():
-            for step in steps:
-                add(entity_id, step)
-    for node in adj:
-        adj[node].sort(key=lambda s: (str(s.neighbor), s.edge.kind))
-    return adj
+        other = edge.target if edge.source == node else edge.source
+        steps.append(_Step(other, PathEdge(kind, edge.source, edge.target), True))
+    steps.sort(
+        key=lambda s: (
+            str(s.neighbor), s.edge.kind, str(s.edge.from_id), str(s.edge.to_id)
+        )
+    )
+    return steps
 
 
 def impact_set(
@@ -124,7 +100,7 @@ def impact_set(
     service-boundary edges one path may use.
     """
     direct = frozenset(d.change_ids())
-    adjacency = _adjacency(baseline, include_data_overlap, include_entity_usage)
+    expanded: dict[ComponentId, list[_Step]] = {}
     paths: dict[ComponentId, tuple[PathEdge, ...]] = {}
     best_cross: dict[ComponentId, int] = {cid: 0 for cid in direct}
     queue: deque[tuple[ComponentId, int, int, tuple[PathEdge, ...]]] = deque(
@@ -134,7 +110,12 @@ def impact_set(
         node, hops, crossings, path = queue.popleft()
         if max_hops is not None and hops >= max_hops:
             continue
-        for step in adjacency.get(node, ()):  # sorted: deterministic shortest paths
+        steps = expanded.get(node)
+        if steps is None:
+            steps = expanded[node] = _expand(
+                baseline, node, include_data_overlap, include_entity_usage
+            )
+        for step in steps:  # sorted: deterministic shortest paths
             next_crossings = crossings + (1 if step.crosses_service else 0)
             if next_crossings > cross_service_hops:
                 continue

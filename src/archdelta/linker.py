@@ -110,7 +110,8 @@ class LinkIndex:
         after: Sequence[Component],
     ) -> tuple[LinkIndex, set[RestCall]]:
         """The index of ``services``: this index's system with the components
-        ``before`` replaced by ``after`` (either side may lack an id).
+        ``before`` replaced by ``after`` (either side may lack an id).  A
+        service of ``before`` that ``services`` lacks is removed.
 
         Only two groups of calls are resolved again: those of the replaced
         components, and those whose shape gained or lost an endpoint, which
@@ -122,12 +123,16 @@ class LinkIndex:
         service_endpoints = {n: self.service_endpoints.get(n, {}) for n in services}
         moved: set[Shape] = set()
         for n in names:
-            was = service_endpoints[n]
-            now = service_endpoints[n] = _groups(services[n].iter_endpoints())
+            was = self.service_endpoints.get(n, {})
+            if n in services:
+                service_endpoints[n] = _groups(services[n].iter_endpoints())
+            now = service_endpoints.get(n, {})
             moved.update(s for s in was.keys() | now.keys() if was.get(s) != now.get(s))
         endpoints = dict(self.endpoints)
         for shape in moved:
-            group = [ep for n in names for ep in service_endpoints[n].get(shape, ())]
+            group = [
+                ep for n in names for ep in service_endpoints.get(n, {}).get(shape, ())
+            ]
             group += (
                 ep
                 for ep in endpoints.get(shape, ())
@@ -158,10 +163,12 @@ class LinkIndex:
 
         resolved = {n: self.resolved.get(n, {}) for n in services}
         for n in {call.owning_component.microservice for call in (*old, *new)}:
-            resolved[n] = dict(resolved[n])
+            if n in services:
+                resolved[n] = dict(resolved[n])
         joined: dict[Endpoint | None, set[RestCall]] = {}  # None: unmatched
         for call in old:
-            del resolved[call.owning_component.microservice][call]
+            if call.owning_component.microservice in services:
+                del resolved[call.owning_component.microservice][call]
         for call, ep in new.items():
             resolved[call.owning_component.microservice][call] = ep
             joined.setdefault(ep, set()).add(call)

@@ -5,10 +5,21 @@ scratch.  The increment's link index is derived from the baseline's: only the
 changed components' calls and the calls whose (verb, path) shape gained or
 lost an endpoint are resolved again, and only their RemoteCall edges are
 replaced.  DataOverlap edges are re-derived for changed entities alone.  The
-result is structurally identical to a full rebuild over the updated services.
+incidence map (``ComponentId`` to its cross edges) follows from the dropped
+and added edges; untouched services share their parts of both maps with the
+baseline.  The result is structurally identical to a full rebuild over the
+updated services.
+
+Validation is scoped to what a change can break.  Untouched services are the
+baseline's objects and surviving edges are the baseline's, so for a validated
+baseline it suffices to validate the changed service, the ends of the added
+edges, and, through the incidence map, that no surviving edge touches a
+deleted component.  That equals ``validate_system_ir`` on the increment.
 """
 
 from __future__ import annotations
+
+from typing import Mapping, Sequence
 
 from .delta import apply_to_service
 from .errors import MergeError
@@ -20,12 +31,15 @@ from .linker import (
 )
 from .model import (
     ChangeKind,
+    Component,
     Delta,
     EdgeKind,
+    Incidence,
     MicroserviceIR,
     SystemIR,
     system_version_label,
-    validate_system_ir,
+    validate_cross_edges,
+    validate_microservice_ir,
 )
 
 
@@ -44,44 +58,12 @@ def apply_delta(
             )
         old_service = MicroserviceIR(d.microservice, d.old_version_id, {}, frozenset())
     new_service = apply_to_service(old_service, d)
-    services = dict(baseline.services)
-    services[d.microservice] = new_service
-
+    validate_microservice_ir(new_service)
     changed = d.change_ids()
     before = [old_service.components[c] for c in changed if c in old_service.components]
     after = [new_service.components[c] for c in changed if c in new_service.components]
-    old_index = LinkIndex.of(baseline)
-    index, rematched = old_index.updated(services, before, after)
-
-    dropped = remote_call_edges(old_index, rematched)
-    added = remote_call_edges(index, rematched)
-    # Data overlaps only change for pairs involving a changed entity.
-    entities = {comp.id for comp in (*before, *after) if comp.entity_ref is not None}
-    if entities:
-        dropped |= {
-            edge
-            for edge in baseline.cross_edges
-            if edge.kind is EdgeKind.DATA_OVERLAP
-            and (edge.source in entities or edge.target in entities)
-        }
-        others = [comp for ir in services.values() for comp, _ in ir.entities()]
-        pairs = [
-            (a, b)
-            for a in after
-            if a.entity_ref is not None
-            for b in others
-            if a.id.microservice != b.id.microservice
-        ]
-        added |= overlap_edges_for_pairs(pairs, overlap_threshold)
-
-    increment = SystemIR(
-        version_label=system_version_label(services),
-        services=services,
-        cross_edges=(baseline.cross_edges - dropped) | added,
-        link_index=index,
-    )
-    validate_system_ir(increment)
-    return increment
+    services = {**baseline.services, d.microservice: new_service}
+    return _relinked(baseline, services, before, after, overlap_threshold)
 
 
 def remove_service(
@@ -93,27 +75,52 @@ def remove_service(
     service = baseline.services.get(name)
     if service is None:
         raise MergeError(f"cannot remove unknown service {name!r}")
-    from .model import ComponentChange  # local import to keep module surface tidy
+    services = {n: ir for n, ir in baseline.services.items() if n != name}
+    before = list(service.components.values())
+    return _relinked(baseline, services, before, [], overlap_threshold)
 
-    all_deletes = Delta(
-        microservice=name,
-        old_version_id=service.version_id,
-        new_version_id=f"{service.version_id}-removed",
-        changes=tuple(
-            ComponentChange(
-                kind=ChangeKind.DELETE,
-                component_id=cid,
-                old_content_hash=service.components[cid].content_hash,
-            )
-            for cid in sorted(service.components)
-        ),
-    )
-    increment = apply_delta(baseline, all_deletes, overlap_threshold)
-    services = {k: v for k, v in increment.services.items() if k != name}
-    system = SystemIR(
+
+def _relinked(
+    baseline: SystemIR,
+    services: Mapping[str, MicroserviceIR],
+    before: Sequence[Component],
+    after: Sequence[Component],
+    overlap_threshold: float,
+) -> SystemIR:
+    """The system of ``services``: the baseline's with the components
+    ``before`` replaced by ``after``, its derived state carried forward."""
+    old_index = LinkIndex.of(baseline)
+    index, rematched = old_index.updated(services, before, after)
+    dropped = remote_call_edges(old_index, rematched)
+    added = remote_call_edges(index, rematched)
+    incidence = Incidence.of(baseline)
+    # Data overlaps only change for pairs involving a changed entity.
+    entities = [comp.id for comp in (*before, *after) if comp.entity_ref is not None]
+    if entities:
+        dropped |= {
+            edge
+            for cid in entities
+            for edge in incidence.edges(cid)
+            if edge.kind is EdgeKind.DATA_OVERLAP
+        }
+        others = [comp for ir in services.values() for comp, _ in ir.entities()]
+        pairs = [
+            (a, b)
+            for a in after
+            if a.entity_ref is not None
+            for b in others
+            if a.id.microservice != b.id.microservice
+        ]
+        added |= overlap_edges_for_pairs(pairs, overlap_threshold)
+
+    incidence = incidence.updated(dropped, added)
+    increment = SystemIR(
         version_label=system_version_label(services),
         services=services,
-        cross_edges=increment.cross_edges,
+        cross_edges=(baseline.cross_edges - dropped) | added,
+        link_index=index,
+        incidence=incidence,
     )
-    validate_system_ir(system)
-    return system
+    gone = {comp.id for comp in before}.difference(comp.id for comp in after)
+    validate_cross_edges(increment, added.union(*map(incidence.edges, gone)))
+    return increment

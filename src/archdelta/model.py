@@ -18,6 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -379,6 +380,52 @@ class MicroserviceIR:
             if comp.entity_ref is not None:
                 yield comp, comp.entity_ref
 
+    # Derived maps, built on first use and kept with the (immutable) service;
+    # they take no part in equality, ``repr`` or documents.
+
+    @cached_property
+    def callers(self) -> Mapping[ComponentId, tuple[ComponentId, ...]]:
+        """Each called component's direct callers: the call graph reversed."""
+        return _grouped((callee, caller) for caller, callee in self.call_graph_edges)
+
+    @cached_property
+    def callees(self) -> Mapping[ComponentId, tuple[ComponentId, ...]]:
+        """Each calling component's direct callees."""
+        return _grouped(self.call_graph_edges)
+
+    @cached_property
+    def entity_users(self) -> Mapping[ComponentId, tuple[ComponentId, ...]]:
+        """Each entity's non-entity components that mention it by name: in a
+        method's return or parameter type, or as a call receiver."""
+        from .extractor import parse_call_target, type_name_parts
+
+        # one entity per name: a later one of the same name shadows earlier ones
+        entity_names = {comp.entity_ref.name: comp.id for comp, _ in self.entities()}
+        if not entity_names:
+            return {}
+        pairs = []
+        for comp in self.components.values():
+            if comp.entity_ref is not None:
+                continue
+            mentioned: set[str] = set()
+            for m in comp.methods:
+                mentioned |= type_name_parts(m.return_type)
+                for p in m.parameters:
+                    mentioned |= type_name_parts(p.declared_type)
+                for target in m.body_call_targets:
+                    receiver, _, _ = parse_call_target(target)
+                    if receiver:
+                        mentioned.add(receiver)
+            pairs += [(e, comp.id) for n, e in entity_names.items() if n in mentioned]
+        return _grouped(pairs)
+
+
+def _grouped(pairs: Iterable[tuple[ComponentId, ComponentId]]) -> dict:
+    groups: dict[ComponentId, list[ComponentId]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: tuple(values) for key, values in groups.items()}
+
 
 def validate_microservice_ir(ir: MicroserviceIR) -> list[str]:
     """Check structural invariants; returns non-fatal warnings.
@@ -437,11 +484,57 @@ class DependencyEdge:
 
 
 @dataclass(frozen=True)
+class Incidence:
+    """The cross edges touching each component, grouped per service.
+
+    Per-service mappings are never mutated, so an increment's incidence
+    shares those of every service its change left alone.
+    """
+
+    services: Mapping[str, Mapping[ComponentId, frozenset[DependencyEdge]]]
+
+    @classmethod
+    def of(cls, system: SystemIR) -> Incidence:
+        """The system's incidence, built on first use and kept with the system."""
+        if system.incidence is None:
+            empty = cls({})
+            object.__setattr__(
+                system, "incidence", empty.updated(frozenset(), system.cross_edges)
+            )
+        return system.incidence
+
+    def edges(self, cid: ComponentId) -> frozenset[DependencyEdge]:
+        return self.services.get(cid.microservice, {}).get(cid, frozenset())
+
+    def updated(
+        self, dropped: Iterable[DependencyEdge], added: Iterable[DependencyEdge]
+    ) -> Incidence:
+        """The incidence of this one's edges without ``dropped``, plus ``added``."""
+        touched: dict[ComponentId, tuple[set, set]] = {}  # (dropped, added)
+        for i, edges in enumerate((dropped, added)):
+            for edge in edges:
+                for end in (edge.source, edge.target):
+                    touched.setdefault(end, (set(), set()))[i].add(edge)
+        services = dict(self.services)
+        for name in {cid.microservice for cid in touched}:
+            services[name] = dict(services.get(name, {}))
+        for cid, (gone, new) in touched.items():
+            part = services[cid.microservice]
+            edges = part.get(cid, frozenset()).difference(gone) | new
+            if edges:
+                part[cid] = edges
+            else:
+                part.pop(cid, None)
+        return Incidence({n: part for n, part in services.items() if part})
+
+
+@dataclass(frozen=True)
 class SystemIR:
     """A linked system version.
 
-    ``link_index`` holds where every rest call resolves; ``LinkIndex.of``
-    builds it on first use.  It is derived data: it takes no part in
+    ``link_index`` holds where every rest call resolves, and ``incidence``
+    the cross edges by component; ``LinkIndex.of`` and ``Incidence.of``
+    build them on first use.  They are derived data: they take no part in
     equality, ``repr`` or documents.
     """
 
@@ -449,6 +542,7 @@ class SystemIR:
     services: Mapping[str, MicroserviceIR]
     cross_edges: frozenset[DependencyEdge]
     link_index: LinkIndex | None = field(default=None, compare=False, repr=False)
+    incidence: Incidence | None = field(default=None, compare=False, repr=False)
 
     def component(self, cid: ComponentId) -> Component | None:
         svc = self.services.get(cid.microservice)
@@ -474,7 +568,12 @@ def validate_system_ir(system: SystemIR) -> None:
         if svc.name != name:
             raise ValueError(f"service keyed as {name} carries name {svc.name}")
         validate_microservice_ir(svc)
-    for edge in system.cross_edges:
+    validate_cross_edges(system, system.cross_edges)
+
+
+def validate_cross_edges(system: SystemIR, edges: Iterable[DependencyEdge]) -> None:
+    """Check that both ends of every edge are components of the system."""
+    for edge in edges:
         for end in (edge.source, edge.target):
             if system.component(end) is None:
                 raise ValueError(f"cross edge references unknown component {end}")

@@ -15,6 +15,7 @@ Rule matches are flags for the review process, not proofs of breakage.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -34,7 +35,9 @@ from .model import (
     ComponentId,
     ComponentType,
     Delta,
+    Incidence,
     Method,
+    MicroserviceIR,
     SystemIR,
 )
 
@@ -139,6 +142,14 @@ def _rule_from_doc(doc: Mapping[str, Any]) -> Rule:
     )
 
 
+@functools.cache
+def _rule_validator() -> jsonschema.protocols.Validator:
+    """The rule schema's validator, checked and built once per process."""
+    cls = jsonschema.validators.validator_for(RULE_DOCUMENT_SCHEMA)
+    cls.check_schema(RULE_DOCUMENT_SCHEMA)
+    return cls(RULE_DOCUMENT_SCHEMA)
+
+
 def load_rules(rule_document: bytes | str) -> list[Rule]:
     """Parse and validate a rule document (one rule object or a list)."""
     if isinstance(rule_document, bytes):
@@ -150,9 +161,9 @@ def load_rules(rule_document: bytes | str) -> list[Rule]:
     docs = doc if isinstance(doc, list) else [doc]
     rules = []
     for i, rule_doc in enumerate(docs):
-        try:
-            jsonschema.validate(rule_doc, RULE_DOCUMENT_SCHEMA)
-        except jsonschema.ValidationError as exc:
+        errors = _rule_validator().iter_errors(rule_doc)
+        exc = jsonschema.exceptions.best_match(errors)  # as jsonschema.validate
+        if exc is not None:
             location = exc.json_path if isinstance(doc, dict) else f"$[{i}]" + exc.json_path[1:]
             raise DocumentError(exc.message, location) from exc
         rules.append(_rule_from_doc(rule_doc))
@@ -384,21 +395,15 @@ def _return_object_targets(method: Method) -> frozenset[str]:
 
 
 def _dependents_of(
-    increment: SystemIR, start: ComponentId, wanted: ComponentType
+    service: MicroserviceIR, start: ComponentId, wanted: ComponentType
 ) -> list[ComponentId]:
     """Components of the wanted type reachable against call-edge direction."""
-    service = increment.services.get(start.microservice)
-    if service is None:
-        return []
-    inbound: dict[ComponentId, set[ComponentId]] = {}
-    for a, b in service.call_graph_edges:
-        inbound.setdefault(b, set()).add(a)
     seen = {start}
     frontier = [start]
     found = set()
     while frontier:
         current = frontier.pop()
-        for caller in inbound.get(current, ()):
+        for caller in service.callers.get(current, ()):
             if caller in seen:
                 continue
             seen.add(caller)
@@ -415,16 +420,15 @@ def _modification_violations(
     flagger,
     baseline: SystemIR,
     d: Delta,
+    increment: SystemIR | None,
 ) -> list[Violation]:
     old_service = baseline.services.get(d.microservice)
     if old_service is None:
         return []
-    increment_service = apply_to_service(old_service, d)
-    shadow = SystemIR(
-        version_label=baseline.version_label,
-        services={**baseline.services, d.microservice: increment_service},
-        cross_edges=frozenset(),
-    )
+    if increment is not None:
+        new_service = increment.services[d.microservice]
+    else:
+        new_service = apply_to_service(old_service, d)
     violations = []
     for change in d.changes:
         if change.kind is not ChangeKind.MODIFY:
@@ -441,7 +445,7 @@ def _modification_violations(
             impacted = [
                 ImpactedItem(component_id=cid, kind="method", evidence=evidence)
             ]
-            for dep in _dependents_of(shadow, cid, dependent_type):
+            for dep in _dependents_of(new_service, cid, dependent_type):
                 impacted.append(
                     ImpactedItem(
                         component_id=dep,
@@ -502,13 +506,14 @@ def _repository_method_flags(old_comp: Component, new_comp: Component) -> list[s
 
 
 def detect_service_method_modifications(
-    baseline: SystemIR, d: Delta
+    baseline: SystemIR, d: Delta, increment: SystemIR | None = None
 ) -> list[Violation]:
     """Modified service methods whose returned data may have changed shape.
 
     Flags a changed return type, or a change in the set of calls made on a
     value of the declared return type; impacted components include the
-    controllers reaching the service through the call graph.
+    controllers reaching the service through the call graph of the
+    increment, which is derived from ``baseline`` and ``d`` when not given.
     """
     return _modification_violations(
         "SMM",
@@ -517,11 +522,12 @@ def detect_service_method_modifications(
         _service_method_flags,
         baseline,
         d,
+        increment,
     )
 
 
 def detect_repository_method_modifications(
-    baseline: SystemIR, d: Delta
+    baseline: SystemIR, d: Delta, increment: SystemIR | None = None
 ) -> list[Violation]:
     """Modified repository methods with changed annotations or signatures."""
     return _modification_violations(
@@ -531,6 +537,7 @@ def detect_repository_method_modifications(
         _repository_method_flags,
         baseline,
         d,
+        increment,
     )
 
 
@@ -573,16 +580,14 @@ def _change_matches(
     return False
 
 
-def _undirected_adjacency(system: SystemIR) -> dict[ComponentId, set[ComponentId]]:
-    adj: dict[ComponentId, set[ComponentId]] = {}
-    for name in system.services:
-        for a, b in system.services[name].call_graph_edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    for edge in system.cross_edges:
-        adj.setdefault(edge.source, set()).add(edge.target)
-        adj.setdefault(edge.target, set()).add(edge.source)
-    return adj
+def _neighbours(system: SystemIR, cid: ComponentId) -> set[ComponentId]:
+    """Components one call or cross edge away from ``cid``, either direction."""
+    edges = Incidence.of(system).edges(cid)
+    near = {e.target if e.source == cid else e.source for e in edges}
+    service = system.services.get(cid.microservice)
+    if service is not None:
+        near.update(service.callers.get(cid, ()), service.callees.get(cid, ()))
+    return near
 
 
 def _impact_items_for_component(
@@ -639,14 +644,12 @@ def _is_inconsistent(comp: Component, baseline: SystemIR | None) -> bool:
 
 
 def _has_cross_edge(cid: ComponentId, system: SystemIR) -> bool:
-    return any(cid in (e.source, e.target) for e in system.cross_edges)
+    return bool(Incidence.of(system).edges(cid))
 
 
 def _has_inbound(cid: ComponentId, system: SystemIR) -> bool:
     service = system.services.get(cid.microservice)
-    if service and any(b == cid for _, b in service.call_graph_edges):
-        return True
-    return any(e.target == cid or e.source == cid for e in system.cross_edges)
+    return bool(service and cid in service.callers) or _has_cross_edge(cid, system)
 
 
 def _evaluate_generic_system(
@@ -678,13 +681,12 @@ def _evaluate_generic_delta(
     ]
     if not seeds:
         return []
-    adjacency = _undirected_adjacency(increment)
     reached: set[ComponentId] = set()
     frontier = [ch.component_id for ch in seeds]
     reached.update(frontier)
     for _ in range(traversal_depth):
         frontier = [
-            n for cid in frontier for n in adjacency.get(cid, ()) if n not in reached
+            n for c in frontier for n in _neighbours(increment, c) if n not in reached
         ]
         reached.update(frontier)
     unmatched = frozenset(unmatched_calls(increment))
@@ -748,11 +750,11 @@ def evaluate_many(
             for d in deltas:
                 if rule.name == "SMM":
                     violations.extend(
-                        detect_service_method_modifications(baseline, d)
+                        detect_service_method_modifications(baseline, d, increment)
                     )
                 elif rule.name == "RMM":
                     violations.extend(
-                        detect_repository_method_modifications(baseline, d)
+                        detect_repository_method_modifications(baseline, d, increment)
                     )
                 else:
                     violations.extend(

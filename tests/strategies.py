@@ -196,21 +196,41 @@ def entities(draw, min_fields: int = 0):
 # Link-churn strategies.  Endpoints and calls share a pool of two shapes, so
 # that shapes collide within a service (duplicate endpoints) and across
 # services (ambiguous UNRESOLVED calls), and edits make them appear and vanish.
+# Call targets and types name the units of the same pool, so call edges and
+# entity mentions come and go too, and entity fields share one vocabulary.
 LINK_SERVICES = ("svc-a", "svc-b", "svc-c")
 _LINK_SHAPE = st.sampled_from([("GET", "/api/a/{*}"), ("POST", "/api/a")])
+_LINK_TARGET = st.sampled_from(
+    ["Unit0.call0/0", "Unit1.call1/0", "Unit2.call0/0", "Added2.call0/0", "call0/0"]
+)
+_LINK_TYPE = st.sampled_from(["Unit0", "List<Unit1>", "Unit2", "Added3", "void"])
+_LINK_FIELD = st.sampled_from(["id", "name", "owner", "total"])
 
 
 @st.composite
 def linked_components(draw, service: str, qualified_name: str, ctype=None):
-    """A controller or service component with endpoints and calls from the pool."""
+    """A controller, service or entity component whose endpoints, calls, call
+    targets, types and fields come from the pools."""
     ctype = ctype or draw(
-        st.sampled_from([ComponentType.CONTROLLER, ComponentType.SERVICE])
+        st.sampled_from(
+            [ComponentType.CONTROLLER, ComponentType.SERVICE, ComponentType.ENTITY]
+        )
     )
     cid = component_id(service, ctype, qualified_name)
     endpoints = []
     if ctype is ComponentType.CONTROLLER:
         for i, (verb, path) in enumerate(draw(st.lists(_LINK_SHAPE, max_size=2))):
             endpoints.append(Endpoint(verb, path, f"handle{i}", cid))
+    entity = None
+    if ctype is ComponentType.ENTITY:
+        entity = Entity(
+            name=qualified_name.rsplit(".", 1)[-1],
+            fields=tuple(
+                EntityField(field_name=name, declared_type="String")
+                for name in draw(st.lists(_LINK_FIELD, max_size=4, unique=True))
+            ),
+            annotations=("Entity",),
+        )
     method_list = []
     for i in range(draw(st.integers(0, 2))):
         calls = tuple(
@@ -229,6 +249,11 @@ def linked_components(draw, service: str, qualified_name: str, ctype=None):
         method_list.append(
             Method(
                 name=f"call{i}",
+                parameters=tuple(
+                    Parameter("arg", t) for t in draw(st.lists(_LINK_TYPE, max_size=1))
+                ),
+                return_type=draw(_LINK_TYPE),
+                body_call_targets=tuple(draw(st.lists(_LINK_TARGET, max_size=2))),
                 rest_calls=calls,
                 content_hash=method_content_hash(body),
             )
@@ -237,6 +262,7 @@ def linked_components(draw, service: str, qualified_name: str, ctype=None):
         cid,
         methods=method_list,
         endpoints=endpoints,
+        entity_ref=entity,
         source_path=f"src/{qualified_name}.java",
     )
 

@@ -1,11 +1,29 @@
 from __future__ import annotations
 
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_impact
+from strategies import LINK_SERVICES, linked_irs, relinked
+
 from archdelta.delta import compute_delta, empty_delta
+from archdelta.documents import serialize_delta, serialize_ir
 from archdelta.extractor import resolve_call_graph, scan_repository
 from archdelta.impact import impact_graph_doc, impact_report_to_doc, impact_set
 from archdelta.linker import build_system_ir
+from archdelta.merge import apply_delta, remove_service
 from archdelta.model import (
+    ChangeKind,
+    ComponentChange,
     ComponentType,
+    Delta,
     Endpoint,
     Method,
     MicroserviceIR,
@@ -243,3 +261,93 @@ def test_report_documents_are_serializable():
     graph = impact_graph_doc(report)
     roles = {n["role"] for n in graph["nodes"]}
     assert roles == {"direct", "indirect"}
+
+
+# Every combination the impact options allow, within small bounds.
+_OPTIONS = list(
+    itertools.product((None, 0, 1, 3), (0, 1, 2), (False, True), (False, True))
+)
+
+
+def _touch(comp) -> Delta:
+    """A delta that names one component as modified, and nothing else."""
+    change = ComponentChange(
+        ChangeKind.MODIFY, comp.id, comp, old_content_hash=comp.content_hash
+    )
+    return Delta(comp.id.microservice, "", "", (change,))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_lazy_impact_equals_the_whole_graph_reference(data):
+    # The baseline of each step is the previous increment, so its incidence
+    # map and cached service maps were carried forward, not built fresh.  Each
+    # step checks its own delta and a delta seeded at every single component.
+    system = build_system_ir([data.draw(linked_irs(name)) for name in LINK_SERVICES])
+    for step in range(1, data.draw(st.integers(1, 4)) + 1):
+        name = data.draw(st.sampled_from(LINK_SERVICES))
+        if name in system.services and data.draw(st.sampled_from("ddddr")) == "r":
+            system = remove_service(system, name)
+            continue
+        current = system.services.get(name) or MicroserviceIR(
+            name, "", {}, frozenset()
+        )
+        d = compute_delta(current, data.draw(relinked(current, f"v{step}")))
+        for seed in (d, *map(_touch, system.iter_components())):
+            for max_hops, cross, overlap, usage in _OPTIONS:
+                options = dict(
+                    cross_service_hops=cross,
+                    include_data_overlap=overlap,
+                    include_entity_usage=usage,
+                )
+                assert impact_set(system, seed, max_hops, **options) == (
+                    reference_impact.impact_set(system, seed, max_hops, **options)
+                )
+        system = apply_delta(system, d)
+
+
+def _mutual_controllers():
+    """Controllers ``a.Api`` and ``b.Api`` in two services calling each other,
+    so two remote-call steps from one to the other tie on neighbour and kind."""
+    services = []
+    for name, other in (("a", "b"), ("b", "a")):
+        cid = component_id(f"svc-{name}", ComponentType.CONTROLLER, f"{name}.Api")
+        call = RestCall("GET", f"svc-{other}", f"/{other}", f"{name}.Api.get", cid)
+        comp = make_component(
+            cid,
+            methods=[
+                Method(
+                    name="get",
+                    rest_calls=(call,),
+                    content_hash=method_content_hash("rest();"),
+                )
+            ],
+            endpoints=[Endpoint("GET", f"/{name}", "get", cid)],
+            source_path="Api.java",
+        )
+        comps = {cid: comp}
+        services.append(MicroserviceIR(f"svc-{name}", "v0", comps, frozenset()))
+    return build_system_ir(services)
+
+
+def test_tied_steps_give_the_same_impact_under_every_hash_seed(tmp_path):
+    system = _mutual_controllers()
+    [api] = system.services["svc-a"].components.values()
+    (tmp_path / "baseline.json").write_bytes(serialize_ir(system))
+    (tmp_path / "delta.json").write_bytes(serialize_delta(_modify_delta(system, api)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys; from archdelta.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = set()
+    for seed in ("1", "3", "6"):  # a two-key sort gave both orders among these
+        out = tmp_path / f"impact-{seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        subprocess.run(
+            [sys.executable, "-c", script, "impact", "baseline.json", "delta.json",
+             "--out", str(out)],
+            cwd=tmp_path, env=env, check=True,
+        )
+        outputs.add(out.read_bytes())
+    [only] = outputs
+    [entry] = json.loads(only)["indirect"]
+    # the tie breaks on the edge's ends: a.Api -> b.Api sorts first
+    assert [e["fromComponentId"]["qualifiedName"] for e in entry["path"]] == ["a.Api"]

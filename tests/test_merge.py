@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +25,15 @@ from archdelta.model import (
     ComponentChange,
     ComponentType,
     Delta,
+    DependencyEdge,
     EdgeKind,
+    Incidence,
     MicroserviceIR,
+    OverlapEvidence,
+    component_id,
     ir_content_digest,
+    make_component,
+    validate_system_ir,
 )
 from archdelta.profiles import default_profile
 
@@ -79,6 +87,7 @@ def test_full_reconstruction_equivalence_stepwise(history_versions):
             if old.version_id == new.version_id:
                 continue
             baseline = apply_delta(baseline, compute_delta(old, new))
+            validate_system_ir(baseline)
         assert serialize_ir(baseline) == serialize_ir(_system(current))
 
 
@@ -340,10 +349,57 @@ def test_increment_link_index_equals_rebuild(data):
             )
             successor = data.draw(relinked(current, f"v{step}"))
             system = apply_delta(system, compute_delta(current, successor))
+        # apply_delta validates only what the step can break; check it all
+        validate_system_ir(system)
         rebuilt = build_system_ir(list(system.services.values()))
         assert serialize_ir(system) == serialize_ir(rebuilt)
         assert LinkIndex.of(system) == LinkIndex.build(system.services)
+        assert system.incidence == Incidence.of(replace(system, incidence=None))
         for call in system.iter_rest_calls():
             assert match_call_to_endpoint(call, system) == _linear_match(
                 call, system.services
             )
+
+
+def _stale_edge_baseline():
+    """A validated system holding a cross edge its link index knows nothing
+    of: deleting the edge's source leaves the edge pointing at nothing."""
+    provider = _controller_ir("svc-a", "a.Api", "GET", "/x")
+    caller = _caller_ir("svc-c", "svc-a", "GET", "/x")
+    base = build_system_ir([provider, caller])
+    [api] = provider.components
+    [source] = caller.components
+    stale = DependencyEdge(EdgeKind.DATA_OVERLAP, api, source, OverlapEvidence(1.0))
+    corrupt = replace(base, cross_edges=base.cross_edges | {stale}, incidence=None)
+    validate_system_ir(corrupt)
+    change = ComponentChange(
+        ChangeKind.DELETE,
+        source,
+        old_content_hash=caller.components[source].content_hash,
+    )
+    return corrupt, Delta("svc-c", "v0", "v1", (change,))
+
+
+def _wrong_service_delta():
+    """A delta for svc-a adding a component whose id names svc-c."""
+    provider = _controller_ir("svc-a", "a.Api", "GET", "/x")
+    base = build_system_ir([provider, _caller_ir("svc-c", "x", "GET", "/y")])
+    stray = make_component(
+        component_id("svc-c", ComponentType.SERVICE, "c.Stray"), source_path="S.java"
+    )
+    change = ComponentChange(ChangeKind.ADD, stray.id, new_component=stray)
+    return base, Delta("svc-a", "v0", "v1", (change,))
+
+
+@pytest.mark.parametrize(
+    "corrupted, message",
+    [
+        (_stale_edge_baseline, "cross edge references unknown component"),
+        (_wrong_service_delta, "does not belong to service svc-a"),
+    ],
+    ids=["edge-at-deleted-component", "component-in-wrong-service"],
+)
+def test_corrupted_step_is_rejected(corrupted, message):
+    baseline, d = corrupted()
+    with pytest.raises(ValueError, match=message):
+        apply_delta(baseline, d)

@@ -3,12 +3,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import LINK_SERVICES, linked_irs, relinked
+
+from archdelta import rules as rules_module
 from archdelta.delta import compute_delta
 from archdelta.errors import DocumentError
 from archdelta.extractor import scan_repository
 from archdelta.linker import build_system_ir, link_report
-from archdelta.model import ChangeKind, ComponentType, ir_content_digest
+from archdelta.merge import apply_delta
+from archdelta.model import ChangeKind, ComponentType, MicroserviceIR, ir_content_digest
 from archdelta.profiles import default_profile
 from archdelta.rules import (
     builtin_rules,
@@ -17,6 +23,7 @@ from archdelta.rules import (
     detect_service_method_modifications,
     detect_uncalled_endpoints,
     evaluate,
+    evaluate_many,
     load_rules,
 )
 
@@ -106,6 +113,14 @@ def test_load_rejects_unknown_impact_type():
     with pytest.raises(DocumentError) as excinfo:
         load_rules(json.dumps(doc))
     assert "ImpactType" in excinfo.value.location
+
+
+def test_rule_validator_is_built_once_and_used_for_every_document():
+    rules_module._rule_validator.cache_clear()
+    for _ in range(3):
+        builtin_rules()
+    info = rules_module._rule_validator.cache_info()
+    assert (info.misses, info.hits) == (1, 3 * 4 - 1)
 
 
 def test_builtin_rules_ship_all_four():
@@ -310,3 +325,78 @@ def test_generic_delta_rule_traverses_to_dependents(systems, deltas):
     violations = evaluate(systems[0], d, systems[1], [rule])
     assert len(violations) == 1
     assert violations[0].impacted[0].component_id.qualified_name == "order.OrderService"
+
+
+# Custom rules over every impact type the generic evaluator computes from the
+# graph, at both analysis levels.
+_CUSTOM_RULES = load_rules(
+    json.dumps(
+        [
+            {
+                "name": f"Custom{level}{ctype}{impact}",
+                "AnalysisLevels": [level],
+                "ChangedComponents": [
+                    {
+                        "ComponentType": ["Controller", "Service", "Endpoint", "Call"],
+                        "ChangeType": ["All"],
+                    }
+                ],
+                "MonitoredImpact": {"ComponentType": ctype, "ImpactType": impact},
+            }
+            for level in ("System", "Delta")
+            for ctype in ("Controller", "Service")
+            for impact in ("Unmatched", "Unused")
+        ]
+    )
+)
+
+
+def _scanning_helpers(monkeypatch):
+    """Swap in the generic rules' former helpers, which scan every cross edge
+    and call edge of the system for each component."""
+
+    def has_cross_edge(cid, system):
+        return any(cid in (e.source, e.target) for e in system.cross_edges)
+
+    def has_inbound(cid, system):
+        service = system.services.get(cid.microservice)
+        if service and any(b == cid for _, b in service.call_graph_edges):
+            return True
+        return has_cross_edge(cid, system)
+
+    def neighbours(system, cid):
+        pairs = [p for ir in system.services.values() for p in ir.call_graph_edges]
+        pairs += [(e.source, e.target) for e in system.cross_edges]
+        near = set()
+        for a, b in pairs:
+            if a == cid:
+                near.add(b)
+            if b == cid:
+                near.add(a)
+        return near
+
+    monkeypatch.setattr(rules_module, "_has_cross_edge", has_cross_edge)
+    monkeypatch.setattr(rules_module, "_has_inbound", has_inbound)
+    monkeypatch.setattr(rules_module, "_neighbours", neighbours)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_custom_rules_match_the_scanning_helpers(data):
+    system = build_system_ir([data.draw(linked_irs(name)) for name in LINK_SERVICES])
+    steps = [(None, [], system)]
+    for step in range(1, data.draw(st.integers(1, 3)) + 1):
+        name = data.draw(st.sampled_from(LINK_SERVICES))
+        current = system.services.get(name) or MicroserviceIR(
+            name, "", {}, frozenset()
+        )
+        d = compute_delta(current, data.draw(relinked(current, f"v{step}")))
+        increment = apply_delta(system, d)
+        steps.append((system, [d], increment))
+        system = increment
+    for baseline, deltas, increment in steps:
+        got = evaluate_many(baseline, deltas, increment, _CUSTOM_RULES, 2)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _scanning_helpers(monkeypatch)
+            want = evaluate_many(baseline, deltas, increment, _CUSTOM_RULES, 2)
+        assert got == want
