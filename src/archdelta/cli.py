@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -192,8 +193,12 @@ def _is_flag(value) -> bool:
     return isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def _is_name_map(value) -> bool:
@@ -209,7 +214,7 @@ _REPLAY_CONFIG_TYPES = {
     "serviceNames": ("an object of names", _is_name_map),
     "profile": ("a path", _is_path),
     "rules": ("a list of paths", _is_paths),
-    "overlapThreshold": ("a number", _is_number),
+    "overlapThreshold": ("a finite number", _is_finite_number),
     "out": ("a path", _is_path),
     "verifyEachStep": ("true or false", _is_flag),
 }
@@ -273,6 +278,24 @@ def cmd_replay(args) -> int:
     return 0
 
 
+def _overlap_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, not {text!r}")
+    return value
+
+
+def _add_overlap_threshold(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--overlap-threshold",
+        type=_overlap_threshold,
+        default=DEFAULT_OVERLAP_THRESHOLD,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="archdelta",
@@ -295,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link", help="combine per-service documents into a system")
     p.add_argument("irs", nargs="+")
-    p.add_argument(
-        "--overlap-threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD
-    )
+    _add_overlap_threshold(p)
     p.add_argument("--label", default=None, help="system version label")
     p.add_argument("--out")
     p.set_defaults(func=cmd_link)
@@ -313,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="apply a delta to a system baseline")
     p.add_argument("baseline")
     p.add_argument("delta")
-    p.add_argument(
-        "--overlap-threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD
-    )
+    _add_overlap_threshold(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_merge)
 
@@ -325,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("baseline")
     p.add_argument("delta")
     p.add_argument("--rules", nargs="*", help="rule documents (bundled by default)")
-    p.add_argument(
-        "--overlap-threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD
-    )
+    _add_overlap_threshold(p)
     p.add_argument("--max-hops", type=int, default=None)
     p.add_argument("--cross-service-hops", type=int, default=2)
     p.add_argument("--no-data-overlap", action="store_true")

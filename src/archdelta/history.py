@@ -165,6 +165,38 @@ def _empty_service_ir(name: str) -> MicroserviceIR:
     )
 
 
+def _advance(
+    system: SystemIR,
+    old_irs: Mapping[str, MicroserviceIR],
+    irs: Mapping[str, MicroserviceIR],
+    overlap_threshold: float,
+) -> tuple[SystemIR, list[Delta], tuple[str, ...]]:
+    """The increment from ``old_irs`` to ``irs`` applied to ``system``, its
+    deltas and the services it removed."""
+    deltas = []
+    for name in sorted(irs):
+        old = old_irs.get(name, _empty_service_ir(name))
+        if old.version_id == irs[name].version_id:
+            continue
+        d = compute_delta(old, irs[name])
+        if d.is_empty():
+            continue
+        deltas.append(d)
+        system = apply_delta(system, d, overlap_threshold)
+    removed = tuple(sorted(set(old_irs) - set(irs)))
+    for name in removed:
+        system = remove_service(system, name, overlap_threshold)
+    return system, deltas, removed
+
+
+def _check_chain(label: str, increment: SystemIR, fresh: SystemIR) -> None:
+    if increment != fresh:
+        raise ArchDeltaError(
+            f"chain integrity: increment at {label} diverged from "
+            "full reconstruction"
+        )
+
+
 def replay(
     versions: Iterable[Version],
     profile: MarkerProfile | None = None,
@@ -186,6 +218,11 @@ def replay(
     everything.  A version whose tree cannot be read is skipped with a notice
     and the chain re-anchors with a full reconstruction at the next readable
     version; when no version can be read the replay fails.
+
+    Every increment must equal a full reconstruction from the same service
+    representations, or the replay fails with "chain integrity" before any
+    artifact is written.  With ``verify_each_step`` each step is compared;
+    without it, each checkpoint and the last version are.
     """
     profile = profile if profile is not None else default_profile()
     rule_list = list(rules) if rules is not None else builtin_rules()
@@ -199,11 +236,15 @@ def replay(
     prev_irs: dict[str, MicroserviceIR] = {}
     need_reanchor = False
     since_checkpoint = 0
+    unchecked: str | None = None  # the label of an increment not yet compared
 
     for label, root, changed in _normalize_versions(versions):
-        rebuild = (
-            prev_system is None or need_reanchor or since_checkpoint >= checkpoint_every
+        checkpoint = (
+            prev_system is not None
+            and not need_reanchor
+            and since_checkpoint >= checkpoint_every
         )
+        rebuild = prev_system is None or need_reanchor or checkpoint
         previous = None if rebuild else (prev_services, prev_irs)
         try:
             services, irs = _extract(
@@ -218,7 +259,13 @@ def replay(
         removed: tuple[str, ...] = ()
         if rebuild:
             system = build_system_ir(irs.values(), overlap_threshold)
-            deltas: list[Delta] = []
+            if checkpoint:
+                # The chain up to here must reach the same system.
+                _check_chain(
+                    label,
+                    _advance(prev_system, prev_irs, irs, overlap_threshold)[0],
+                    system,
+                )
             violations = evaluate_many(None, [], system, rule_list)
             entries.append(
                 VersionEntry(
@@ -231,31 +278,19 @@ def replay(
             )
             need_reanchor = False
             since_checkpoint = 0
+            unchecked = None
         else:
-            deltas = []
-            system = prev_system
-            for name in sorted(irs):
-                old = prev_irs.get(name, _empty_service_ir(name))
-                if old.version_id == irs[name].version_id:
-                    continue
-                d = compute_delta(old, irs[name])
-                if d.is_empty():
-                    continue
-                deltas.append(d)
-                system = apply_delta(system, d, overlap_threshold)
-            removed = tuple(sorted(set(prev_irs) - set(irs)))
-            for name in removed:
-                system = remove_service(system, name, overlap_threshold)
+            system, deltas, removed = _advance(
+                prev_system, prev_irs, irs, overlap_threshold
+            )
             # Equality covers every field the document holds.  The extraction
             # cache hands both sides the same component objects, so mostly
             # the cross edges are compared value by value.
             if verify_each_step:
                 fresh = build_system_ir(irs.values(), overlap_threshold)
-                if fresh != system:
-                    raise ArchDeltaError(
-                        f"chain integrity: increment at {label} diverged from "
-                        "full reconstruction"
-                    )
+                _check_chain(label, system, fresh)
+            else:
+                unchecked = label
             violations = evaluate_many(prev_system, deltas, system, rule_list)
             entries.append(
                 VersionEntry(
@@ -270,6 +305,9 @@ def replay(
         prev_system = system
         prev_services, prev_irs = services, irs
 
+    if unchecked is not None:  # the last version, when not checked per step
+        fresh = build_system_ir(prev_irs.values(), overlap_threshold)
+        _check_chain(unchecked, prev_system, fresh)
     if not entries and not skipped:
         raise ArchDeltaError("replay requires at least one version")
     if not entries:

@@ -6,11 +6,14 @@ agreement when the call's host resolved); ambiguous matches are dropped
 rather than guessed so that downstream impact traversal never follows an
 invented edge.  Every system carries one ``LinkIndex`` holding where each call
 resolves; rules and reports read it, and merging derives it incrementally.
+Likewise every system carries one ``OverlapIndex`` from field names to
+entities, from which entity overlaps are found without comparing every pair.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +21,7 @@ from .errors import LinkError, UndefinedSimilarityError
 from .model import (
     UNRESOLVED,
     Component,
+    ComponentId,
     DependencyEdge,
     EdgeKind,
     Endpoint,
@@ -208,8 +212,8 @@ def match_call_to_endpoint(
 
 def entity_overlap(a: Entity, b: Entity) -> float:
     """Jaccard index of the lower-cased field-name sets."""
-    fields_a = a.field_names()
-    fields_b = b.field_names()
+    fields_a = a.field_names
+    fields_b = b.field_names
     if not fields_a or not fields_b:
         raise UndefinedSimilarityError(
             f"entity overlap undefined for empty field set ({a.name}, {b.name})"
@@ -242,20 +246,132 @@ def remote_call_edges(
     return frozenset(edges)
 
 
+def check_overlap_threshold(threshold: float) -> None:
+    """Reject a threshold no similarity compares with: NaN or an infinity."""
+    if not math.isfinite(threshold):
+        raise LinkError(f"overlap threshold must be a finite number, not {threshold!r}")
+
+
+Member = tuple[ComponentId, Entity]  # an entity component: its id and its entity
+
+
+@dataclass(frozen=True)
+class OverlapIndex:
+    """The entities holding each field name: where DataOverlap candidates
+    come from.
+
+    ``postings`` maps each lower-cased field name to the entity components
+    holding it, as id to entity; an entity without fields appears nowhere.
+    Postings are never mutated, so an increment's index shares every posting
+    its change left alone.
+    """
+
+    postings: Mapping[str, Mapping[ComponentId, Entity]]
+
+    @classmethod
+    def build(cls, services: Mapping[str, MicroserviceIR]) -> OverlapIndex:
+        """Index a system from scratch."""
+        added = [comp for ir in services.values() for comp, _ in ir.entities()]
+        return cls({}).updated((), added)
+
+    @classmethod
+    def of(cls, system: SystemIR) -> OverlapIndex:
+        """The system's index, built on first use and kept with the system."""
+        if system.overlap_index is None:
+            object.__setattr__(system, "overlap_index", cls.build(system.services))
+        return system.overlap_index
+
+    def updated(
+        self, before: Sequence[Component], after: Sequence[Component]
+    ) -> OverlapIndex:
+        """This index with the entities of ``before`` replaced by those of
+        ``after``; only the postings of their fields are copied."""
+        gone, new = _held_fields(before), _held_fields(after)
+        postings = dict(self.postings)
+        for name in {name for name, _ in gone + new}:
+            postings[name] = dict(postings.get(name, {}))
+        for name, comp in gone:
+            del postings[name][comp.id]
+        for name, comp in new:
+            postings[name][comp.id] = comp.entity_ref
+        return OverlapIndex({name: part for name, part in postings.items() if part})
+
+
+def _held_fields(comps: Sequence[Component]) -> list[tuple[str, Component]]:
+    """Each field name of each entity among ``comps``, with its component."""
+    return [
+        (name, comp)
+        for comp in comps
+        if comp.entity_ref is not None
+        for name in comp.entity_ref.field_names
+    ]
+
+
+@functools.lru_cache(maxsize=4096)
+def _fewest_shared(size_a: int, size_b: int, threshold: float) -> int:
+    """The fewest shared fields with which entities of these sizes pass the
+    overlap test, ``size_a + 1`` when none does.  Found by the test itself
+    (shared over union, compared in floating point), so the count filter and
+    the final decision cannot round apart."""
+    return next(
+        (
+            shared
+            for shared in range(min(size_a, size_b) + 1)
+            if not shared / (size_a + size_b - shared) < threshold
+        ),
+        size_a + 1,
+    )
+
+
+def overlap_candidates(
+    postings: Mapping[str, Mapping[ComponentId, Entity]],
+    probe: Member,
+    threshold: float,
+) -> list[Member]:
+    """The entities of ``postings`` outside the probe's service whose count
+    of fields shared with the probe entity could pass the overlap test.
+
+    No true pair is lost.  A partner that passes shares at least ``fewest``
+    of the probe's ``n`` fields, so it holds one of any ``n - fewest + 1`` of
+    them: only the postings of that many fields are read, the rarest first.
+    A threshold of at most 0 passes pairs that share no field, so then every
+    posting is read.
+    """
+    cid, entity = probe
+    fields = entity.field_names
+    n = len(fields)
+    if not n:
+        return []  # empty entities are excluded from overlap analysis
+    fewest = next((c for c in range(n + 1) if not c / n < threshold), None)
+    if fewest is None:
+        return []  # a threshold above 1: no pair reaches it
+    if fewest:
+        rarest = sorted(fields, key=lambda name: (len(postings.get(name, ())), name))
+        parts = [postings.get(name, {}) for name in rarest[: n - fewest + 1]]
+    else:
+        parts = list(postings.values())
+    seen: dict[ComponentId, Entity] = {}
+    for part in parts:
+        seen.update(part)
+    return [
+        (other, partner)
+        for other, partner in seen.items()
+        if other.microservice != cid.microservice
+        and len(fields & partner.field_names)
+        >= _fewest_shared(n, len(partner.field_names), threshold)
+    ]
+
+
 def overlap_edges_for_pairs(
-    pairs: Iterable[tuple[Component, Component]], threshold: float
+    pairs: Iterable[tuple[Member, Member]], threshold: float
 ) -> set[DependencyEdge]:
+    """DataOverlap edges of the candidate pairs that pass the overlap test."""
     edges = set()
-    for comp_a, comp_b in pairs:
-        ent_a, ent_b = comp_a.entity_ref, comp_b.entity_ref
-        if ent_a is None or ent_b is None:
-            continue
-        if not ent_a.fields or not ent_b.fields:
-            continue  # empty entities are excluded from overlap analysis
+    for (cid_a, ent_a), (cid_b, ent_b) in pairs:
         similarity = entity_overlap(ent_a, ent_b)
         if similarity < threshold:
             continue
-        source, target = sorted((comp_a.id, comp_b.id), key=str)
+        source, target = sorted((cid_a, cid_b), key=str)
         edges.add(
             DependencyEdge(
                 kind=EdgeKind.DATA_OVERLAP,
@@ -269,18 +385,23 @@ def overlap_edges_for_pairs(
 
 def data_overlap_edges(
     services: Mapping[str, MicroserviceIR], threshold: float
-) -> frozenset[DependencyEdge]:
-    entity_components = [
-        comp
-        for name in sorted(services)
-        for comp, _ in services[name].entities()
-    ]
-    pairs = [
-        (a, b)
-        for a, b in itertools.combinations(entity_components, 2)
-        if a.id.microservice != b.id.microservice
-    ]
-    return frozenset(overlap_edges_for_pairs(pairs, threshold))
+) -> tuple[OverlapIndex, frozenset[DependencyEdge]]:
+    """The system's overlap index and DataOverlap edges, in one pass: each
+    entity is paired with the candidates among those indexed before it, then
+    indexed itself."""
+    postings: dict[str, dict[ComponentId, Entity]] = {}
+    pairs = []
+    for name in sorted(services):
+        for comp, entity in services[name].entities():
+            probe = (comp.id, entity)
+            pairs += [
+                (probe, other)
+                for other in overlap_candidates(postings, probe, threshold)
+            ]
+            for field_name in entity.field_names:
+                postings.setdefault(field_name, {})[comp.id] = entity
+    edges = frozenset(overlap_edges_for_pairs(pairs, threshold))
+    return OverlapIndex(postings), edges
 
 
 def build_system_ir(
@@ -293,15 +414,15 @@ def build_system_ir(
     Output is independent of input ordering.  When no label is given it is
     rendered from the per-service version ids.
     """
+    check_overlap_threshold(overlap_threshold)
     service_map: dict[str, MicroserviceIR] = {}
     for ir in services:
         if ir.name in service_map:
             raise LinkError(f"duplicate service name {ir.name!r}")
         service_map[ir.name] = ir
     index = LinkIndex.build(service_map)
-    edges = remote_call_edges(index) | data_overlap_edges(
-        service_map, overlap_threshold
-    )
+    overlap_index, overlap_edges = data_overlap_edges(service_map, overlap_threshold)
+    edges = remote_call_edges(index) | overlap_edges
     system = SystemIR(
         version_label=(
             version_label
@@ -311,6 +432,7 @@ def build_system_ir(
         services=service_map,
         cross_edges=frozenset(edges),
         link_index=index,
+        overlap_index=overlap_index,
     )
     validate_system_ir(system)
     return system

@@ -4,7 +4,8 @@ Cross-service edges are maintained incrementally rather than relinked from
 scratch.  The increment's link index is derived from the baseline's: only the
 changed components' calls and the calls whose (verb, path) shape gained or
 lost an endpoint are resolved again, and only their RemoteCall edges are
-replaced.  DataOverlap edges are re-derived for changed entities alone.  The
+replaced.  DataOverlap edges are re-derived for changed entities alone, from
+the overlap index, which is updated for those entities only.  The
 incidence map (``ComponentId`` to its cross edges) follows from the dropped
 and added edges; untouched services share their parts of both maps with the
 baseline.  The result is structurally identical to a full rebuild over the
@@ -26,6 +27,9 @@ from .errors import MergeError
 from .linker import (
     DEFAULT_OVERLAP_THRESHOLD,
     LinkIndex,
+    OverlapIndex,
+    check_overlap_threshold,
+    overlap_candidates,
     overlap_edges_for_pairs,
     remote_call_edges,
 )
@@ -89,27 +93,29 @@ def _relinked(
 ) -> SystemIR:
     """The system of ``services``: the baseline's with the components
     ``before`` replaced by ``after``, its derived state carried forward."""
+    check_overlap_threshold(overlap_threshold)
     old_index = LinkIndex.of(baseline)
     index, rematched = old_index.updated(services, before, after)
     dropped = remote_call_edges(old_index, rematched)
     added = remote_call_edges(index, rematched)
     incidence = Incidence.of(baseline)
-    # Data overlaps only change for pairs involving a changed entity.
-    entities = [comp.id for comp in (*before, *after) if comp.entity_ref is not None]
-    if entities:
+    overlap = OverlapIndex.of(baseline)
+    # Data overlaps only change for pairs involving a changed entity; its
+    # candidates come from the overlap index, in which it replaced itself.
+    old_entities = [comp for comp in before if comp.entity_ref is not None]
+    new_entities = [comp for comp in after if comp.entity_ref is not None]
+    if old_entities or new_entities:
+        overlap = overlap.updated(old_entities, new_entities)
         dropped |= {
             edge
-            for cid in entities
-            for edge in incidence.edges(cid)
+            for comp in (*old_entities, *new_entities)
+            for edge in incidence.edges(comp.id)
             if edge.kind is EdgeKind.DATA_OVERLAP
         }
-        others = [comp for ir in services.values() for comp, _ in ir.entities()]
         pairs = [
-            (a, b)
-            for a in after
-            if a.entity_ref is not None
-            for b in others
-            if a.id.microservice != b.id.microservice
+            (probe, other)
+            for probe in ((comp.id, comp.entity_ref) for comp in new_entities)
+            for other in overlap_candidates(overlap.postings, probe, overlap_threshold)
         ]
         added |= overlap_edges_for_pairs(pairs, overlap_threshold)
 
@@ -120,6 +126,7 @@ def _relinked(
         cross_edges=(baseline.cross_edges - dropped) | added,
         link_index=index,
         incidence=incidence,
+        overlap_index=overlap,
     )
     gone = {comp.id for comp in before}.difference(comp.id for comp in after)
     validate_cross_edges(increment, added.union(*map(incidence.edges, gone)))

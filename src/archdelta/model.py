@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
-    from .linker import LinkIndex
+    from .linker import LinkIndex, OverlapIndex
 
 UNRESOLVED = "UNRESOLVED"
 PATH_VAR = "{*}"
@@ -251,7 +251,10 @@ class Entity:
     fields: tuple[EntityField, ...] = ()
     annotations: tuple[str, ...] = ()
 
+    @cached_property
     def field_names(self) -> frozenset[str]:
+        """The lower-cased field names, computed once and kept with the
+        (immutable) entity; not a field, so not part of equality or documents."""
         return frozenset(f.field_name.lower() for f in self.fields)
 
 
@@ -532,9 +535,10 @@ class Incidence:
 class SystemIR:
     """A linked system version.
 
-    ``link_index`` holds where every rest call resolves, and ``incidence``
-    the cross edges by component; ``LinkIndex.of`` and ``Incidence.of``
-    build them on first use.  They are derived data: they take no part in
+    ``link_index`` holds where every rest call resolves, ``incidence`` the
+    cross edges by component and ``overlap_index`` the entities by field
+    name; ``LinkIndex.of``, ``Incidence.of`` and ``OverlapIndex.of`` build
+    them on first use.  They are derived data: they take no part in
     equality, ``repr`` or documents.
     """
 
@@ -543,6 +547,9 @@ class SystemIR:
     cross_edges: frozenset[DependencyEdge]
     link_index: LinkIndex | None = field(default=None, compare=False, repr=False)
     incidence: Incidence | None = field(default=None, compare=False, repr=False)
+    overlap_index: OverlapIndex | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def component(self, cid: ComponentId) -> Component | None:
         svc = self.services.get(cid.microservice)

@@ -193,6 +193,38 @@ def test_replay_config_value_of_the_wrong_type_exits_with_usage_error(
     assert not list(tmp_path.rglob("timeseries.csv"))
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_replay_config_non_finite_threshold_exits_with_usage_error(
+    summary_versions, tmp_path, capsys, value
+):
+    # json.loads accepts these, and NaN would link every entity pair
+    config = tmp_path / "replay.json"
+    versions = json.dumps([str(v) for v in summary_versions])
+    out = json.dumps(str(tmp_path / "run"))
+    config.write_text(
+        f'{{"versions": {versions}, "out": {out}, "overlapThreshold": {value}}}'
+    )
+    assert run_cli("replay", config) == 2
+    captured = capsys.readouterr()
+    assert "replay config 'overlapThreshold' must be a finite number" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["link", "merge", "analyze"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "half"])
+def test_non_finite_overlap_threshold_exits_with_usage_error(
+    tmp_path, capsys, command, value
+):
+    documents = ["a.json"] if command == "link" else ["base.json", "delta.json"]
+    with pytest.raises(SystemExit) as excinfo:
+        paths = [tmp_path / d for d in documents]
+        run_cli(command, *paths, f"--overlap-threshold={value}")
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: archdelta")
+    assert "--overlap-threshold: must be a finite number" in err
+
+
 def test_replay_of_only_unreadable_versions_fails(tmp_path, capsys):
     config = tmp_path / "replay.json"
     config.write_text(json.dumps({"versions": ["nope1", "nope2"]}))

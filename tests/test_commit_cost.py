@@ -1,15 +1,16 @@
 """A commit's work follows the commit, not the system.
 
 These tests count work, not time: the nodes ``impact_set`` expands and the
-cross edges ``apply_delta`` validates, per commit, on synthetic systems of 24
-and 96 services that receive the same kinds of commit.  Every service talks
+cross edges ``apply_delta`` validates, per commit, and the entity pairs whose
+overlap it computes, per entity-field commit, on synthetic systems of 24 and
+96 services that receive the same kinds of commit.  Every service talks
 to a fixed number of others, so a commit's neighbourhood has the same size
 at both scales, and so must its work.
 """
 
 from __future__ import annotations
 
-from archdelta import impact, merge
+from archdelta import impact, linker, merge
 from archdelta.delta import compute_delta
 from archdelta.extractor import resolve_call_graph
 from archdelta.impact import impact_set
@@ -97,10 +98,12 @@ _COMMITS = [
 ]
 
 
-def _work_per_commit(n: int, monkeypatch) -> tuple[float, float]:
-    """Mean nodes expanded and cross edges validated per commit."""
-    counts = {"expanded": 0, "validated": 0}
+def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float]:
+    """Mean nodes expanded and cross edges validated per commit, and entity
+    pairs compared per entity-field commit."""
+    counts = {"expanded": 0, "validated": 0, "compared": 0}
     expand, validate = impact._expand, merge.validate_cross_edges
+    overlap = linker.entity_overlap
 
     def counting_expand(*args):
         counts["expanded"] += 1
@@ -111,11 +114,16 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float]:
         counts["validated"] += len(edges)
         validate(system, edges)
 
+    def counting_overlap(a, b):
+        counts["compared"] += 1
+        return overlap(a, b)
+
     system = build_system_ir(_service(i, n) for i in range(n))
     with monkeypatch.context() as patch:
         patch.setattr(impact, "_expand", counting_expand)
         patch.setattr(merge, "validate_cross_edges", counting_validate)
-        commits = 0
+        patch.setattr(linker, "entity_overlap", counting_overlap)
+        commits = entity_commits = 0
         for i in (2, 9, 17):
             for change in _COMMITS:
                 current = system.services[f"svc{i}"]
@@ -123,13 +131,19 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float]:
                 impact_set(system, d)
                 system = apply_delta(system, d)
                 commits += 1
-    return counts["expanded"] / commits, counts["validated"] / commits
+                entity_commits += "field" in change
+    return (
+        counts["expanded"] / commits,
+        counts["validated"] / commits,
+        counts["compared"] / entity_commits,
+    )
 
 
 def test_commit_work_does_not_grow_with_the_system(monkeypatch):
     small = _work_per_commit(24, monkeypatch)
     large = _work_per_commit(96, monkeypatch)
-    for what, a, b in zip(("nodes expanded", "edges validated"), small, large):
+    names = ("nodes expanded", "edges validated", "entity pairs compared")
+    for what, a, b in zip(names, small, large):
         assert a > 0 and b > 0, what
         assert max(a, b) <= 1.5 * min(a, b), f"{what}: {a} at 24, {b} at 96"
     # the work is a real neighbourhood's: a body edit reaches services that

@@ -423,6 +423,74 @@ def test_corrupted_increment_breaks_the_chain(
     assert not out.exists()
 
 
+def _drop_any_cross_edge(system, delta):
+    """``_drop_cross_edge`` while edges are left: unchecked steps go on."""
+    return _drop_cross_edge(system, delta) if system.cross_edges else system
+
+
+@pytest.mark.parametrize(
+    "flaw",
+    [_drop_any_cross_edge, _move_component, _relabel],
+    ids=["dropped-cross-edge", "moved-component", "version-label"],
+)
+def test_unverified_steps_are_checked_at_the_last_version(
+    history_versions, tmp_path, monkeypatch, capsys, flaw
+):
+    """With ``verifyEachStep: false`` the last version is still compared with
+    a full reconstruction, and a diverged chain writes nothing."""
+    original = history.apply_delta
+
+    def flawed(system, delta, *args):
+        return flaw(original(system, delta, *args), delta)
+
+    monkeypatch.setattr(history, "apply_delta", flawed)
+    last = history_versions[-1].name
+    with pytest.raises(ArchDeltaError, match=f"chain integrity: increment at {last} "):
+        replay(history_versions, verify_each_step=False)
+
+    config = tmp_path / "replay.json"
+    out = tmp_path / "artifacts"
+    config.write_text(
+        json.dumps(
+            {
+                "versions": [str(v) for v in history_versions],
+                "out": str(out),
+                "verifyEachStep": False,
+            }
+        )
+    )
+    assert main(["replay", str(config)]) == 2
+    assert "chain integrity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unverified_steps_are_checked_at_each_checkpoint(
+    history_versions, tmp_path, monkeypatch
+):
+    """A checkpoint compares the chain with its rebuild before re-anchoring:
+    here the last version is a checkpoint, so nothing else would see the
+    corrupted increments."""
+    original = history.apply_delta
+    monkeypatch.setattr(
+        history, "apply_delta", lambda *args: _relabel(original(*args), None)
+    )
+    versions = history_versions[:3]
+    checkpoint = versions[2].name
+    with pytest.raises(
+        ArchDeltaError, match=f"chain integrity: increment at {checkpoint} "
+    ):
+        replay(
+            versions,
+            verify_each_step=False,
+            checkpoint_every=1,
+            out_dir=tmp_path / "artifacts",
+        )
+    assert not (tmp_path / "artifacts").exists()
+    monkeypatch.setattr(history, "apply_delta", original)
+    record = replay(versions, verify_each_step=False, checkpoint_every=1)
+    assert [entry.reanchored for entry in record.versions] == [False, False, True]
+
+
 def test_replay_verifies_without_serializing_and_writes_each_service_once(
     history_versions, tmp_path, monkeypatch
 ):

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_overlap import reference_overlap_edges
 from strategies import entities, microservice_irs
 
 from archdelta.errors import LinkError, UndefinedSimilarityError
 from archdelta.extractor import scan_repository
 from archdelta.documents import serialize_ir
 from archdelta.linker import (
+    OverlapIndex,
     build_system_ir,
+    data_overlap_edges,
     entity_overlap,
     link_report,
     match_call_to_endpoint,
@@ -158,6 +161,95 @@ def test_overlap_threshold_is_inclusive():
     b = _entity_service("svc-b", "B", ["id", "name", "x", "y"])  # overlap 0.5
     assert len(build_system_ir([a, b], 0.5).cross_edges) == 1
     assert len(build_system_ir([a, b], 0.51).cross_edges) == 0
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_overlap_threshold_is_rejected(threshold):
+    # NaN would give every pair an edge: no similarity is below it
+    a = _entity_service("svc-a", "A", ["id", "name"])
+    b = _entity_service("svc-b", "B", ["total"])
+    with pytest.raises(LinkError, match="finite"):
+        build_system_ir([a, b], threshold)
+
+
+@pytest.mark.parametrize(
+    "shared, size_a, size_b, threshold",
+    [
+        (1, 1, 10, 0.1),
+        (3, 3, 10, 0.3),
+        (1, 1, 3, 1 / 3),
+        (2, 3, 5, 1 / 3),
+        (2, 2, 4, 0.5),
+    ],
+)
+def test_overlap_bound_follows_the_float_test(shared, size_a, size_b, threshold):
+    """Shared over union equals the threshold in floating point: the pair is
+    linked, although 1/10 is below the float 0.1 in exact arithmetic."""
+    fields = [f"f{i}" for i in range(size_a + size_b - shared)]
+    a = _entity_service("svc-a", "A", fields[:size_a])
+    start = size_a - shared
+    b = _entity_service("svc-b", "B", fields[start : start + size_b])
+    system = build_system_ir([a, b], threshold)
+    [edge] = system.cross_edges
+    assert edge.evidence.similarity == threshold
+    assert system.cross_edges == reference_overlap_edges(system.services, threshold)
+
+
+def test_cached_field_names_are_not_part_of_the_entity_value():
+    entity = Entity("A", (EntityField("Id", "String"), EntityField("id", "long")))
+    fresh = Entity("A", (EntityField("Id", "String"), EntityField("id", "long")))
+    assert entity.field_names == frozenset({"id"})
+    assert entity.field_names is entity.field_names
+    assert entity == fresh and hash(entity) == hash(fresh)
+    assert repr(entity) == repr(fresh)
+
+
+# Field names for the overlap property: a vocabulary every service shares,
+# with case variants of one name, and names only one service uses.
+_SHARED_FIELDS = ["id", "Id", "ID", "name", "owner", "total", "createdAt", "createdat"]
+
+
+@st.composite
+def _overlap_systems(draw):
+    services = {}
+    drawn: list[list[str]] = []  # field lists so far, to draw duplicates from
+    for s in range(draw(st.integers(1, 5))):
+        name = f"svc{s}"
+        own = st.sampled_from([f"{name}Only{i}" for i in range(3)])
+        comps = {}
+        for e in range(draw(st.integers(0, 4))):
+            if drawn and draw(st.booleans()):
+                fields = draw(st.sampled_from(drawn))  # a duplicate field set
+            else:
+                names = st.sampled_from(_SHARED_FIELDS) | own
+                fields = draw(st.lists(names, max_size=6))
+                drawn.append(fields)
+            cid = component_id(name, ComponentType.ENTITY, f"{name}.E{e}")
+            comps[cid] = make_component(
+                cid,
+                entity_ref=Entity(
+                    f"E{e}", tuple(EntityField(f, "String") for f in fields)
+                ),
+            )
+        services[name] = MicroserviceIR(name, "v0", comps, frozenset())
+    return services
+
+
+_THRESHOLDS = st.sampled_from([0.0, -0.25, 1 / 3, 0.3, 0.5, 1.0, 1.5]) | st.floats(
+    -1.0, 2.0, allow_nan=False
+)
+
+
+@given(_overlap_systems(), _THRESHOLDS)
+@settings(max_examples=500, deadline=None)
+def test_indexed_overlap_equals_the_all_pairs_reference(services, threshold):
+    index, edges = data_overlap_edges(services, threshold)
+    assert edges == reference_overlap_edges(services, threshold)
+    assert index == OverlapIndex.build(services)
+    held = {cid for posting in index.postings.values() for cid in posting}
+    assert held == {
+        comp.id for ir in services.values() for comp, ent in ir.entities() if ent.fields
+    }
 
 
 @given(entities(min_fields=1), entities(min_fields=1))

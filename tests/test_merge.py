@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_overlap import reference_overlap_edges
 from strategies import LINK_SERVICES, linked_irs, relinked
 
 from archdelta.delta import compute_delta, empty_delta
 from archdelta.documents import serialize_ir, serialize_microservice_ir
-from archdelta.errors import MergeError, StaleBaselineError
+from archdelta.errors import LinkError, MergeError, StaleBaselineError
 from archdelta.extractor import scan_repository
 from archdelta.linker import (
     LinkIndex,
+    OverlapIndex,
     build_system_ir,
     match_call_to_endpoint,
     unmatched_calls,
@@ -27,6 +29,8 @@ from archdelta.model import (
     Delta,
     DependencyEdge,
     EdgeKind,
+    Entity,
+    EntityField,
     Incidence,
     MicroserviceIR,
     OverlapEvidence,
@@ -359,6 +363,71 @@ def test_increment_link_index_equals_rebuild(data):
             assert match_call_to_endpoint(call, system) == _linear_match(
                 call, system.services
             )
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_carried_overlap_index_equals_rebuild(data):
+    """At every step of a link-churn chain the overlap index carried forward
+    equals one built fresh, and the DataOverlap edges equal the all-pairs
+    reference's, at thresholds that link every pair, none, and between."""
+    threshold = data.draw(st.sampled_from([-0.5, 0.0, 0.3, 1 / 3, 0.5, 1.0, 1.5]))
+    system = build_system_ir(
+        [data.draw(linked_irs(name)) for name in LINK_SERVICES], threshold
+    )
+    for step in range(1, data.draw(st.integers(1, 6)) + 1):
+        name = data.draw(st.sampled_from(LINK_SERVICES))
+        if name in system.services and data.draw(st.sampled_from("ddddr")) == "r":
+            system = remove_service(system, name, threshold)
+        else:
+            current = system.services.get(name) or MicroserviceIR(
+                name, "", {}, frozenset()
+            )
+            successor = data.draw(relinked(current, f"v{step}"))
+            system = apply_delta(system, compute_delta(current, successor), threshold)
+        carried = system.overlap_index
+        assert carried is not None
+        assert carried == OverlapIndex.build(system.services)
+        rebuilt = build_system_ir(system.services.values(), threshold)
+        assert carried == rebuilt.overlap_index
+        overlaps = {e for e in system.cross_edges if e.kind is EdgeKind.DATA_OVERLAP}
+        assert overlaps == reference_overlap_edges(system.services, threshold)
+
+
+def test_entity_commit_shares_untouched_postings():
+    def service(name, fields):
+        cid = component_id(name, ComponentType.ENTITY, f"{name}.Item")
+        entity = Entity("Item", tuple(EntityField(f, "String") for f in fields))
+        comps = {cid: make_component(cid, entity_ref=entity)}
+        return MicroserviceIR(name, "v0", comps, frozenset())
+
+    base = build_system_ir(
+        [
+            service("a", ["id", "name"]),
+            service("b", ["id", "name"]),
+            service("c", ["id", "total"]),
+        ]
+    )
+    increment = apply_delta(
+        base, compute_delta(base.services["a"], service("a", ["id", "owner"]))
+    )
+    old, new = base.overlap_index.postings, increment.overlap_index.postings
+    assert new["total"] is old["total"]  # no field of the change
+    assert new["id"] is not old["id"]  # the changed entity is replaced in it
+    assert set(new["name"]) == {component_id("b", ComponentType.ENTITY, "b.Item")}
+    assert set(new["owner"]) == {component_id("a", ComponentType.ENTITY, "a.Item")}
+    assert increment.cross_edges == reference_overlap_edges(increment.services, 0.5)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_non_finite_overlap_threshold_is_rejected(history_versions, threshold):
+    base = _system(history_versions[0])
+    successor = _extract(history_versions[1], "ts-order")
+    d = compute_delta(base.services["ts-order"], successor)
+    with pytest.raises(LinkError, match="finite"):
+        apply_delta(base, d, threshold)
+    with pytest.raises(LinkError, match="finite"):
+        remove_service(base, "ts-station", threshold)
 
 
 def _stale_edge_baseline():
