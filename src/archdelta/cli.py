@@ -28,7 +28,12 @@ from .documents import (
 from .errors import ArchDeltaError
 from .extractor import ScanWarning, scan_repository
 from .history import git_revisions, render_summary_table, replay, stream_revisions
-from .impact import impact_graph_doc, impact_report_to_doc, impact_set
+from .impact import (
+    DEFAULT_CROSS_SERVICE_HOPS,
+    impact_graph_doc,
+    impact_report_to_doc,
+    impact_set,
+)
 from .linker import DEFAULT_OVERLAP_THRESHOLD, build_system_ir, link_report
 from .merge import apply_delta
 from .model import with_content_version
@@ -59,7 +64,7 @@ def _write_or_print(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _load_rules_arg(paths: list[str] | None) -> list:
+def _load_rules_arg(paths: list[str | Path] | None) -> list:
     if not paths:
         return builtin_rules()
     rules = []
@@ -127,13 +132,8 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    baseline = deserialize_ir(Path(args.baseline).read_bytes())
-    d = deserialize_delta(Path(args.delta).read_bytes())
-    increment = apply_delta(baseline, d, args.overlap_threshold)
-    rules = _load_rules_arg(args.rules)
-    violations = evaluate(baseline, d, increment, rules)
-    report = impact_set(
+def _impact_report(baseline, d, args):
+    return impact_set(
         baseline,
         d,
         max_hops=args.max_hops,
@@ -141,6 +141,15 @@ def cmd_analyze(args) -> int:
         include_data_overlap=not args.no_data_overlap,
         include_entity_usage=args.entity_usage,
     )
+
+
+def cmd_analyze(args) -> int:
+    baseline = deserialize_ir(Path(args.baseline).read_bytes())
+    d = deserialize_delta(Path(args.delta).read_bytes())
+    increment = apply_delta(baseline, d, args.overlap_threshold)
+    rules = _load_rules_arg(args.rules)
+    violations = evaluate(baseline, d, increment, rules)
+    report = _impact_report(baseline, d, args)
     violations_payload = canonical_json(
         violations_doc(violations, increment.version_label)
     )
@@ -167,14 +176,7 @@ def cmd_analyze(args) -> int:
 def cmd_impact(args) -> int:
     baseline = deserialize_ir(Path(args.baseline).read_bytes())
     d = deserialize_delta(Path(args.delta).read_bytes())
-    report = impact_set(
-        baseline,
-        d,
-        max_hops=args.max_hops,
-        cross_service_hops=args.cross_service_hops,
-        include_data_overlap=not args.no_data_overlap,
-        include_entity_usage=args.entity_usage,
-    )
+    report = _impact_report(baseline, d, args)
     _write_or_print(canonical_json(impact_report_to_doc(report)), args.out)
     if args.graph:
         Path(args.graph).write_bytes(canonical_json(impact_graph_doc(report)))
@@ -241,11 +243,7 @@ def cmd_replay(args) -> int:
         if config.get("profile")
         else default_profile()
     )
-    rules = builtin_rules()
-    if config.get("rules"):
-        rules = []
-        for path in config["rules"]:
-            rules.extend(load_rules(resolve(path).read_bytes()))
+    rules = _load_rules_arg([resolve(path) for path in config.get("rules") or []])
     out_dir = args.out or (resolve(config["out"]) if config.get("out") else None)
     threshold = float(config.get("overlapThreshold", DEFAULT_OVERLAP_THRESHOLD))
 
@@ -294,6 +292,13 @@ def _add_overlap_threshold(p: argparse.ArgumentParser) -> None:
         type=_overlap_threshold,
         default=DEFAULT_OVERLAP_THRESHOLD,
     )
+
+
+def _add_impact_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-hops", type=int, default=None)
+    p.add_argument("--cross-service-hops", type=int, default=DEFAULT_CROSS_SERVICE_HOPS)
+    p.add_argument("--no-data-overlap", action="store_true")
+    p.add_argument("--entity-usage", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("delta")
     p.add_argument("--rules", nargs="*", help="rule documents (bundled by default)")
     _add_overlap_threshold(p)
-    p.add_argument("--max-hops", type=int, default=None)
-    p.add_argument("--cross-service-hops", type=int, default=2)
-    p.add_argument("--no-data-overlap", action="store_true")
-    p.add_argument("--entity-usage", action="store_true")
+    _add_impact_options(p)
     p.add_argument("--graph", action="store_true", help="also write the graph export")
     p.add_argument("--out", help="output directory")
     p.add_argument("--fail-on-violation", action="store_true")
@@ -357,10 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impact", help="impact report for a delta over a baseline")
     p.add_argument("baseline")
     p.add_argument("delta")
-    p.add_argument("--max-hops", type=int, default=None)
-    p.add_argument("--cross-service-hops", type=int, default=2)
-    p.add_argument("--no-data-overlap", action="store_true")
-    p.add_argument("--entity-usage", action="store_true")
+    _add_impact_options(p)
     p.add_argument("--graph", help="write the node/edge export to this file")
     p.add_argument("--out")
     p.set_defaults(func=cmd_impact)
@@ -379,10 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ArchDeltaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ArchDeltaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

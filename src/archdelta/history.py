@@ -32,7 +32,7 @@ from .extractor import (
 )
 from .linker import DEFAULT_OVERLAP_THRESHOLD, build_system_ir
 from .merge import apply_delta, remove_service
-from .model import Delta, MicroserviceIR, SystemIR, ir_content_digest, with_content_version
+from .model import Delta, MicroserviceIR, SystemIR, with_content_version
 from .profiles import MarkerProfile, default_profile
 from .rules import Rule, Violation, builtin_rules, evaluate_many, violations_doc
 
@@ -154,15 +154,7 @@ def _extract(
 
 
 def _empty_service_ir(name: str) -> MicroserviceIR:
-    empty = MicroserviceIR(
-        name=name, version_id="", components={}, call_graph_edges=frozenset()
-    )
-    return MicroserviceIR(
-        name=name,
-        version_id=ir_content_digest(empty),
-        components={},
-        call_graph_edges=frozenset(),
-    )
+    return with_content_version(MicroserviceIR(name, "", {}, frozenset()))
 
 
 def _advance(
@@ -214,15 +206,20 @@ def replay(
     ``(label, root, changed_paths)`` triples such as :func:`stream_revisions`
     yields; a triple's root is read before the next version is drawn, so one
     tree may be advanced in place.  Changed paths let a step rescan only the
-    services holding them; the first version, re-anchors and checkpoints scan
-    everything.  A version whose tree cannot be read is skipped with a notice
-    and the chain re-anchors with a full reconstruction at the next readable
-    version; when no version can be read the replay fails.
+    services holding them.  The first version is built from scratch.  Every
+    later version is an increment: its deltas are applied to the previous
+    system and the rules are evaluated against it.  A version whose tree
+    cannot be read is skipped with a notice, and only the next readable
+    version is re-anchored, built from scratch with ``reanchored`` set; when
+    no version can be read the replay fails.
 
     Every increment must equal a full reconstruction from the same service
     representations, or the replay fails with "chain integrity" before any
     artifact is written.  With ``verify_each_step`` each step is compared;
-    without it, each checkpoint and the last version are.
+    without it, each checkpoint and the last version are.  A checkpoint runs
+    after every ``checkpoint_every`` increments: it rescans every service
+    and compares the chain, but keeps the step's deltas and violations, so
+    the record does not depend on the cadence.
     """
     profile = profile if profile is not None else default_profile()
     rule_list = list(rules) if rules is not None else builtin_rules()
@@ -239,13 +236,9 @@ def replay(
     unchecked: str | None = None  # the label of an increment not yet compared
 
     for label, root, changed in _normalize_versions(versions):
-        checkpoint = (
-            prev_system is not None
-            and not need_reanchor
-            and since_checkpoint >= checkpoint_every
-        )
-        rebuild = prev_system is None or need_reanchor or checkpoint
-        previous = None if rebuild else (prev_services, prev_irs)
+        anchor = prev_system is None or need_reanchor
+        checkpoint = not anchor and since_checkpoint >= checkpoint_every
+        previous = None if anchor or checkpoint else (prev_services, prev_irs)
         try:
             services, irs = _extract(
                 root, changed, previous, profile, service_names, cache, warnings
@@ -253,55 +246,39 @@ def replay(
         except ExtractionError as exc:
             logger.warning("skipping version %s: %s", label, exc)
             skipped.append(SkipNotice(label=label, reason=str(exc)))
-            need_reanchor = True
+            need_reanchor = prev_system is not None
             continue
 
-        removed: tuple[str, ...] = ()
-        if rebuild:
+        if anchor:
+            baseline = None
             system = build_system_ir(irs.values(), overlap_threshold)
-            if checkpoint:
-                # The chain up to here must reach the same system.
-                _check_chain(
-                    label,
-                    _advance(prev_system, prev_irs, irs, overlap_threshold)[0],
-                    system,
-                )
-            violations = evaluate_many(None, [], system, rule_list)
-            entries.append(
-                VersionEntry(
-                    label=label,
-                    system=system,
-                    deltas=(),
-                    violations=tuple(violations),
-                    reanchored=prev_system is not None,
-                )
-            )
-            need_reanchor = False
-            since_checkpoint = 0
-            unchecked = None
+            deltas: list[Delta] = []
+            removed: tuple[str, ...] = ()
         else:
+            baseline = prev_system
             system, deltas, removed = _advance(
                 prev_system, prev_irs, irs, overlap_threshold
             )
             # Equality covers every field the document holds.  The extraction
             # cache hands both sides the same component objects, so mostly
             # the cross edges are compared value by value.
-            if verify_each_step:
+            if verify_each_step or checkpoint:
                 fresh = build_system_ir(irs.values(), overlap_threshold)
                 _check_chain(label, system, fresh)
-            else:
-                unchecked = label
-            violations = evaluate_many(prev_system, deltas, system, rule_list)
-            entries.append(
-                VersionEntry(
-                    label=label,
-                    system=system,
-                    deltas=tuple(deltas),
-                    violations=tuple(violations),
-                    removed_services=removed,
-                )
+        unchecked = None if anchor or checkpoint or verify_each_step else label
+        since_checkpoint = 0 if anchor or checkpoint else since_checkpoint + 1
+        violations = evaluate_many(baseline, deltas, system, rule_list)
+        entries.append(
+            VersionEntry(
+                label=label,
+                system=system,
+                deltas=tuple(deltas),
+                violations=tuple(violations),
+                reanchored=need_reanchor,
+                removed_services=removed,
             )
-            since_checkpoint += 1
+        )
+        need_reanchor = False
         prev_system = system
         prev_services, prev_irs = services, irs
 

@@ -24,7 +24,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import jsonschema
 
-from .delta import apply_to_service
 from .errors import DocumentError, RuleBindingError
 from .extractor import parse_call_target, type_name_parts
 from .linker import LinkIndex, uncalled_endpoints, unmatched_calls
@@ -420,15 +419,12 @@ def _modification_violations(
     flagger,
     baseline: SystemIR,
     d: Delta,
-    increment: SystemIR | None,
+    increment: SystemIR,
 ) -> list[Violation]:
     old_service = baseline.services.get(d.microservice)
     if old_service is None:
         return []
-    if increment is not None:
-        new_service = increment.services[d.microservice]
-    else:
-        new_service = apply_to_service(old_service, d)
+    new_service = increment.services[d.microservice]
     violations = []
     for change in d.changes:
         if change.kind is not ChangeKind.MODIFY:
@@ -506,14 +502,14 @@ def _repository_method_flags(old_comp: Component, new_comp: Component) -> list[s
 
 
 def detect_service_method_modifications(
-    baseline: SystemIR, d: Delta, increment: SystemIR | None = None
+    baseline: SystemIR, d: Delta, increment: SystemIR
 ) -> list[Violation]:
     """Modified service methods whose returned data may have changed shape.
 
     Flags a changed return type, or a change in the set of calls made on a
     value of the declared return type; impacted components include the
     controllers reaching the service through the call graph of the
-    increment, which is derived from ``baseline`` and ``d`` when not given.
+    increment, the system ``d`` derives from ``baseline``.
     """
     return _modification_violations(
         "SMM",
@@ -527,7 +523,7 @@ def detect_service_method_modifications(
 
 
 def detect_repository_method_modifications(
-    baseline: SystemIR, d: Delta, increment: SystemIR | None = None
+    baseline: SystemIR, d: Delta, increment: SystemIR
 ) -> list[Violation]:
     """Modified repository methods with changed annotations or signatures."""
     return _modification_violations(
@@ -672,7 +668,6 @@ def _evaluate_generic_delta(
     baseline: SystemIR,
     d: Delta,
     increment: SystemIR,
-    traversal_depth: int,
 ) -> list[Violation]:
     seeds: list[ComponentChange] = [
         change
@@ -681,14 +676,9 @@ def _evaluate_generic_delta(
     ]
     if not seeds:
         return []
-    reached: set[ComponentId] = set()
-    frontier = [ch.component_id for ch in seeds]
-    reached.update(frontier)
-    for _ in range(traversal_depth):
-        frontier = [
-            n for c in frontier for n in _neighbours(increment, c) if n not in reached
-        ]
-        reached.update(frontier)
+    reached = {ch.component_id for ch in seeds}
+    for ch in seeds:
+        reached.update(_neighbours(increment, ch.component_id))
     unmatched = frozenset(unmatched_calls(increment))
     triggering = [TriggerItem(ch.component_id, ch.kind) for ch in seeds]
     violations = []
@@ -704,9 +694,7 @@ def _evaluate_generic_delta(
                     rule.name,
                     increment.version_label,
                     impacted=[item],
-                    triggering=[
-                        t for t in triggering if t.component_id in reached
-                    ],
+                    triggering=triggering,
                 )
             )
     return violations
@@ -722,7 +710,6 @@ def evaluate_many(
     deltas: Sequence[Delta],
     increment: SystemIR,
     rules: Sequence[Rule],
-    traversal_depth: int = 1,
 ) -> list[Violation]:
     """Evaluate rules for one version step (possibly several service deltas).
 
@@ -758,9 +745,7 @@ def evaluate_many(
                     )
                 else:
                     violations.extend(
-                        _evaluate_generic_delta(
-                            rule, baseline, d, increment, traversal_depth
-                        )
+                        _evaluate_generic_delta(rule, baseline, d, increment)
                     )
     unique: dict[str, Violation] = {}
     for v in violations:
@@ -773,8 +758,7 @@ def evaluate(
     d: Delta | None,
     increment: SystemIR,
     rules: Sequence[Rule],
-    traversal_depth: int = 1,
 ) -> list[Violation]:
     """Evaluate rules for one increment derived from one delta."""
     deltas = [d] if d is not None else []
-    return evaluate_many(baseline, deltas, increment, rules, traversal_depth)
+    return evaluate_many(baseline, deltas, increment, rules)

@@ -11,6 +11,7 @@ from corpus import (
     HISTORY_BASE,
     HISTORY_EXPECTED_SERIES,
     HISTORY_EXPECTED_UNIQUE,
+    HISTORY_GIT_STEPS,
     ORDER_SERVICE_V0,
     ORDER_SERVICE_V1,
     POM,
@@ -392,6 +393,45 @@ def _move_component(system, delta):
     )
 
 
+def _artifact_bytes(record, out: Path) -> dict[str, bytes]:
+    write_artifacts(record, out)
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in out.rglob("*")
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("source", ["directories", "git"])
+def test_artifacts_do_not_depend_on_the_checkpoint_cadence(
+    history_versions, tmp_path, source
+):
+    """A checkpoint rescans and checks the chain but stays an increment: its
+    deltas and violations, and so every artifact, are the same whatever the
+    cadence."""
+    if source == "git":
+        repo, revisions = _history_repo(tmp_path, HISTORY_GIT_STEPS)
+
+    def versions(run):
+        if source == "directories":
+            return history_versions
+        return stream_revisions(repo, revisions, tmp_path / f"scratch-{run}")
+
+    runs = {
+        every: _artifact_bytes(
+            replay(versions(every), checkpoint_every=every), tmp_path / f"out-{every}"
+        )
+        for every in (1, 2, 3, 50)
+    }
+    want = runs[50]
+    assert {"ir/1.json", "deltas/1.json", "summary.json"} <= want.keys()
+    differing = {
+        every: sorted(p for p in set(run) | set(want) if run.get(p) != want.get(p))
+        for every, run in runs.items()
+    }
+    assert differing == {every: [] for every in runs}
+
+
 def _relabel(system, delta):
     return dataclasses.replace(system, version_label=system.version_label + "+")
 
@@ -467,9 +507,9 @@ def test_unverified_steps_are_checked_at_the_last_version(
 def test_unverified_steps_are_checked_at_each_checkpoint(
     history_versions, tmp_path, monkeypatch
 ):
-    """A checkpoint compares the chain with its rebuild before re-anchoring:
-    here the last version is a checkpoint, so nothing else would see the
-    corrupted increments."""
+    """A checkpoint compares the chain with its rebuild and goes on from the
+    increment: here the last version is a checkpoint, so nothing else would
+    see the corrupted increments."""
     original = history.apply_delta
     monkeypatch.setattr(
         history, "apply_delta", lambda *args: _relabel(original(*args), None)
@@ -488,7 +528,7 @@ def test_unverified_steps_are_checked_at_each_checkpoint(
     assert not (tmp_path / "artifacts").exists()
     monkeypatch.setattr(history, "apply_delta", original)
     record = replay(versions, verify_each_step=False, checkpoint_every=1)
-    assert [entry.reanchored for entry in record.versions] == [False, False, True]
+    assert [entry.reanchored for entry in record.versions] == [False, False, False]
 
 
 def test_replay_verifies_without_serializing_and_writes_each_service_once(

@@ -178,7 +178,9 @@ def test_every_endpoint_called_yields_no_uem(summary_versions):
 
 def test_return_object_usage_change_is_flagged(systems, deltas):
     [d] = deltas[0]
-    [violation] = detect_service_method_modifications(systems[0], d)
+    [violation] = detect_service_method_modifications(
+        systems[0], d, apply_delta(systems[0], d)
+    )
     items = {i.kind: i for i in violation.impacted}
     assert "getOrder/1 return object usage changed" in items["method"].evidence
     assert items["dependent"].component_id.qualified_name == "order.OrderController"
@@ -222,7 +224,9 @@ def test_return_type_change_is_flagged(systems):
         call_graph_edges=service.call_graph_edges,
     )
     d = compute_delta(service, new_ir)
-    [violation] = detect_service_method_modifications(base, d)
+    [violation] = detect_service_method_modifications(
+        base, d, apply_delta(base, d)
+    )
     [method_item] = [i for i in violation.impacted if i.kind == "method"]
     assert "return type changed Order -> OrderDTO" in method_item.evidence
 
@@ -233,7 +237,9 @@ def test_formatting_only_commit_produces_no_smm(history_versions, systems):
     same = _extract(history_versions[0], "ts-order")
     d = compute_delta(service, same)
     assert d.is_empty()
-    assert detect_service_method_modifications(systems[0], d) == []
+    assert detect_service_method_modifications(
+        systems[0], d, apply_delta(systems[0], d)
+    ) == []
 
 
 # -- RMM ---------------------------------------------------------------------
@@ -241,7 +247,9 @@ def test_formatting_only_commit_produces_no_smm(history_versions, systems):
 
 def test_removed_query_annotation_is_flagged(systems, deltas):
     [d] = deltas[2]
-    [violation] = detect_repository_method_modifications(systems[2], d)
+    [violation] = detect_repository_method_modifications(
+        systems[2], d, apply_delta(systems[2], d)
+    )
     items = {i.kind: i for i in violation.impacted}
     assert items["method"].evidence == "findByOrderId/1 annotations changed"
     assert items["method"].component_id.qualified_name == "order.OrderRepository"
@@ -257,7 +265,9 @@ def test_repository_body_only_change_is_not_flagged(systems):
             _extract_history_v1(systems),
         )
     ]
-    assert detect_repository_method_modifications(systems[0], d) == []
+    assert detect_repository_method_modifications(
+        systems[0], d, apply_delta(systems[0], d)
+    ) == []
 
 
 def _extract_history_v1(systems):
@@ -268,7 +278,9 @@ def test_added_repository_component_is_not_flagged(systems, deltas):
     adds = [d for step in deltas for d in step if d.microservice == "ts-order"]
     v5_delta = adds[-1]  # the notification service addition
     assert any(c.kind is ChangeKind.ADD for c in v5_delta.changes)
-    assert detect_repository_method_modifications(systems[4], v5_delta) == []
+    assert detect_repository_method_modifications(
+        systems[4], v5_delta, apply_delta(systems[4], v5_delta)
+    ) == []
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -394,9 +406,16 @@ def test_custom_rules_match_the_scanning_helpers(data):
         increment = apply_delta(system, d)
         steps.append((system, [d], increment))
         system = increment
+    indexed_neighbours = rules_module._neighbours
     for baseline, deltas, increment in steps:
-        got = evaluate_many(baseline, deltas, increment, _CUSTOM_RULES, 2)
+        got = evaluate_many(baseline, deltas, increment, _CUSTOM_RULES)
         with pytest.MonkeyPatch.context() as monkeypatch:
             _scanning_helpers(monkeypatch)
-            want = evaluate_many(baseline, deltas, increment, _CUSTOM_RULES, 2)
+            scanning_neighbours = rules_module._neighbours
+            want = evaluate_many(baseline, deltas, increment, _CUSTOM_RULES)
         assert got == want
+        # Delta rules reach one hop from their seeds; compare every hop.
+        for comp in increment.iter_components():
+            assert indexed_neighbours(increment, comp.id) == scanning_neighbours(
+                increment, comp.id
+            )
