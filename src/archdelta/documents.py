@@ -49,11 +49,11 @@ def canonical_json(doc: Any) -> bytes:
 
 
 def parse_json(data: bytes | str, loc: str = "$") -> Any:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(f"invalid JSON: {exc}", loc) from exc
 
 
@@ -70,6 +70,17 @@ def _expect(doc: Any, key: str, kind, loc: str) -> Any:
             f"{loc}.{key}",
         )
     return value
+
+
+def expect_strings(doc: Any, key: str, loc: str) -> tuple[str, ...]:
+    """The list of strings under ``key``; a wrong element is located by index."""
+    items = tuple(_expect(doc, key, list, loc))
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise DocumentError(
+                f"expected str, got {type(item).__name__}", f"{loc}.{key}[{i}]"
+            )
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +185,8 @@ def _method_from_doc(doc: Any, loc: str) -> Method:
         name=_expect(doc, "name", str, loc),
         parameters=tuple(params),
         return_type=_expect(doc, "returnType", str, loc),
-        annotations=tuple(_expect(doc, "annotations", list, loc)),
-        body_call_targets=tuple(_expect(doc, "bodyCallTargets", list, loc)),
+        annotations=expect_strings(doc, "annotations", loc),
+        body_call_targets=expect_strings(doc, "bodyCallTargets", loc),
         rest_calls=calls,
         content_hash=_expect(doc, "contentHash", str, loc),
     )
@@ -205,7 +216,7 @@ def _entity_from_doc(doc: Any, loc: str) -> Entity:
     return Entity(
         name=_expect(doc, "name", str, loc),
         fields=tuple(fields),
-        annotations=tuple(_expect(doc, "annotations", list, loc)),
+        annotations=expect_strings(doc, "annotations", loc),
     )
 
 

@@ -5,9 +5,10 @@ approximation (equal verb, equal normalized path, plus target-service
 agreement when the call's host resolved); ambiguous matches are dropped
 rather than guessed so that downstream impact traversal never follows an
 invented edge.  Every system carries one ``LinkIndex`` holding where each call
-resolves; rules and reports read it, and merging derives it incrementally.
-Likewise every system carries one ``OverlapIndex`` from field names to
-entities, from which entity overlaps are found without comparing every pair.
+resolves, which rules and reports read, and one ``OverlapIndex`` from field
+names to entities, from which entity overlaps are found without comparing
+every pair.  ``relink`` derives both, and the cross edges, from a baseline's
+for a change of components; a full build is ``relink`` from the empty system.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from .model import (
     EdgeKind,
     Endpoint,
     Entity,
+    Incidence,
     MicroserviceIR,
     OverlapEvidence,
     RemoteCallEvidence,
     RestCall,
     SystemIR,
     system_version_label,
+    validate_cross_edges,
     validate_system_ir,
 )
 
@@ -222,12 +225,10 @@ def entity_overlap(a: Entity, b: Entity) -> float:
 
 
 def remote_call_edges(
-    index: LinkIndex, calls: Iterable[RestCall] | None = None
+    index: LinkIndex, calls: Iterable[RestCall]
 ) -> frozenset[DependencyEdge]:
-    """RemoteCall edges of the index's calls, or of those of ``calls`` the
-    index holds: one per distinct call whose endpoint is in another service."""
-    if calls is None:
-        calls = [call for part in index.resolved.values() for call in part]
+    """RemoteCall edges of those of ``calls`` the index holds: one per
+    distinct call whose endpoint is in another service."""
     edges = set()
     for call in calls:
         source = call.owning_component
@@ -269,42 +270,16 @@ class OverlapIndex:
     postings: Mapping[str, Mapping[ComponentId, Entity]]
 
     @classmethod
-    def build(cls, services: Mapping[str, MicroserviceIR]) -> OverlapIndex:
-        """Index a system from scratch."""
-        added = [comp for ir in services.values() for comp, _ in ir.entities()]
-        return cls({}).updated((), added)
-
-    @classmethod
     def of(cls, system: SystemIR) -> OverlapIndex:
         """The system's index, built on first use and kept with the system."""
         if system.overlap_index is None:
-            object.__setattr__(system, "overlap_index", cls.build(system.services))
+            postings: dict[str, dict[ComponentId, Entity]] = {}
+            for ir in system.services.values():
+                for comp, entity in ir.entities():
+                    for name in entity.field_names:
+                        postings.setdefault(name, {})[comp.id] = entity
+            object.__setattr__(system, "overlap_index", cls(postings))
         return system.overlap_index
-
-    def updated(
-        self, before: Sequence[Component], after: Sequence[Component]
-    ) -> OverlapIndex:
-        """This index with the entities of ``before`` replaced by those of
-        ``after``; only the postings of their fields are copied."""
-        gone, new = _held_fields(before), _held_fields(after)
-        postings = dict(self.postings)
-        for name in {name for name, _ in gone + new}:
-            postings[name] = dict(postings.get(name, {}))
-        for name, comp in gone:
-            del postings[name][comp.id]
-        for name, comp in new:
-            postings[name][comp.id] = comp.entity_ref
-        return OverlapIndex({name: part for name, part in postings.items() if part})
-
-
-def _held_fields(comps: Sequence[Component]) -> list[tuple[str, Component]]:
-    """Each field name of each entity among ``comps``, with its component."""
-    return [
-        (name, comp)
-        for comp in comps
-        if comp.entity_ref is not None
-        for name in comp.entity_ref.field_names
-    ]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -384,24 +359,99 @@ def overlap_edges_for_pairs(
 
 
 def data_overlap_edges(
-    services: Mapping[str, MicroserviceIR], threshold: float
+    index: OverlapIndex,
+    before: Sequence[Component],
+    after: Sequence[Component],
+    threshold: float,
 ) -> tuple[OverlapIndex, frozenset[DependencyEdge]]:
-    """The system's overlap index and DataOverlap edges, in one pass: each
-    entity is paired with the candidates among those indexed before it, then
-    indexed itself."""
-    postings: dict[str, dict[ComponentId, Entity]] = {}
+    """``index`` with the entities of ``before`` replaced by those of
+    ``after``, and the DataOverlap edges of the entities of ``after``.
+
+    Only the postings of their fields are copied.  Each entity of ``after``
+    is paired with its candidates among those indexed before it, then
+    indexed itself, so every pair is verified once.
+    """
+    gone = [(c.id, c.entity_ref) for c in before if c.entity_ref is not None]
+    new = [(c.id, c.entity_ref) for c in after if c.entity_ref is not None]
+    touched = {name for _, entity in gone + new for name in entity.field_names}
+    postings = dict(index.postings)
+    for name in touched:
+        postings[name] = dict(postings.get(name, {}))
+    for cid, entity in gone:
+        for name in entity.field_names:
+            del postings[name][cid]
     pairs = []
-    for name in sorted(services):
-        for comp, entity in services[name].entities():
-            probe = (comp.id, entity)
-            pairs += [
-                (probe, other)
-                for other in overlap_candidates(postings, probe, threshold)
-            ]
-            for field_name in entity.field_names:
-                postings.setdefault(field_name, {})[comp.id] = entity
-    edges = frozenset(overlap_edges_for_pairs(pairs, threshold))
-    return OverlapIndex(postings), edges
+    for probe in new:
+        pairs += [
+            (probe, other) for other in overlap_candidates(postings, probe, threshold)
+        ]
+        cid, entity = probe
+        for name in entity.field_names:
+            postings[name][cid] = entity
+    for name in touched:
+        if not postings[name]:
+            del postings[name]
+    return OverlapIndex(postings), frozenset(overlap_edges_for_pairs(pairs, threshold))
+
+
+# The empty system, from which a build relinks.
+_NOTHING = SystemIR("", {}, frozenset())
+
+
+def relink(
+    baseline: SystemIR,
+    services: Mapping[str, MicroserviceIR],
+    before: Sequence[Component],
+    after: Sequence[Component],
+    overlap_threshold: float,
+) -> SystemIR:
+    """The system of ``services``: the baseline's with the components
+    ``before`` replaced by ``after``, its derived state carried forward.
+
+    Only the calls ``LinkIndex.updated`` resolves again and the changed
+    entities have their edges replaced; the incidence map follows from the
+    dropped and added edges.  Untouched services share their parts of every
+    map with the baseline.
+
+    Validation is scoped to what the change can break.  Untouched services
+    are the baseline's objects and surviving edges are the baseline's, so for
+    a validated baseline it suffices to validate the changed services (the
+    caller's part), the ends of the added edges, and, through the incidence
+    map, that no surviving edge touches a deleted component.  That equals
+    ``validate_system_ir`` on the result.
+    """
+    check_overlap_threshold(overlap_threshold)
+    old_index = LinkIndex.of(baseline)
+    index, rematched = old_index.updated(services, before, after)
+    dropped = remote_call_edges(old_index, rematched)
+    added = remote_call_edges(index, rematched)
+    overlap, overlap_edges = data_overlap_edges(
+        OverlapIndex.of(baseline), before, after, overlap_threshold
+    )
+    added |= overlap_edges
+    incidence = None  # a build leaves its incidence to be built on first use
+    if baseline is not _NOTHING:
+        incidence = Incidence.of(baseline)
+        dropped |= {
+            edge
+            for comp in before
+            if comp.entity_ref is not None
+            for edge in incidence.edges(comp.id)
+            if edge.kind is EdgeKind.DATA_OVERLAP
+        }
+        incidence = incidence.updated(dropped, added)
+    increment = SystemIR(
+        version_label=system_version_label(services),
+        services=services,
+        cross_edges=(baseline.cross_edges - dropped) | added,
+        link_index=index,
+        incidence=incidence,
+        overlap_index=overlap,
+    )
+    if incidence is not None:  # a build validates the whole system itself
+        gone = {comp.id for comp in before}.difference(comp.id for comp in after)
+        validate_cross_edges(increment, added.union(*map(incidence.edges, gone)))
+    return increment
 
 
 def build_system_ir(
@@ -409,31 +459,21 @@ def build_system_ir(
     overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
     version_label: str | None = None,
 ) -> SystemIR:
-    """Combine per-service representations into one linked system.
+    """Combine per-service representations into one linked system: the
+    increment of the empty system that adds every component.
 
     Output is independent of input ordering.  When no label is given it is
     rendered from the per-service version ids.
     """
-    check_overlap_threshold(overlap_threshold)
     service_map: dict[str, MicroserviceIR] = {}
     for ir in services:
         if ir.name in service_map:
             raise LinkError(f"duplicate service name {ir.name!r}")
         service_map[ir.name] = ir
-    index = LinkIndex.build(service_map)
-    overlap_index, overlap_edges = data_overlap_edges(service_map, overlap_threshold)
-    edges = remote_call_edges(index) | overlap_edges
-    system = SystemIR(
-        version_label=(
-            version_label
-            if version_label is not None
-            else system_version_label(service_map)
-        ),
-        services=service_map,
-        cross_edges=frozenset(edges),
-        link_index=index,
-        overlap_index=overlap_index,
-    )
+    added = [comp for ir in service_map.values() for comp in ir.components.values()]
+    system = relink(_NOTHING, service_map, (), added, overlap_threshold)
+    if version_label is not None:
+        system = replace(system, version_label=version_label)
     validate_system_ir(system)
     return system
 

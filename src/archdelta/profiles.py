@@ -7,12 +7,12 @@ vocabulary are added by writing a new profile document and passing it via
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
+from .documents import expect_strings, parse_json
 from .errors import DocumentError
 
 PROFILE_SCHEMA = "marker-profile@1"
@@ -74,21 +74,19 @@ class MarkerProfile:
         )
 
 
-def _marker_set(doc: Any, key: str, loc: str) -> frozenset[str]:
-    if key not in doc or not isinstance(doc[key], list):
-        raise DocumentError(f"missing or non-list key '{key}'", loc)
-    return frozenset(str(t) for t in doc[key])
-
-
 def profile_from_doc(doc: Any, loc: str = "$") -> MarkerProfile:
     if not isinstance(doc, dict):
         raise DocumentError("profile document must be an object", loc)
-    markers_loc = loc
+    if doc.get("schema") != PROFILE_SCHEMA:
+        raise DocumentError(
+            f"expected schema {PROFILE_SCHEMA}, got {doc.get('schema')!r}",
+            f"{loc}.schema",
+        )
     endpoint_markers = doc.get("endpointMarkers")
     if not isinstance(endpoint_markers, dict):
         raise DocumentError("missing or non-object key 'endpointMarkers'", loc)
     for token, verb in endpoint_markers.items():
-        if verb not in _VERB_VALUES:
+        if not isinstance(verb, str) or verb not in _VERB_VALUES:
             raise DocumentError(
                 f"endpoint marker {token!r} maps to unknown verb {verb!r}",
                 f"{loc}.endpointMarkers.{token}",
@@ -113,23 +111,21 @@ def profile_from_doc(doc: Any, loc: str = "$") -> MarkerProfile:
                 f"{ploc}.verb",
             )
         try:
-            patterns.append(
-                RemoteCallPattern(
-                    receiver_type=str(p["receiverType"]),
-                    method_name=str(p["methodName"]),
-                    url_arg=int(p["urlArg"]),
-                    verb=verb,
-                )
-            )
+            receiver, method, url_arg = p["receiverType"], p["methodName"], p["urlArg"]
         except KeyError as exc:
             raise DocumentError(f"pattern missing key {exc}", ploc) from exc
-    extensions = tuple(doc.get("fileExtensions", [".java"]))
+        if not isinstance(url_arg, int) or url_arg < 0:
+            raise DocumentError("pattern urlArg must be an index", f"{ploc}.urlArg")
+        patterns.append(RemoteCallPattern(str(receiver), str(method), url_arg, verb))
+    extensions = (".java",)
+    if "fileExtensions" in doc:
+        extensions = expect_strings(doc, "fileExtensions", loc)
     try:
         return MarkerProfile(
-            controller_markers=_marker_set(doc, "controllerMarkers", markers_loc),
-            service_markers=_marker_set(doc, "serviceMarkers", markers_loc),
-            repository_markers=_marker_set(doc, "repositoryMarkers", markers_loc),
-            entity_markers=_marker_set(doc, "entityMarkers", markers_loc),
+            controller_markers=frozenset(expect_strings(doc, "controllerMarkers", loc)),
+            service_markers=frozenset(expect_strings(doc, "serviceMarkers", loc)),
+            repository_markers=frozenset(expect_strings(doc, "repositoryMarkers", loc)),
+            entity_markers=frozenset(expect_strings(doc, "entityMarkers", loc)),
             endpoint_markers=dict(endpoint_markers),
             remote_call_patterns=tuple(patterns),
             file_extensions=extensions,
@@ -139,20 +135,10 @@ def profile_from_doc(doc: Any, loc: str = "$") -> MarkerProfile:
 
 
 def load_profile(path: str | Path) -> MarkerProfile:
-    raw = Path(path).read_bytes()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"invalid profile JSON: {exc}") from exc
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise DocumentError(
-            f"expected schema {PROFILE_SCHEMA}, got {doc.get('schema')!r}", "$.schema"
-        )
-    return profile_from_doc(doc)
+    return profile_from_doc(parse_json(Path(path).read_bytes()))
 
 
 def default_profile() -> MarkerProfile:
     """The bundled Java Spring profile."""
     raw = resources.files("archdelta.data.profiles").joinpath("spring.json").read_bytes()
-    doc = json.loads(raw.decode("utf-8"))
-    return profile_from_doc(doc)
+    return profile_from_doc(parse_json(raw))

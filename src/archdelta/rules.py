@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
 import jsonschema
 
+from .documents import component_id_to_doc, parse_json
 from .errors import DocumentError, RuleBindingError
 from .extractor import parse_call_target, type_name_parts
 from .linker import LinkIndex, uncalled_endpoints, unmatched_calls
@@ -151,12 +151,7 @@ def _rule_validator() -> jsonschema.protocols.Validator:
 
 def load_rules(rule_document: bytes | str) -> list[Rule]:
     """Parse and validate a rule document (one rule object or a list)."""
-    if isinstance(rule_document, bytes):
-        rule_document = rule_document.decode("utf-8")
-    try:
-        doc = json.loads(rule_document)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid rule JSON: {exc}") from exc
+    doc = parse_json(rule_document)
     docs = doc if isinstance(doc, list) else [doc]
     rules = []
     for i, rule_doc in enumerate(docs):
@@ -243,8 +238,6 @@ def make_violation(
 
 
 def violation_to_doc(v: Violation) -> dict:
-    from .documents import component_id_to_doc
-
     return {
         "ruleName": v.rule_name,
         "systemVersionLabel": v.system_version_label,

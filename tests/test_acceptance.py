@@ -24,6 +24,7 @@ from archdelta.documents import serialize_ir
 from archdelta.extractor import scan_repository
 from archdelta.history import emit_timeseries, replay, write_artifacts
 from archdelta.linker import (
+    OverlapIndex,
     build_system_ir,
     data_overlap_edges,
     entity_overlap,
@@ -212,9 +213,13 @@ def test_c5_linker_properties():
         @settings(max_examples=600, **_PROPERTY_SETTINGS)
         def monotonicity(drawn, t_a, t_b):
             low, high = sorted((t_a, t_b))
-            services = {ir.name: ir for ir in _entity_service_irs(drawn)}
-            _, high_edges = data_overlap_edges(services, high)
-            _, low_edges = data_overlap_edges(services, low)
+            comps = [
+                comp
+                for ir in _entity_service_irs(drawn)
+                for comp in ir.components.values()
+            ]
+            _, high_edges = data_overlap_edges(OverlapIndex({}), (), comps, high)
+            _, low_edges = data_overlap_edges(OverlapIndex({}), (), comps, low)
             assert high_edges <= low_edges
 
         symmetry()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+from importlib import resources
 
 import pytest
 
@@ -321,6 +322,157 @@ def test_bad_input_exits_with_usage_error(tmp_path):
     bogus = tmp_path / "bogus.json"
     bogus.write_text("{not json")
     assert run_cli("merge", bogus, bogus) == 2
+
+
+def _documents(versions, tmp_path):
+    """A baseline document of the first history version and the ts-order
+    delta to the second, written by the CLI."""
+    irs = []
+    for name in ("ts-order", "ts-station", "ts-user"):
+        irs.append(tmp_path / f"{name}.json")
+        assert run_cli("extract", versions[0] / name, "--service", name, "--out", irs[-1]) == 0
+    baseline, delta = tmp_path / "baseline.json", tmp_path / "delta.json"
+    assert run_cli("link", *irs, "--out", baseline) == 0
+    trees = [v / "ts-order" for v in versions[:2]]
+    assert run_cli("delta", *trees, "--service", "ts-order", "--out", delta) == 0
+    return baseline, delta
+
+
+def _merge_non_utf8_baseline(versions, tmp_path):
+    baseline, delta = _documents(versions, tmp_path)
+    baseline.write_bytes(b"\xff" + baseline.read_bytes())
+    return ["merge", baseline, delta]
+
+
+def _analyze_non_utf8_rules(versions, tmp_path):
+    baseline, delta = _documents(versions, tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_bytes(b"\xff[]")
+    return ["analyze", baseline, delta, "--rules", rules]
+
+
+def _component_with(doc, key):
+    """The first component of a system document with a non-empty ``key``."""
+    return next(
+        comp
+        for service in doc["services"].values()
+        for comp in service["components"]
+        if comp[key]
+    )
+
+
+def _merge_edited_baseline(edit):
+    def argv(versions, tmp_path):
+        baseline, delta = _documents(versions, tmp_path)
+        doc = json.loads(baseline.read_text())
+        edit(doc)
+        baseline.write_text(json.dumps(doc))
+        return ["merge", baseline, delta]
+
+    return argv
+
+
+def _extract_with_profile(edit):
+    def argv(versions, tmp_path):
+        spring = resources.files("archdelta.data.profiles").joinpath("spring.json")
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(edit(json.loads(spring.read_text()))))
+        tree = versions[0] / "ts-order"
+        return ["extract", tree, "--service", "ts-order", "--profile", profile]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, location",
+    [
+        (_merge_non_utf8_baseline, "$: invalid JSON"),
+        (_analyze_non_utf8_rules, "$: invalid JSON"),
+        (
+            _merge_edited_baseline(
+                lambda doc: _component_with(doc, "methods")["methods"][0].update(
+                    annotations=[5]
+                )
+            ),
+            ".methods[0].annotations[0]: expected str, got int",
+        ),
+        (
+            _merge_edited_baseline(
+                lambda doc: _component_with(doc, "methods")["methods"][0].update(
+                    bodyCallTargets=["A.b/0", 5]
+                )
+            ),
+            ".methods[0].bodyCallTargets[1]: expected str, got int",
+        ),
+        (
+            _merge_edited_baseline(
+                lambda doc: _component_with(doc, "entityRef")["entityRef"].update(
+                    annotations=[None]
+                )
+            ),
+            ".entityRef.annotations[0]: expected str, got NoneType",
+        ),
+        (_extract_with_profile(lambda doc: []), "$: profile document must be an object"),
+        (
+            _extract_with_profile(lambda doc: {**doc, "fileExtensions": 5}),
+            "$.fileExtensions: key 'fileExtensions' should be list, got int",
+        ),
+        (
+            _extract_with_profile(lambda doc: {**doc, "fileExtensions": ".java"}),
+            "$.fileExtensions: key 'fileExtensions' should be list, got str",
+        ),
+        (
+            _extract_with_profile(
+                lambda doc: {
+                    **doc,
+                    "remoteCallPatterns": [
+                        {**doc["remoteCallPatterns"][0], "urlArg": "x"}
+                    ],
+                }
+            ),
+            "$.remoteCallPatterns[0].urlArg: pattern urlArg must be an index",
+        ),
+        (
+            _extract_with_profile(
+                lambda doc: {
+                    **doc,
+                    "remoteCallPatterns": [
+                        {**doc["remoteCallPatterns"][0], "urlArg": -1}
+                    ],
+                }
+            ),
+            "$.remoteCallPatterns[0].urlArg: pattern urlArg must be an index",
+        ),
+        (
+            _extract_with_profile(
+                lambda doc: {**doc, "endpointMarkers": {"GetMapping": ["GET"]}}
+            ),
+            "$.endpointMarkers.GetMapping: endpoint marker",
+        ),
+    ],
+    ids=[
+        "non-utf8-baseline",
+        "non-utf8-rules",
+        "method-annotation-number",
+        "body-call-target-number",
+        "entity-annotation-null",
+        "profile-not-an-object",
+        "profile-extensions-number",
+        "profile-extensions-string",
+        "profile-url-arg-string",
+        "profile-url-arg-negative",
+        "profile-verb-list",
+    ],
+)
+def test_malformed_input_is_a_usage_error(
+    history_versions, tmp_path, capsys, argv, location
+):
+    argv = argv(history_versions, tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "internal error:" not in err
+    assert "error: " in err and location in err
 
 
 def test_version_flag(capsys):

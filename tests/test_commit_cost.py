@@ -5,12 +5,17 @@ cross edges ``apply_delta`` validates, per commit, and the entity pairs whose
 overlap it computes, per entity-field commit, on synthetic systems of 24 and
 96 services that receive the same kinds of commit.  Every service talks
 to a fixed number of others, so a commit's neighbourhood has the same size
-at both scales, and so must its work.
+at both scales, and so must its work.  A build of the same systems computes
+the overlap of each entity pair at most once.
 """
 
 from __future__ import annotations
 
-from archdelta import impact, linker, merge
+from collections import Counter
+
+import pytest
+
+from archdelta import impact, linker
 from archdelta.delta import compute_delta
 from archdelta.extractor import resolve_call_graph
 from archdelta.impact import impact_set
@@ -102,7 +107,7 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float]:
     """Mean nodes expanded and cross edges validated per commit, and entity
     pairs compared per entity-field commit."""
     counts = {"expanded": 0, "validated": 0, "compared": 0}
-    expand, validate = impact._expand, merge.validate_cross_edges
+    expand, validate = impact._expand, linker.validate_cross_edges
     overlap = linker.entity_overlap
 
     def counting_expand(*args):
@@ -121,7 +126,7 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float]:
     system = build_system_ir(_service(i, n) for i in range(n))
     with monkeypatch.context() as patch:
         patch.setattr(impact, "_expand", counting_expand)
-        patch.setattr(merge, "validate_cross_edges", counting_validate)
+        patch.setattr(linker, "validate_cross_edges", counting_validate)
         patch.setattr(linker, "entity_overlap", counting_overlap)
         commits = entity_commits = 0
         for i in (2, 9, 17):
@@ -152,3 +157,23 @@ def test_commit_work_does_not_grow_with_the_system(monkeypatch):
     d = compute_delta(system.services["svc9"], _service(9, 96, body="edited"))
     affected = impact_set(system, d).affected_services
     assert {"svc6", "svc8", "svc10", "svc12"} <= affected
+
+
+@pytest.mark.parametrize("n", [24, 96])
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
+def test_a_build_compares_each_entity_pair_at_most_once(monkeypatch, n, threshold):
+    # A build adds every entity to the empty system: each one is paired with
+    # those indexed before it, never with one indexed after it as well.
+    compared: Counter = Counter()
+    overlap = linker.entity_overlap
+
+    def counting_overlap(a, b):
+        compared[frozenset((id(a), id(b)))] += 1
+        return overlap(a, b)
+
+    services = [_service(i, n) for i in range(n)]
+    monkeypatch.setattr(linker, "entity_overlap", counting_overlap)
+    build_system_ir(services, threshold)
+    assert max(compared.values()) == 1
+    # at 0 every cross-service pair is a candidate, at 0.5 those of a block
+    assert len(compared) == (n * (n - 1) // 2 if threshold == 0 else n // 4 * 6)

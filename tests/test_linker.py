@@ -30,6 +30,7 @@ from archdelta.model import (
     Method,
     MicroserviceIR,
     RestCall,
+    SystemIR,
     component_id,
     make_component,
     method_content_hash,
@@ -243,9 +244,10 @@ _THRESHOLDS = st.sampled_from([0.0, -0.25, 1 / 3, 0.3, 0.5, 1.0, 1.5]) | st.floa
 @given(_overlap_systems(), _THRESHOLDS)
 @settings(max_examples=500, deadline=None)
 def test_indexed_overlap_equals_the_all_pairs_reference(services, threshold):
-    index, edges = data_overlap_edges(services, threshold)
+    comps = [comp for ir in services.values() for comp in ir.components.values()]
+    index, edges = data_overlap_edges(OverlapIndex({}), (), comps, threshold)
     assert edges == reference_overlap_edges(services, threshold)
-    assert index == OverlapIndex.build(services)
+    assert index == OverlapIndex.of(SystemIR("", services, frozenset()))
     held = {cid for posting in index.postings.values() for cid in posting}
     assert held == {
         comp.id for ir in services.values() for comp, ent in ir.entities() if ent.fields

@@ -341,8 +341,10 @@ def _linear_match(call, services):
 @settings(max_examples=200, deadline=None)
 def test_increment_link_index_equals_rebuild(data):
     # Endpoints come and go on a few shared shapes, so unresolved calls turn
-    # ambiguous and unique again and services hold duplicate shapes.
-    system = build_system_ir([data.draw(linked_irs(name)) for name in LINK_SERVICES])
+    # ambiguous and unique again and services hold duplicate shapes.  Some
+    # chains start from the empty system.
+    start = data.draw(st.sampled_from([LINK_SERVICES, ()]))
+    system = build_system_ir([data.draw(linked_irs(name)) for name in start])
     for step in range(1, data.draw(st.integers(1, 6)) + 1):
         name = data.draw(st.sampled_from(LINK_SERVICES))
         if name in system.services and data.draw(st.sampled_from("ddddr")) == "r":
@@ -370,11 +372,11 @@ def test_increment_link_index_equals_rebuild(data):
 def test_carried_overlap_index_equals_rebuild(data):
     """At every step of a link-churn chain the overlap index carried forward
     equals one built fresh, and the DataOverlap edges equal the all-pairs
-    reference's, at thresholds that link every pair, none, and between."""
+    reference's, at thresholds that link every pair, none, and between.  Some
+    chains start from the empty system."""
     threshold = data.draw(st.sampled_from([-0.5, 0.0, 0.3, 1 / 3, 0.5, 1.0, 1.5]))
-    system = build_system_ir(
-        [data.draw(linked_irs(name)) for name in LINK_SERVICES], threshold
-    )
+    start = data.draw(st.sampled_from([LINK_SERVICES, ()]))
+    system = build_system_ir([data.draw(linked_irs(name)) for name in start], threshold)
     for step in range(1, data.draw(st.integers(1, 6)) + 1):
         name = data.draw(st.sampled_from(LINK_SERVICES))
         if name in system.services and data.draw(st.sampled_from("ddddr")) == "r":
@@ -387,7 +389,7 @@ def test_carried_overlap_index_equals_rebuild(data):
             system = apply_delta(system, compute_delta(current, successor), threshold)
         carried = system.overlap_index
         assert carried is not None
-        assert carried == OverlapIndex.build(system.services)
+        assert carried == OverlapIndex.of(replace(system, overlap_index=None))
         rebuilt = build_system_ir(system.services.values(), threshold)
         assert carried == rebuilt.overlap_index
         overlaps = {e for e in system.cross_edges if e.kind is EdgeKind.DATA_OVERLAP}
