@@ -5,12 +5,17 @@ names, a ``schema`` version tag, and fully sorted keys and collections, so
 equal values serialize to identical bytes.  Deserialization re-checks
 structural invariants (references resolve, stored hashes match recomputed
 ones) and reports failures with a JSON-path style location.
+
+IR and delta documents are written from the model objects by one ``_…_text``
+function per type, given the indent its value closes on, in the text
+``canonical_json`` gives: two-space indent, sorted keys, ASCII escapes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator
+from json.encoder import encode_basestring_ascii as _str
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import DocumentError
 from .model import (
@@ -41,11 +46,36 @@ from .model import (
 SYSTEM_IR_SCHEMA = "system-ir@1"
 MICROSERVICE_IR_SCHEMA = "microservice-ir@1"
 DELTA_SCHEMA = "delta@1"
+DELTA_SET_SCHEMA = "delta-set@1"
+
+# float.__repr__ of the non-finite floats, and how json writes them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def canonical_json(doc: Any) -> bytes:
     """Key-sorted, indented JSON; byte-stable for equal documents."""
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _array(items: Sequence, text: Callable[[Any, str], str], ind: str) -> str:
+    """``items`` as a list closing on indent ``ind``, each item written by ``text``."""
+    if not items:
+        return "[]"
+    inner = ind + "  "
+    sep = ",\n" + inner
+    return f"[\n{inner}{sep.join([text(x, inner) for x in items])}\n{ind}]"
+
+
+def _strings(items: Sequence[str], ind: str) -> str:
+    if not items:
+        return "[]"
+    sep = ",\n" + ind + "  "
+    return f"[\n{ind}  {sep.join(map(_str, items))}\n{ind}]"
 
 
 def parse_json(data: bytes | str, loc: str = "$") -> Any:
@@ -96,6 +126,15 @@ def component_id_to_doc(cid: ComponentId) -> dict:
     }
 
 
+def _component_id_text(cid: ComponentId, ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"componentType": {_str(cid.component_type.value)},'
+        f'\n{i}"microservice": {_str(cid.microservice)},'
+        f'\n{i}"qualifiedName": {_str(cid.qualified_name)}\n{ind}}}'
+    )
+
+
 def component_id_from_doc(doc: Any, loc: str = "$") -> ComponentId:
     micro = _expect(doc, "microservice", str, loc)
     ctype = _expect(doc, "componentType", str, loc)
@@ -111,14 +150,15 @@ def component_id_from_doc(doc: Any, loc: str = "$") -> ComponentId:
 # ---------------------------------------------------------------------------
 
 
-def _rest_call_to_doc(call: RestCall) -> dict:
-    return {
-        "httpMethod": call.http_method,
-        "targetService": call.target_service,
-        "path": call.path,
-        "siteMethod": call.site_method,
-        "owningComponent": component_id_to_doc(call.owning_component),
-    }
+def _rest_call_text(call: RestCall, ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"httpMethod": {_str(call.http_method)},'
+        f'\n{i}"owningComponent": {_component_id_text(call.owning_component, i)},'
+        f'\n{i}"path": {_str(call.path)},'
+        f'\n{i}"siteMethod": {_str(call.site_method)},'
+        f'\n{i}"targetService": {_str(call.target_service)}\n{ind}}}'
+    )
 
 
 def _rest_call_from_doc(doc: Any, loc: str) -> RestCall:
@@ -133,13 +173,14 @@ def _rest_call_from_doc(doc: Any, loc: str) -> RestCall:
     )
 
 
-def _endpoint_to_doc(ep: Endpoint) -> dict:
-    return {
-        "httpMethod": ep.http_method,
-        "path": ep.path,
-        "handlerMethod": ep.handler_method,
-        "owningComponent": component_id_to_doc(ep.owning_component),
-    }
+def _endpoint_text(ep: Endpoint, ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"handlerMethod": {_str(ep.handler_method)},'
+        f'\n{i}"httpMethod": {_str(ep.http_method)},'
+        f'\n{i}"owningComponent": {_component_id_text(ep.owning_component, i)},'
+        f'\n{i}"path": {_str(ep.path)}\n{ind}}}'
+    )
 
 
 def _endpoint_from_doc(doc: Any, loc: str) -> Endpoint:
@@ -153,18 +194,25 @@ def _endpoint_from_doc(doc: Any, loc: str) -> Endpoint:
     )
 
 
-def _method_to_doc(m: Method) -> dict:
-    return {
-        "name": m.name,
-        "parameters": [
-            {"name": p.name, "declaredType": p.declared_type} for p in m.parameters
-        ],
-        "returnType": m.return_type,
-        "annotations": list(m.annotations),
-        "bodyCallTargets": list(m.body_call_targets),
-        "restCalls": [_rest_call_to_doc(c) for c in m.rest_calls],
-        "contentHash": m.content_hash,
-    }
+def _parameter_text(p: Parameter, ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"declaredType": {_str(p.declared_type)},'
+        f'\n{i}"name": {_str(p.name)}\n{ind}}}'
+    )
+
+
+def _method_text(m: Method, ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"annotations": {_strings(m.annotations, i)},'
+        f'\n{i}"bodyCallTargets": {_strings(m.body_call_targets, i)},'
+        f'\n{i}"contentHash": {_str(m.content_hash)},'
+        f'\n{i}"name": {_str(m.name)},'
+        f'\n{i}"parameters": {_array(m.parameters, _parameter_text, i)},'
+        f'\n{i}"restCalls": {_array(m.rest_calls, _rest_call_text, i)},'
+        f'\n{i}"returnType": {_str(m.return_type)}\n{ind}}}'
+    )
 
 
 def _method_from_doc(doc: Any, loc: str) -> Method:
@@ -192,15 +240,21 @@ def _method_from_doc(doc: Any, loc: str) -> Method:
     )
 
 
-def _entity_to_doc(ent: Entity) -> dict:
-    return {
-        "name": ent.name,
-        "fields": [
-            {"fieldName": f.field_name, "declaredType": f.declared_type}
-            for f in ent.fields
-        ],
-        "annotations": list(ent.annotations),
-    }
+def _entity_field_text(f: EntityField, ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"declaredType": {_str(f.declared_type)},'
+        f'\n{i}"fieldName": {_str(f.field_name)}\n{ind}}}'
+    )
+
+
+def _entity_text(ent: Entity, ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"annotations": {_strings(ent.annotations, i)},'
+        f'\n{i}"fields": {_array(ent.fields, _entity_field_text, i)},'
+        f'\n{i}"name": {_str(ent.name)}\n{ind}}}'
+    )
 
 
 def _entity_from_doc(doc: Any, loc: str) -> Entity:
@@ -220,16 +274,17 @@ def _entity_from_doc(doc: Any, loc: str) -> Entity:
     )
 
 
-def component_to_doc(comp: Component) -> dict:
-    doc = {
-        "id": component_id_to_doc(comp.id),
-        "methods": [_method_to_doc(m) for m in comp.methods],
-        "endpoints": [_endpoint_to_doc(e) for e in comp.endpoints],
-        "entityRef": _entity_to_doc(comp.entity_ref) if comp.entity_ref else None,
-        "sourcePath": comp.source_path,
-        "contentHash": comp.content_hash,
-    }
-    return doc
+def _component_text(comp: Component, ind: str) -> str:
+    i = ind + "  "
+    entity = _entity_text(comp.entity_ref, i) if comp.entity_ref else "null"
+    return (
+        f'{{\n{i}"contentHash": {_str(comp.content_hash)},'
+        f'\n{i}"endpoints": {_array(comp.endpoints, _endpoint_text, i)},'
+        f'\n{i}"entityRef": {entity},'
+        f'\n{i}"id": {_component_id_text(comp.id, i)},'
+        f'\n{i}"methods": {_array(comp.methods, _method_text, i)},'
+        f'\n{i}"sourcePath": {_str(comp.source_path)}\n{ind}}}'
+    )
 
 
 def component_from_doc(doc: Any, loc: str) -> Component:
@@ -267,23 +322,26 @@ def component_from_doc(doc: Any, loc: str) -> Component:
 # ---------------------------------------------------------------------------
 
 
-def microservice_ir_to_doc(ir: MicroserviceIR) -> dict:
-    components = [
-        component_to_doc(ir.components[cid]) for cid in sorted(ir.components)
-    ]
-    edges = [
-        {
-            "fromComponentId": component_id_to_doc(a),
-            "toComponentId": component_id_to_doc(b),
-        }
-        for a, b in sorted(ir.call_graph_edges, key=lambda e: (str(e[0]), str(e[1])))
-    ]
-    return {
-        "name": ir.name,
-        "versionId": ir.version_id,
-        "components": components,
-        "callGraphEdges": edges,
-    }
+def _call_edge_text(edge: tuple[ComponentId, ComponentId], ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"fromComponentId": {_component_id_text(edge[0], i)},'
+        f'\n{i}"toComponentId": {_component_id_text(edge[1], i)}\n{ind}}}'
+    )
+
+
+def _service_text(ir: MicroserviceIR, ind: str, schema: str | None = None) -> str:
+    """``ir`` as an object; ``schema`` adds the tag of a standalone document."""
+    i = ind + "  "
+    edges = sorted(ir.call_graph_edges, key=lambda e: (str(e[0]), str(e[1])))
+    components = [ir.components[cid] for cid in sorted(ir.components)]
+    tag = f',\n{i}"schema": {_str(schema)}' if schema is not None else ""
+    return (
+        f'{{\n{i}"callGraphEdges": {_array(edges, _call_edge_text, i)},'
+        f'\n{i}"components": {_array(components, _component_text, i)},'
+        f'\n{i}"name": {_str(ir.name)}{tag},'
+        f'\n{i}"versionId": {_str(ir.version_id)}\n{ind}}}'
+    )
 
 
 def microservice_ir_from_doc(doc: Any, loc: str) -> MicroserviceIR:
@@ -321,9 +379,7 @@ def microservice_ir_from_doc(doc: Any, loc: str) -> MicroserviceIR:
 
 
 def serialize_microservice_ir(ir: MicroserviceIR) -> bytes:
-    doc = microservice_ir_to_doc(ir)
-    doc["schema"] = MICROSERVICE_IR_SCHEMA
-    return canonical_json(doc)
+    return (_service_text(ir, "", MICROSERVICE_IR_SCHEMA) + "\n").encode()
 
 
 def deserialize_microservice_ir(data: bytes | str) -> MicroserviceIR:
@@ -341,20 +397,21 @@ def deserialize_microservice_ir(data: bytes | str) -> MicroserviceIR:
 # ---------------------------------------------------------------------------
 
 
-def _edge_to_doc(edge: DependencyEdge) -> dict:
+def _edge_text(edge: DependencyEdge, ind: str) -> str:
+    i, j = ind + "  ", ind + "    "
     if isinstance(edge.evidence, RemoteCallEvidence):
-        evidence: dict = {
-            "restCall": _rest_call_to_doc(edge.evidence.rest_call),
-            "endpoint": _endpoint_to_doc(edge.evidence.endpoint),
-        }
+        evidence = (
+            f'{{\n{j}"endpoint": {_endpoint_text(edge.evidence.endpoint, j)},'
+            f'\n{j}"restCall": {_rest_call_text(edge.evidence.rest_call, j)}\n{i}}}'
+        )
     else:
-        evidence = {"similarity": edge.evidence.similarity}
-    return {
-        "kind": edge.kind.value,
-        "source": component_id_to_doc(edge.source),
-        "target": component_id_to_doc(edge.target),
-        "evidence": evidence,
-    }
+        evidence = f'{{\n{j}"similarity": {_float(edge.evidence.similarity)}\n{i}}}'
+    return (
+        f'{{\n{i}"evidence": {evidence},'
+        f'\n{i}"kind": {_str(edge.kind.value)},'
+        f'\n{i}"source": {_component_id_text(edge.source, i)},'
+        f'\n{i}"target": {_component_id_text(edge.target, i)}\n{ind}}}'
+    )
 
 
 def _edge_from_doc(doc: Any, loc: str) -> DependencyEdge:
@@ -399,20 +456,6 @@ def _edge_sort_key(edge: DependencyEdge) -> tuple:
     return (edge.kind.value, str(edge.source), str(edge.target)) + extra
 
 
-def system_ir_to_doc(system: SystemIR) -> dict:
-    return {
-        "schema": SYSTEM_IR_SCHEMA,
-        "versionLabel": system.version_label,
-        "services": {
-            name: microservice_ir_to_doc(system.services[name])
-            for name in sorted(system.services)
-        },
-        "crossEdges": [
-            _edge_to_doc(e) for e in sorted(system.cross_edges, key=_edge_sort_key)
-        ],
-    }
-
-
 def system_ir_from_doc(doc: Any, loc: str = "$") -> SystemIR:
     label = _expect(doc, "versionLabel", str, loc)
     services: dict[str, MicroserviceIR] = {}
@@ -437,16 +480,6 @@ def system_ir_from_doc(doc: Any, loc: str = "$") -> SystemIR:
     return system
 
 
-def _fragment(doc: Any, depth: int) -> bytes:
-    """``doc`` encoded as it reads nested ``depth`` levels deep in a document.
-
-    Inner lines take the enclosing indent.  Encoded JSON strings never hold a
-    raw newline, so this equals embedding ``doc`` in the outer value.
-    """
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    return text.replace("\n", "\n" + "  " * depth).encode("utf-8")
-
-
 class FragmentWindow:
     """Encoded services and cross edges of the last system serialized through it.
 
@@ -458,12 +491,13 @@ class FragmentWindow:
         self._previous: dict[int, tuple[Any, bytes]] = {}
         self._current: dict[int, tuple[Any, bytes]] = {}
 
-    def encode(self, obj: Any, to_doc: Callable[[Any], dict]) -> bytes:
+    def encode(self, obj: Any, text: Callable[[Any, str], str]) -> bytes:
+        """``obj``'s bytes as a value two levels deep, by ``text`` unless reused."""
         hit = self._previous.get(id(obj))
         if hit is not None and hit[0] is obj:
             data = hit[1]
         else:
-            data = _fragment(to_doc(obj), 2)
+            data = text(obj, "    ").encode()
         self._current[id(obj)] = (obj, data)
         return data
 
@@ -472,27 +506,27 @@ class FragmentWindow:
 
 
 def _system_pieces(system: SystemIR, window: FragmentWindow) -> Iterator[bytes]:
-    """The bytes of ``canonical_json(system_ir_to_doc(system))``, in pieces.
+    """The bytes of the system document, in pieces.
 
     The top-level keys in sorted order: crossEdges, schema, services,
-    versionLabel; each cross edge and each service is one fragment.
+    versionLabel; each cross edge and each service is one fragment, encoded
+    as it is written so that the whole document is never held as text.
     """
     yield b'{\n  "crossEdges": ['
     sep = b"\n    "
     for edge in sorted(system.cross_edges, key=_edge_sort_key):
         yield sep
-        yield window.encode(edge, _edge_to_doc)
+        yield window.encode(edge, _edge_text)
         sep = b",\n    "
     yield b"\n  ]" if system.cross_edges else b"]"
-    yield b',\n  "schema": ' + _fragment(SYSTEM_IR_SCHEMA, 1)
-    yield b',\n  "services": {'
-    sep = b"\n    "
+    yield f',\n  "schema": {_str(SYSTEM_IR_SCHEMA)},\n  "services": {{'.encode()
+    sep = "\n    "
     for name in sorted(system.services):
-        yield sep + _fragment(name, 2) + b": "
-        yield window.encode(system.services[name], microservice_ir_to_doc)
-        sep = b",\n    "
+        yield f"{sep}{_str(name)}: ".encode()
+        yield window.encode(system.services[name], _service_text)
+        sep = ",\n    "
     yield b"\n  }" if system.services else b"}"
-    yield b',\n  "versionLabel": ' + _fragment(system.version_label, 1) + b"\n}\n"
+    yield f',\n  "versionLabel": {_str(system.version_label)}\n}}\n'.encode()
 
 
 def serialize_ir(system: SystemIR, window: FragmentWindow | None = None) -> bytes:
@@ -523,25 +557,28 @@ def deserialize_ir(data: bytes | str) -> SystemIR:
 # ---------------------------------------------------------------------------
 
 
-def delta_to_doc(delta: Delta) -> dict:
-    changes = []
-    for ch in delta.changes:
-        cdoc: dict = {
-            "changeKind": ch.kind.value,
-            "componentId": component_id_to_doc(ch.component_id),
-        }
-        if ch.new_component is not None:
-            cdoc["newComponent"] = component_to_doc(ch.new_component)
-        if ch.old_content_hash is not None:
-            cdoc["oldContentHash"] = ch.old_content_hash
-        changes.append(cdoc)
-    return {
-        "schema": DELTA_SCHEMA,
-        "microservice": delta.microservice,
-        "oldVersionId": delta.old_version_id,
-        "newVersionId": delta.new_version_id,
-        "changes": changes,
-    }
+def _change_text(ch: ComponentChange, ind: str) -> str:
+    i = ind + "  "
+    text = (
+        f'{{\n{i}"changeKind": {_str(ch.kind.value)},'
+        f'\n{i}"componentId": {_component_id_text(ch.component_id, i)}'
+    )
+    if ch.new_component is not None:
+        text += f',\n{i}"newComponent": {_component_text(ch.new_component, i)}'
+    if ch.old_content_hash is not None:
+        text += f',\n{i}"oldContentHash": {_str(ch.old_content_hash)}'
+    return f"{text}\n{ind}}}"
+
+
+def _delta_text(delta: Delta, ind: str) -> str:
+    i = ind + "  "
+    return (
+        f'{{\n{i}"changes": {_array(delta.changes, _change_text, i)},'
+        f'\n{i}"microservice": {_str(delta.microservice)},'
+        f'\n{i}"newVersionId": {_str(delta.new_version_id)},'
+        f'\n{i}"oldVersionId": {_str(delta.old_version_id)},'
+        f'\n{i}"schema": {_str(DELTA_SCHEMA)}\n{ind}}}'
+    )
 
 
 def delta_from_doc(doc: Any, loc: str = "$") -> Delta:
@@ -587,7 +624,19 @@ def delta_from_doc(doc: Any, loc: str = "$") -> Delta:
 
 
 def serialize_delta(delta: Delta) -> bytes:
-    return canonical_json(delta_to_doc(delta))
+    return (_delta_text(delta, "") + "\n").encode()
+
+
+def serialize_delta_set(
+    deltas: Sequence[Delta], reanchored: bool, removed_services: Sequence[str]
+) -> bytes:
+    """The deltas of one replayed version, as ``delta-set@1``."""
+    return (
+        f'{{\n  "deltas": {_array(deltas, _delta_text, "  ")},'
+        f'\n  "reanchored": {"true" if reanchored else "false"},'
+        f'\n  "removedServices": {_strings(removed_services, "  ")},'
+        f'\n  "schema": {_str(DELTA_SET_SCHEMA)}\n}}\n'
+    ).encode()
 
 
 def deserialize_delta(data: bytes | str) -> Delta:

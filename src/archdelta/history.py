@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .delta import compute_delta
-from .documents import FragmentWindow, canonical_json, delta_to_doc, serialize_ir
+from .documents import FragmentWindow, canonical_json, serialize_delta_set, serialize_ir
 from .errors import ArchDeltaError, ExtractionError
 from .extractor import (
     BUILD_DESCRIPTORS,
@@ -39,7 +39,6 @@ from .rules import Rule, Violation, builtin_rules, evaluate_many, violations_doc
 logger = logging.getLogger(__name__)
 
 SUMMARY_SCHEMA = "summary@1"
-DELTA_SET_SCHEMA = "delta-set@1"
 
 # Fixed mapping of the time-series columns to the bundled rules.
 TIMESERIES_COLUMNS = (("AR1", "IC"), ("AR2", "UEM"), ("AR3", "SMM"), ("AR4", "RMM"))
@@ -371,13 +370,11 @@ def write_artifacts(record: EvolutionRecord, out_dir: str | Path) -> None:
     for i, entry in enumerate(record.versions):
         (out / "ir" / f"{i}.json").write_bytes(serialize_ir(entry.system, window))
         if i > 0:
-            delta_set = {
-                "schema": DELTA_SET_SCHEMA,
-                "deltas": [delta_to_doc(d) for d in entry.deltas],
-                "reanchored": entry.reanchored,
-                "removedServices": list(entry.removed_services),
-            }
-            (out / "deltas" / f"{i}.json").write_bytes(canonical_json(delta_set))
+            (out / "deltas" / f"{i}.json").write_bytes(
+                serialize_delta_set(
+                    entry.deltas, entry.reanchored, entry.removed_services
+                )
+            )
         (out / "violations" / f"{i}.json").write_bytes(
             canonical_json(
                 violations_doc(entry.violations, entry.system.version_label)

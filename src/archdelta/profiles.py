@@ -21,7 +21,8 @@ PROFILE_SCHEMA = "marker-profile@1"
 # explicit attribute on the annotation (e.g. method = RequestMethod.POST).
 FROM_ATTRIBUTE = "FROM_ATTRIBUTE"
 
-_VERB_VALUES = {"GET", "POST", "PUT", "DELETE", "PATCH", FROM_ATTRIBUTE}
+_HTTP_VERBS = ("GET", "POST", "PUT", "DELETE", "PATCH")
+_VERB_VALUES = {*_HTTP_VERBS, FROM_ATTRIBUTE}
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,11 @@ class MarkerProfile:
         )
 
 
+def _is_index(value: Any) -> bool:
+    """A non-negative argument position; ``true`` and ``false`` are not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def profile_from_doc(doc: Any, loc: str = "$") -> MarkerProfile:
     if not isinstance(doc, dict):
         raise DocumentError("profile document must be an object", loc)
@@ -99,24 +105,29 @@ def profile_from_doc(doc: Any, loc: str = "$") -> MarkerProfile:
         ploc = f"{loc}.remoteCallPatterns[{i}]"
         if not isinstance(p, dict):
             raise DocumentError("pattern must be an object", ploc)
-        verb: str | int
-        raw_verb = p.get("verb")
-        if isinstance(raw_verb, str):
-            verb = raw_verb
-        elif isinstance(raw_verb, dict) and isinstance(raw_verb.get("argIndex"), int):
-            verb = raw_verb["argIndex"]
-        else:
+        verb = p.get("verb")
+        if isinstance(verb, dict):
+            verb = verb.get("argIndex")
+            if not _is_index(verb):
+                raise DocumentError(
+                    "pattern verb argIndex must be an index", f"{ploc}.verb.argIndex"
+                )
+        elif verb not in _HTTP_VERBS:
             raise DocumentError(
-                "pattern verb must be a verb string or {\"argIndex\": n}",
+                f"pattern verb must be one of {', '.join(_HTTP_VERBS)} "
+                "or {\"argIndex\": n}",
                 f"{ploc}.verb",
             )
         try:
             receiver, method, url_arg = p["receiverType"], p["methodName"], p["urlArg"]
         except KeyError as exc:
             raise DocumentError(f"pattern missing key {exc}", ploc) from exc
-        if not isinstance(url_arg, int) or url_arg < 0:
+        for key, value in (("receiverType", receiver), ("methodName", method)):
+            if not isinstance(value, str):
+                raise DocumentError(f"pattern {key} must be a string", f"{ploc}.{key}")
+        if not _is_index(url_arg):
             raise DocumentError("pattern urlArg must be an index", f"{ploc}.urlArg")
-        patterns.append(RemoteCallPattern(str(receiver), str(method), url_arg, verb))
+        patterns.append(RemoteCallPattern(receiver, method, url_arg, verb))
     extensions = (".java",)
     if "fileExtensions" in doc:
         extensions = expect_strings(doc, "fileExtensions", loc)

@@ -449,6 +449,17 @@ def _extract_with_profile(edit):
             ),
             "$.endpointMarkers.GetMapping: endpoint marker",
         ),
+        (
+            _extract_with_profile(
+                lambda doc: {
+                    **doc,
+                    "remoteCallPatterns": [
+                        {**doc["remoteCallPatterns"][7], "verb": {"argIndex": -1}}
+                    ],
+                }
+            ),
+            "$.remoteCallPatterns[0].verb.argIndex: pattern verb argIndex must be",
+        ),
     ],
     ids=[
         "non-utf8-baseline",
@@ -462,6 +473,7 @@ def _extract_with_profile(edit):
         "profile-url-arg-string",
         "profile-url-arg-negative",
         "profile-verb-list",
+        "profile-verb-arg-index-negative",
     ],
 )
 def test_malformed_input_is_a_usage_error(

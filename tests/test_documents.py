@@ -6,6 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_documents import (
+    delta_set_to_doc,
+    delta_to_doc,
+    standalone_microservice_ir_to_doc,
+    system_ir_to_doc,
+)
 from strategies import LINK_SERVICES, ir_chains, linked_irs, relinked, system_irs
 
 from archdelta.delta import compute_delta
@@ -18,7 +24,6 @@ from archdelta.documents import (
     serialize_delta,
     serialize_ir,
     serialize_microservice_ir,
-    system_ir_to_doc,
 )
 from archdelta.errors import DocumentError
 from archdelta.linker import build_system_ir
@@ -142,6 +147,15 @@ def _reference(system: SystemIR) -> bytes:
     return canonical_json(system_ir_to_doc(system))
 
 
+def _assert_service_documents_equal_the_reference(before, after) -> None:
+    """``after``'s service document and the deltas both ways, against the reference."""
+    assert serialize_microservice_ir(after) == canonical_json(
+        standalone_microservice_ir_to_doc(after)
+    )
+    for d in (compute_delta(before, after), compute_delta(after, before)):
+        assert serialize_delta(d) == canonical_json(delta_to_doc(d))
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_windowed_serialization_equals_the_reference_on_link_churn(data):
@@ -151,6 +165,10 @@ def test_windowed_serialization_equals_the_reference_on_link_churn(data):
     names = data.draw(st.lists(st.sampled_from(LINK_SERVICES), unique=True))
     system = build_system_ir([data.draw(linked_irs(name)) for name in names])
     assert serialize_ir(system, window) == _reference(system)
+    for ir in system.services.values():
+        _assert_service_documents_equal_the_reference(
+            MicroserviceIR(ir.name, "", {}, frozenset()), ir
+        )
     for step in range(1, data.draw(st.integers(1, 6)) + 1):
         name = data.draw(st.sampled_from(LINK_SERVICES))
         if name in system.services and data.draw(st.sampled_from("ddddr")) == "r":
@@ -160,6 +178,7 @@ def test_windowed_serialization_equals_the_reference_on_link_churn(data):
                 name, "", {}, frozenset()
             )
             successor = data.draw(relinked(current, f"v{step}"))
+            _assert_service_documents_equal_the_reference(current, successor)
             system = apply_delta(system, compute_delta(current, successor))
         assert serialize_ir(system, window) == _reference(system)
         assert serialize_ir(system) == _reference(system)
@@ -179,10 +198,15 @@ def test_empty_shapes_serialize_like_the_reference():
 
 
 _AWKWARD = st.text(
-    alphabet=st.sampled_from(["a", "\n", '"', "\\", "\u00e9", "\u2028", "\u00a0", "/", " ", "{"]),
+    alphabet=st.sampled_from(
+        ["a", "\n", '"', "\\", "\u00e9", "\u2028", "\u00a0", "/", " ", "{"]
+        + ["\U0001f600", "\x00", "\t", "\x7f"]
+    ),
     min_size=1,
     max_size=6,
 )
+# Both ends of [0, 1], the smallest subnormal, and a repr that needs 17 digits.
+_EDGE_FLOATS = [0.0, 1.0, 5e-324, 0.30000000000000004]
 
 
 @st.composite
@@ -230,7 +254,9 @@ def awkward_systems(draw):
                 EdgeKind.DATA_OVERLAP,
                 entities[0].id,
                 entities[1].id,
-                OverlapEvidence(draw(st.floats(0, 1))),
+                OverlapEvidence(
+                    draw(st.floats(0, 1) | st.sampled_from(_EDGE_FLOATS))
+                ),
             ),
         }
     )
@@ -245,3 +271,108 @@ def test_escaped_text_serializes_like_the_reference(system):
     assert serialize_ir(system, window) == expected
     assert serialize_ir(system, window) == expected  # every fragment reused
     assert deserialize_ir(expected) == system
+    for ir in system.services.values():
+        _assert_service_documents_equal_the_reference(
+            MicroserviceIR(ir.name, "", {}, frozenset()), ir
+        )
+
+
+def _overlap_system(similarity: float) -> SystemIR:
+    field = EntityField("id", "long")
+    a, b = (
+        make_component(
+            component_id(name, ComponentType.ENTITY, "e.E"),
+            entity_ref=Entity("E", (field,)),
+        )
+        for name in ("svc-a", "svc-b")
+    )
+    services = {
+        c.id.microservice: MicroserviceIR(
+            c.id.microservice, "v0", {c.id: c}, frozenset()
+        )
+        for c in (a, b)
+    }
+    evidence = OverlapEvidence(similarity)
+    edge = DependencyEdge(EdgeKind.DATA_OVERLAP, a.id, b.id, evidence)
+    return SystemIR("svc-a@v0,svc-b@v0", services, frozenset({edge}))
+
+
+@pytest.mark.parametrize(
+    "similarity, text",
+    [
+        (0.0, "0.0"),
+        (1.0, "1.0"),
+        (5e-324, "5e-324"),
+        (0.30000000000000004, "0.30000000000000004"),
+        (float("nan"), "NaN"),
+        (float("inf"), "Infinity"),
+        (float("-inf"), "-Infinity"),
+    ],
+)
+def test_similarity_serializes_like_the_reference(similarity, text):
+    system = _overlap_system(similarity)
+    data = serialize_ir(system)
+    assert data == _reference(system)
+    assert f'"similarity": {text}\n'.encode() in data
+
+
+@pytest.mark.parametrize("written, text", [("1", "1.0"), ("1e400", "Infinity")])
+def test_loaded_similarity_reserializes_like_the_reference(written, text):
+    data = serialize_ir(_overlap_system(0.5)).replace(
+        b'"similarity": 0.5', f'"similarity": {written}'.encode()
+    )
+    loaded = deserialize_ir(data)
+    again = serialize_ir(loaded)
+    assert again == _reference(loaded)
+    assert f'"similarity": {text}\n'.encode() in again
+
+
+def test_replay_delta_sets_equal_the_reference(history_versions, tmp_path):
+    import shutil
+
+    from archdelta.history import replay, write_artifacts
+
+    truncated = tmp_path / "no-user"
+    shutil.copytree(history_versions[-1], truncated)
+    shutil.rmtree(truncated / "ts-user")
+    record = replay([*history_versions, truncated])
+    assert record.versions[-1].removed_services == ("ts-user",)
+    write_artifacts(record, tmp_path / "out")
+    for i, entry in enumerate(record.versions[1:], start=1):
+        expected = canonical_json(
+            delta_set_to_doc(entry.deltas, entry.reanchored, entry.removed_services)
+        )
+        assert (tmp_path / "out" / "deltas" / f"{i}.json").read_bytes() == expected
+
+
+def test_ir_and_delta_documents_make_no_json_dumps_call(history_versions, monkeypatch):
+    from archdelta.extractor import discover_services, scan_repository
+    from archdelta.profiles import default_profile
+
+    profile = default_profile()
+    old, new = (
+        {
+            name: scan_repository(path, profile, name, f"v{i}")
+            for name, path in discover_services(history_versions[i])
+        }
+        for i in (0, -1)
+    )
+    system = build_system_ir(new.values())
+    assert system.cross_edges and len(system.services) > 1
+    deltas = [compute_delta(old[name], new[name]) for name in old.keys() & new.keys()]
+    assert any(d.changes for d in deltas)
+
+    calls = []
+    original_dumps = json.dumps
+
+    def counting_dumps(*args, **kwargs):
+        calls.append(args)
+        return original_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    serialize_ir(system)
+    for ir in system.services.values():
+        serialize_microservice_ir(ir)
+    for d in deltas:
+        serialize_delta(d)
+    assert calls == []

@@ -548,13 +548,13 @@ def test_replay_verifies_without_serializing_and_writes_each_service_once(
     assert serialized == []
 
     encoded = []
-    original_to_doc = documents.microservice_ir_to_doc
+    original_text = documents._service_text
 
-    def counting_to_doc(ir):
+    def counting_text(ir, *args):
         encoded.append(ir)
-        return original_to_doc(ir)
+        return original_text(ir, *args)
 
-    monkeypatch.setattr(documents, "microservice_ir_to_doc", counting_to_doc)
+    monkeypatch.setattr(documents, "_service_text", counting_text)
     write_artifacts(record, tmp_path / "artifacts")
     assert len(serialized) == len(record.versions)
     distinct = {
