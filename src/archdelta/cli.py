@@ -24,6 +24,7 @@ from .documents import (
     serialize_delta,
     serialize_ir,
     serialize_microservice_ir,
+    serialize_violations,
 )
 from .errors import ArchDeltaError
 from .extractor import ScanWarning, scan_repository
@@ -38,13 +39,7 @@ from .linker import DEFAULT_OVERLAP_THRESHOLD, build_system_ir, link_report
 from .merge import apply_delta
 from .model import with_content_version
 from .profiles import default_profile, load_profile
-from .rules import (
-    builtin_rules,
-    evaluate,
-    load_rules,
-    render_violations_text,
-    violations_doc,
-)
+from .rules import builtin_rules, evaluate, load_rules, render_violations_text
 
 PROFILE_ENV_VAR = "ARCHDELTA_PROFILE"
 
@@ -150,9 +145,7 @@ def cmd_analyze(args) -> int:
     rules = _load_rules_arg(args.rules)
     violations = evaluate(baseline, d, increment, rules)
     report = _impact_report(baseline, d, args)
-    violations_payload = canonical_json(
-        violations_doc(violations, increment.version_label)
-    )
+    violations_payload = serialize_violations(violations, increment.version_label)
     impact_payload = canonical_json(impact_report_to_doc(report))
     if args.out:
         out = Path(args.out)

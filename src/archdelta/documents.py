@@ -1,21 +1,29 @@
-"""Serialization of the system representation and deltas.
+"""Serialization of the system representation, deltas and violations.
 
-Documents are JSON with lower-camel-case keys mirroring the model field
-names, a ``schema`` version tag, and fully sorted keys and collections, so
-equal values serialize to identical bytes.  Deserialization re-checks
-structural invariants (references resolve, stored hashes match recomputed
-ones) and reports failures with a JSON-path style location.
+Documents are JSON with a ``schema`` version tag and fully sorted keys and
+collections, in the text ``canonical_json`` gives (two-space indent, sorted
+keys, ASCII escapes), so equal values serialize to identical bytes.
 
-IR and delta documents are written from the model objects by one ``_…_text``
-function per type, given the indent its value closes on, in the text
-``canonical_json`` gives: two-space indent, sorted keys, ASCII escapes.
+A record's keys are its model fields' names in lower camel case.  Each
+record type's writer and reader are derived from its fields' annotations and
+generated once, at import, as ``dataclasses`` generates ``__init__``.  What
+is not a plain record is written by hand: the service, system and delta
+documents, and the cross edge reader, whose ``kind`` picks its evidence type.
+
+Reading re-checks structural invariants: a member's owner is the component
+holding it, references resolve, stored hashes match recomputed ones.  A
+failed check raises ``_Fault``, and each enclosing reader adds its step to
+the fault's path, so a location is formatted only on failure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
+from enum import Enum
 from json.encoder import encode_basestring_ascii as _str
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 from .errors import DocumentError
 from .model import (
@@ -23,13 +31,13 @@ from .model import (
     Component,
     ComponentChange,
     ComponentId,
-    ComponentType,
     Delta,
     DependencyEdge,
     EdgeKind,
     Endpoint,
     Entity,
     EntityField,
+    ImpactedItem,
     Method,
     MicroserviceIR,
     OverlapEvidence,
@@ -37,6 +45,8 @@ from .model import (
     RemoteCallEvidence,
     RestCall,
     SystemIR,
+    TriggerItem,
+    Violation,
     hash_component,
     make_delta,
     validate_microservice_ir,
@@ -47,6 +57,7 @@ SYSTEM_IR_SCHEMA = "system-ir@1"
 MICROSERVICE_IR_SCHEMA = "microservice-ir@1"
 DELTA_SCHEMA = "delta@1"
 DELTA_SET_SCHEMA = "delta-set@1"
+VIOLATIONS_SCHEMA = "violations@1"
 
 # float.__repr__ of the non-finite floats, and how json writes them
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -55,6 +66,20 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def canonical_json(doc: Any) -> bytes:
     """Key-sorted, indented JSON; byte-stable for equal documents."""
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def parse_json(data: bytes | str, loc: str = "$") -> Any:
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"invalid JSON: {exc}", loc) from exc
+
+
+# ---------------------------------------------------------------------------
+# What generated and hand-written code share
+# ---------------------------------------------------------------------------
 
 
 def _float(x: float) -> str:
@@ -78,44 +103,213 @@ def _strings(items: Sequence[str], ind: str) -> str:
     return f"[\n{ind}  {sep.join(map(_str, items))}\n{ind}]"
 
 
-def parse_json(data: bytes | str, loc: str = "$") -> Any:
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"invalid JSON: {exc}", loc) from exc
+class _Fault(Exception):
+    """A failed check; ``path`` holds the steps to it, innermost first."""
+
+    def __init__(self, message: str, step: str = "") -> None:
+        self.message, self.path = message, [step]
 
 
-def _expect(doc: Any, key: str, kind, loc: str) -> Any:
-    if not isinstance(doc, dict):
-        raise DocumentError("expected an object", loc)
+def _bad(doc: dict, key: str, kind: type) -> NoReturn:
+    """Fail on ``doc[key]``, which is missing or not a ``kind``."""
     if key not in doc:
-        raise DocumentError(f"missing key '{key}'", loc)
-    value = doc[key]
-    if not isinstance(value, kind):
-        wanted = kind.__name__ if isinstance(kind, type) else str(kind)
-        raise DocumentError(
-            f"key '{key}' should be {wanted}, got {type(value).__name__}",
-            f"{loc}.{key}",
-        )
+        raise _Fault(f"missing key '{key}'")
+    got = type(doc[key]).__name__
+    raise _Fault(f"key '{key}' should be {kind.__name__}, got {got}", "." + key)
+
+
+def _get(doc: Any, key: str, kind: type) -> Any:
+    """``doc[key]``, which must be a ``kind``; ``doc`` must be an object."""
+    if type(doc) is not dict:
+        raise _Fault("expected an object")
+    value = doc.get(key)
+    if type(value) is not kind:
+        _bad(doc, key, kind)
     return value
 
 
-def expect_strings(doc: Any, key: str, loc: str) -> tuple[str, ...]:
-    """The list of strings under ``key``; a wrong element is located by index."""
-    items = tuple(_expect(doc, key, list, loc))
+def _within(doc: Any, key: str, kind: type, read: Callable, *args: Any) -> Any:
+    """``read(doc[key], *args)``, where ``doc[key]`` must be a ``kind``."""
+    value = _get(doc, key, kind)
+    try:
+        return read(value, *args)
+    except _Fault as fault:
+        fault.path.append("." + key)
+        raise
+
+
+def _each(items: list, read: Callable, *args: Any) -> tuple:
+    """``read(item, *args)`` of each of ``items``."""
+    out: list = []
+    try:
+        for item in items:
+            out.append(read(item, *args))
+    except _Fault as fault:
+        fault.path.append(f"[{len(out)}]")
+        raise
+    return tuple(out)
+
+
+def _strings_of(items: list) -> tuple[str, ...]:
     for i, item in enumerate(items):
-        if not isinstance(item, str):
-            raise DocumentError(
-                f"expected str, got {type(item).__name__}", f"{loc}.{key}[{i}]"
-            )
-    return items
+        if type(item) is not str:
+            raise _Fault(f"expected str, got {type(item).__name__}", f"[{i}]")
+    return tuple(items)
+
+
+def _number(doc: dict, key: str) -> float:
+    value = doc.get(key)
+    if not isinstance(value, (int, float)):
+        _bad(doc, key, float)
+    return float(value)
+
+
+def _member(doc: Any, key: str, enum: type[Enum]) -> Any:
+    """The member of ``enum`` whose value is ``doc[key]``."""
+    value = _get(doc, key, str)
+    try:
+        return enum(value)
+    except ValueError as exc:
+        raise _Fault(str(exc), "." + key) from None
 
 
 # ---------------------------------------------------------------------------
-# ComponentId
+# The codec generated from the record types
 # ---------------------------------------------------------------------------
+
+# Each record type's writer ``(value, indent) -> text``, the text of an object
+# closing on ``indent``, and reader ``(doc, holder id or None) -> value``.
+_WRITE: dict[type, Callable[[Any, str], str]] = {}
+_READ: dict[type, Callable[[Any, ComponentId | None], Any]] = {}
+
+# How a field of each kind is written: its value is ``{v}``, and ``{R}`` names
+# the record type it holds.
+_WRITE_VALUE = {
+    "str": "_str({v})",
+    "float": "_float({v})",
+    "enum": "_str({v}.value)",
+    "strings": "_strings({v}, i)",
+    "records": "_array({v}, write_{R}, i)",
+    "record": "write_{R}({v}, i)",
+    "optional": '(write_{R}({v}, i) if {v} is not None else "null")',
+    "union": "_WRITE[type({v})]({v}, i)",
+}
+# How a field of each kind is read from key ``{k}`` of the object ``d`` into
+# ``{n}``: checked against a JSON type ``{t}`` and, if it holds more, read on
+# in a ``try`` that adds the key to a fault's path.  ``{o}`` is the holder id
+# passed to the readers of its records.
+_CHECK = """{n} = d.get('{k}')
+    if {null}type({n}) is not {t}:
+        _bad(d, '{k}', {t})"""
+_WITHIN = """
+    try:
+        {n} = {read}
+    except _Fault as fault:
+        fault.path.append('.{k}')
+        raise"""
+
+
+def _checked(t: str, read: str = "", null: bool = False) -> str:
+    """Check ``{n}`` against the JSON type ``t`` (or ``null``), then ``read`` it."""
+    check = _CHECK.replace("{null}", "{n} is not None and " if null else "")
+    return check.replace("{t}", t) + (_WITHIN.replace("{read}", read) if read else "")
+
+
+_READ_VALUE = {
+    "str": _checked("str"),
+    "float": "{n} = _number(d, '{k}')",
+    "enum": """{n} = d.get('{k}')
+    {n} = {R}_members.get({n}) if type({n}) is str else None
+    if {n} is None:
+        {n} = _member(d, '{k}', {R})""",
+    "strings": _checked("list", "_strings_of({n})"),
+    "records": _checked("list", "_each({n}, read_{R}, {o})"),
+    "record": _checked("dict", "read_{R}({n}, {o})"),
+    "optional": _checked("dict", "None if {n} is None else read_{R}({n}, {o})", True),
+}
+# A record with an ``_HOLDER`` id field holds its members: a member's
+# ``_OWNER`` field must equal that id and is then that very object.
+_HOLDER, _OWNER = "id", "owning_component"
+
+
+def _held(cid: ComponentId, holder: ComponentId | None, key: str) -> ComponentId:
+    """A member's owner ``cid``, which must be its ``holder``'s id if it has one."""
+    if holder is None:
+        return cid
+    if cid != holder:
+        raise _Fault(f"owner {cid} is not the holding component {holder}", "." + key)
+    return holder
+
+
+def _fields(cls: type) -> list[tuple[str, str, str, Any]]:
+    """Each field of ``cls`` as (name, key, kind, type), in declaration order."""
+    out = []
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if hint in (str, float):
+            kind, of = hint.__name__, hint
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            kind, of = "enum", hint
+        elif dataclasses.is_dataclass(hint):
+            kind, of = "record", hint
+        elif typing.get_origin(hint) is tuple:
+            kind, of = ("strings", str) if args[0] is str else ("records", args[0])
+        elif type(None) in args:
+            kind, of = "optional", args[0]
+        else:  # a union of record types
+            kind, of = "union", hint
+        head, *rest = name.split("_")
+        key = head + "".join(part[:1].upper() + part[1:] for part in rest)
+        out.append((name, key, kind, of))
+    return out
+
+
+def _writer_source(cls: type) -> str:
+    items = []
+    for name, key, kind, of in sorted(_fields(cls), key=lambda f: f[1]):
+        value = _WRITE_VALUE[kind].format(v="x." + name, R=getattr(of, "__name__", ""))
+        items.append('\\n{i}"' + key + '": {' + value + "}")
+    return (
+        f"def write_{cls.__name__}(x, ind):\n    i = ind + '  '\n"
+        "    return f'{{" + ",".join(items) + "\\n{ind}}}'\n"
+    )
+
+
+def _reader_source(cls: type) -> str:
+    lines = [
+        f"def read_{cls.__name__}(d, owner):",
+        "    if type(d) is not dict:\n        raise _Fault('expected an object')",
+    ]
+    holder = "owner"
+    for name, key, kind, of in _fields(cls):
+        text = _READ_VALUE[kind].replace("{n}", name).replace("{k}", key)
+        text = text.replace("{o}", holder)
+        lines.append("    " + text.replace("{R}", of.__name__))
+        if name == _OWNER:
+            lines.append(f"    {name} = _held({name}, owner, '{key}')")
+        holder = name if name == _HOLDER else holder
+    names = ", ".join(f.name for f in dataclasses.fields(cls))
+    lines.append(f"    return {cls.__name__}({names})\n")
+    return "\n".join(lines)
+
+
+def _generate(written: Sequence[type], read: Sequence[type]) -> None:
+    """Make the writers of the ``written`` types and the readers of ``read``."""
+    namespace = dict(globals())
+    for cls in read:
+        for _, _, kind, of in _fields(cls):
+            if kind == "enum":
+                namespace[of.__name__] = of
+                namespace[f"{of.__name__}_members"] = {m.value: m for m in of}
+    source = "\n".join([*map(_writer_source, written), *map(_reader_source, read)])
+    exec(compile(source, "<archdelta.documents codec>", "exec"), namespace)
+    _WRITE.update((cls, namespace[f"write_{cls.__name__}"]) for cls in written)
+    _READ.update((cls, namespace[f"read_{cls.__name__}"]) for cls in read)
+
+
+_RECORDS = (ComponentId, Parameter, RestCall, Endpoint, Method, EntityField, Entity)
+_RECORDS += (Component, RemoteCallEvidence, OverlapEvidence)
+_generate((*_RECORDS, DependencyEdge, TriggerItem, ImpactedItem, Violation), _RECORDS)
 
 
 def component_id_to_doc(cid: ComponentId) -> dict:
@@ -126,195 +320,29 @@ def component_id_to_doc(cid: ComponentId) -> dict:
     }
 
 
-def _component_id_text(cid: ComponentId, ind: str) -> str:
-    i = ind + "  "
-    return (
-        f'{{\n{i}"componentType": {_str(cid.component_type.value)},'
-        f'\n{i}"microservice": {_str(cid.microservice)},'
-        f'\n{i}"qualifiedName": {_str(cid.qualified_name)}\n{ind}}}'
-    )
-
-
-def component_id_from_doc(doc: Any, loc: str = "$") -> ComponentId:
-    micro = _expect(doc, "microservice", str, loc)
-    ctype = _expect(doc, "componentType", str, loc)
-    qname = _expect(doc, "qualifiedName", str, loc)
-    try:
-        return ComponentId(micro, ComponentType(ctype), qname)
-    except ValueError as exc:
-        raise DocumentError(str(exc), f"{loc}.componentType") from exc
-
-
-# ---------------------------------------------------------------------------
-# Members
-# ---------------------------------------------------------------------------
-
-
-def _rest_call_text(call: RestCall, ind: str) -> str:
-    i = ind + "  "
-    return (
-        f'{{\n{i}"httpMethod": {_str(call.http_method)},'
-        f'\n{i}"owningComponent": {_component_id_text(call.owning_component, i)},'
-        f'\n{i}"path": {_str(call.path)},'
-        f'\n{i}"siteMethod": {_str(call.site_method)},'
-        f'\n{i}"targetService": {_str(call.target_service)}\n{ind}}}'
-    )
-
-
-def _rest_call_from_doc(doc: Any, loc: str) -> RestCall:
-    return RestCall(
-        http_method=_expect(doc, "httpMethod", str, loc),
-        target_service=_expect(doc, "targetService", str, loc),
-        path=_expect(doc, "path", str, loc),
-        site_method=_expect(doc, "siteMethod", str, loc),
-        owning_component=component_id_from_doc(
-            _expect(doc, "owningComponent", dict, loc), f"{loc}.owningComponent"
-        ),
-    )
-
-
-def _endpoint_text(ep: Endpoint, ind: str) -> str:
-    i = ind + "  "
-    return (
-        f'{{\n{i}"handlerMethod": {_str(ep.handler_method)},'
-        f'\n{i}"httpMethod": {_str(ep.http_method)},'
-        f'\n{i}"owningComponent": {_component_id_text(ep.owning_component, i)},'
-        f'\n{i}"path": {_str(ep.path)}\n{ind}}}'
-    )
-
-
-def _endpoint_from_doc(doc: Any, loc: str) -> Endpoint:
-    return Endpoint(
-        http_method=_expect(doc, "httpMethod", str, loc),
-        path=_expect(doc, "path", str, loc),
-        handler_method=_expect(doc, "handlerMethod", str, loc),
-        owning_component=component_id_from_doc(
-            _expect(doc, "owningComponent", dict, loc), f"{loc}.owningComponent"
-        ),
-    )
-
-
-def _parameter_text(p: Parameter, ind: str) -> str:
-    i = ind + "  "
-    return (
-        f'{{\n{i}"declaredType": {_str(p.declared_type)},'
-        f'\n{i}"name": {_str(p.name)}\n{ind}}}'
-    )
-
-
-def _method_text(m: Method, ind: str) -> str:
-    i = ind + "  "
-    return (
-        f'{{\n{i}"annotations": {_strings(m.annotations, i)},'
-        f'\n{i}"bodyCallTargets": {_strings(m.body_call_targets, i)},'
-        f'\n{i}"contentHash": {_str(m.content_hash)},'
-        f'\n{i}"name": {_str(m.name)},'
-        f'\n{i}"parameters": {_array(m.parameters, _parameter_text, i)},'
-        f'\n{i}"restCalls": {_array(m.rest_calls, _rest_call_text, i)},'
-        f'\n{i}"returnType": {_str(m.return_type)}\n{ind}}}'
-    )
-
-
-def _method_from_doc(doc: Any, loc: str) -> Method:
-    params = []
-    for i, p in enumerate(_expect(doc, "parameters", list, loc)):
-        ploc = f"{loc}.parameters[{i}]"
-        params.append(
-            Parameter(
-                name=_expect(p, "name", str, ploc),
-                declared_type=_expect(p, "declaredType", str, ploc),
-            )
-        )
-    calls = tuple(
-        _rest_call_from_doc(c, f"{loc}.restCalls[{i}]")
-        for i, c in enumerate(_expect(doc, "restCalls", list, loc))
-    )
-    return Method(
-        name=_expect(doc, "name", str, loc),
-        parameters=tuple(params),
-        return_type=_expect(doc, "returnType", str, loc),
-        annotations=expect_strings(doc, "annotations", loc),
-        body_call_targets=expect_strings(doc, "bodyCallTargets", loc),
-        rest_calls=calls,
-        content_hash=_expect(doc, "contentHash", str, loc),
-    )
-
-
-def _entity_field_text(f: EntityField, ind: str) -> str:
-    i = ind + "  "
-    return (
-        f'{{\n{i}"declaredType": {_str(f.declared_type)},'
-        f'\n{i}"fieldName": {_str(f.field_name)}\n{ind}}}'
-    )
-
-
-def _entity_text(ent: Entity, ind: str) -> str:
-    i = ind + "  "
-    return (
-        f'{{\n{i}"annotations": {_strings(ent.annotations, i)},'
-        f'\n{i}"fields": {_array(ent.fields, _entity_field_text, i)},'
-        f'\n{i}"name": {_str(ent.name)}\n{ind}}}'
-    )
-
-
-def _entity_from_doc(doc: Any, loc: str) -> Entity:
-    fields = []
-    for i, f in enumerate(_expect(doc, "fields", list, loc)):
-        floc = f"{loc}.fields[{i}]"
-        fields.append(
-            EntityField(
-                field_name=_expect(f, "fieldName", str, floc),
-                declared_type=_expect(f, "declaredType", str, floc),
-            )
-        )
-    return Entity(
-        name=_expect(doc, "name", str, loc),
-        fields=tuple(fields),
-        annotations=expect_strings(doc, "annotations", loc),
-    )
-
-
-def _component_text(comp: Component, ind: str) -> str:
-    i = ind + "  "
-    entity = _entity_text(comp.entity_ref, i) if comp.entity_ref else "null"
-    return (
-        f'{{\n{i}"contentHash": {_str(comp.content_hash)},'
-        f'\n{i}"endpoints": {_array(comp.endpoints, _endpoint_text, i)},'
-        f'\n{i}"entityRef": {entity},'
-        f'\n{i}"id": {_component_id_text(comp.id, i)},'
-        f'\n{i}"methods": {_array(comp.methods, _method_text, i)},'
-        f'\n{i}"sourcePath": {_str(comp.source_path)}\n{ind}}}'
-    )
-
-
-def component_from_doc(doc: Any, loc: str) -> Component:
-    cid = component_id_from_doc(_expect(doc, "id", dict, loc), f"{loc}.id")
-    methods = tuple(
-        _method_from_doc(m, f"{loc}.methods[{i}]")
-        for i, m in enumerate(_expect(doc, "methods", list, loc))
-    )
-    endpoints = tuple(
-        _endpoint_from_doc(e, f"{loc}.endpoints[{i}]")
-        for i, e in enumerate(_expect(doc, "endpoints", list, loc))
-    )
-    entity_doc = doc.get("entityRef")
-    entity = _entity_from_doc(entity_doc, f"{loc}.entityRef") if entity_doc else None
-    comp = Component(
-        id=cid,
-        methods=methods,
-        endpoints=endpoints,
-        entity_ref=entity,
-        source_path=_expect(doc, "sourcePath", str, loc),
-        content_hash=_expect(doc, "contentHash", str, loc),
-    )
+def _read_component(doc: Any) -> Component:
+    comp = _READ[Component](doc, None)
     recomputed = hash_component(comp)
     if recomputed != comp.content_hash:
-        raise DocumentError(
+        raise _Fault(
             f"stored contentHash {comp.content_hash[:12]}... does not match "
             f"recomputed {recomputed[:12]}...",
-            f"{loc}.contentHash",
+            ".contentHash",
         )
     return comp
+
+
+def _loaded(data: bytes | str, schema: str, read: Callable[[dict], Any]) -> Any:
+    """``read`` of the document ``data`` tagged ``schema``; a fault at its path."""
+    doc = parse_json(data)
+    try:
+        tag = _get(doc, "schema", str)
+        if tag != schema:
+            raise _Fault(f"expected schema {schema}, got {tag}", ".schema")
+        return read(doc)
+    except _Fault as fault:
+        location = "$" + "".join(reversed(fault.path))
+        raise DocumentError(fault.message, location) from None
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +352,10 @@ def component_from_doc(doc: Any, loc: str) -> Component:
 
 def _call_edge_text(edge: tuple[ComponentId, ComponentId], ind: str) -> str:
     i = ind + "  "
+    text = _WRITE[ComponentId]
     return (
-        f'{{\n{i}"fromComponentId": {_component_id_text(edge[0], i)},'
-        f'\n{i}"toComponentId": {_component_id_text(edge[1], i)}\n{ind}}}'
+        f'{{\n{i}"fromComponentId": {text(edge[0], i)},'
+        f'\n{i}"toComponentId": {text(edge[1], i)}\n{ind}}}'
     )
 
 
@@ -338,43 +367,30 @@ def _service_text(ir: MicroserviceIR, ind: str, schema: str | None = None) -> st
     tag = f',\n{i}"schema": {_str(schema)}' if schema is not None else ""
     return (
         f'{{\n{i}"callGraphEdges": {_array(edges, _call_edge_text, i)},'
-        f'\n{i}"components": {_array(components, _component_text, i)},'
+        f'\n{i}"components": {_array(components, _WRITE[Component], i)},'
         f'\n{i}"name": {_str(ir.name)}{tag},'
         f'\n{i}"versionId": {_str(ir.version_id)}\n{ind}}}'
     )
 
 
-def microservice_ir_from_doc(doc: Any, loc: str) -> MicroserviceIR:
-    name = _expect(doc, "name", str, loc)
-    version = _expect(doc, "versionId", str, loc)
+def _read_call_edge(doc: Any) -> tuple[ComponentId, ComponentId]:
+    read = _READ[ComponentId]
+    a = _within(doc, "fromComponentId", dict, read, None)
+    return a, _within(doc, "toComponentId", dict, read, None)
+
+
+def _read_service(doc: Any) -> MicroserviceIR:
+    name, version = _get(doc, "name", str), _get(doc, "versionId", str)
     components: dict[ComponentId, Component] = {}
-    for i, cdoc in enumerate(_expect(doc, "components", list, loc)):
-        comp = component_from_doc(cdoc, f"{loc}.components[{i}]")
-        if comp.id in components:
-            raise DocumentError(
-                f"duplicate component {comp.id}", f"{loc}.components[{i}]"
-            )
-        components[comp.id] = comp
-    edges = set()
-    for i, edoc in enumerate(_expect(doc, "callGraphEdges", list, loc)):
-        eloc = f"{loc}.callGraphEdges[{i}]"
-        a = component_id_from_doc(
-            _expect(edoc, "fromComponentId", dict, eloc), f"{eloc}.fromComponentId"
-        )
-        b = component_id_from_doc(
-            _expect(edoc, "toComponentId", dict, eloc), f"{eloc}.toComponentId"
-        )
-        edges.add((a, b))
-    ir = MicroserviceIR(
-        name=name,
-        version_id=version,
-        components=components,
-        call_graph_edges=frozenset(edges),
-    )
+    for i, comp in enumerate(_within(doc, "components", list, _each, _read_component)):
+        if components.setdefault(comp.id, comp) is not comp:
+            raise _Fault(f"duplicate component {comp.id}", f".components[{i}]")
+    edges = _within(doc, "callGraphEdges", list, _each, _read_call_edge)
+    ir = MicroserviceIR(name, version, components, frozenset(edges))
     try:
         validate_microservice_ir(ir)
     except ValueError as exc:
-        raise DocumentError(str(exc), loc) from exc
+        raise _Fault(str(exc)) from None
     return ir
 
 
@@ -383,13 +399,7 @@ def serialize_microservice_ir(ir: MicroserviceIR) -> bytes:
 
 
 def deserialize_microservice_ir(data: bytes | str) -> MicroserviceIR:
-    doc = parse_json(data)
-    schema = _expect(doc, "schema", str, "$")
-    if schema != MICROSERVICE_IR_SCHEMA:
-        raise DocumentError(
-            f"expected schema {MICROSERVICE_IR_SCHEMA}, got {schema}", "$.schema"
-        )
-    return microservice_ir_from_doc(doc, "$")
+    return _loaded(data, MICROSERVICE_IR_SCHEMA, _read_service)
 
 
 # ---------------------------------------------------------------------------
@@ -397,51 +407,18 @@ def deserialize_microservice_ir(data: bytes | str) -> MicroserviceIR:
 # ---------------------------------------------------------------------------
 
 
-def _edge_text(edge: DependencyEdge, ind: str) -> str:
-    i, j = ind + "  ", ind + "    "
-    if isinstance(edge.evidence, RemoteCallEvidence):
-        evidence = (
-            f'{{\n{j}"endpoint": {_endpoint_text(edge.evidence.endpoint, j)},'
-            f'\n{j}"restCall": {_rest_call_text(edge.evidence.rest_call, j)}\n{i}}}'
-        )
-    else:
-        evidence = f'{{\n{j}"similarity": {_float(edge.evidence.similarity)}\n{i}}}'
-    return (
-        f'{{\n{i}"evidence": {evidence},'
-        f'\n{i}"kind": {_str(edge.kind.value)},'
-        f'\n{i}"source": {_component_id_text(edge.source, i)},'
-        f'\n{i}"target": {_component_id_text(edge.target, i)}\n{ind}}}'
-    )
-
-
-def _edge_from_doc(doc: Any, loc: str) -> DependencyEdge:
-    kind_text = _expect(doc, "kind", str, loc)
+def _read_edge(doc: Any) -> DependencyEdge:
+    kind = _member(doc, "kind", EdgeKind)
+    read = _READ[ComponentId]
+    source = _within(doc, "source", dict, read, None)
+    target = _within(doc, "target", dict, read, None)
+    remote = kind is EdgeKind.REMOTE_CALL
+    evidence_type = RemoteCallEvidence if remote else OverlapEvidence
+    evidence = _within(doc, "evidence", dict, _READ[evidence_type], None)
     try:
-        kind = EdgeKind(kind_text)
+        return DependencyEdge(kind, source, target, evidence)
     except ValueError as exc:
-        raise DocumentError(f"unknown edge kind {kind_text!r}", f"{loc}.kind") from exc
-    source = component_id_from_doc(_expect(doc, "source", dict, loc), f"{loc}.source")
-    target = component_id_from_doc(_expect(doc, "target", dict, loc), f"{loc}.target")
-    edoc = _expect(doc, "evidence", dict, loc)
-    evidence: RemoteCallEvidence | OverlapEvidence
-    if kind is EdgeKind.REMOTE_CALL:
-        evidence = RemoteCallEvidence(
-            rest_call=_rest_call_from_doc(
-                _expect(edoc, "restCall", dict, f"{loc}.evidence"),
-                f"{loc}.evidence.restCall",
-            ),
-            endpoint=_endpoint_from_doc(
-                _expect(edoc, "endpoint", dict, f"{loc}.evidence"),
-                f"{loc}.evidence.endpoint",
-            ),
-        )
-    else:
-        similarity = _expect(edoc, "similarity", (int, float), f"{loc}.evidence")
-        evidence = OverlapEvidence(similarity=float(similarity))
-    try:
-        return DependencyEdge(kind=kind, source=source, target=target, evidence=evidence)
-    except ValueError as exc:
-        raise DocumentError(str(exc), loc) from exc
+        raise _Fault(str(exc)) from None
 
 
 def _edge_sort_key(edge: DependencyEdge) -> tuple:
@@ -456,27 +433,23 @@ def _edge_sort_key(edge: DependencyEdge) -> tuple:
     return (edge.kind.value, str(edge.source), str(edge.target)) + extra
 
 
-def system_ir_from_doc(doc: Any, loc: str = "$") -> SystemIR:
-    label = _expect(doc, "versionLabel", str, loc)
+def _read_system(doc: dict) -> SystemIR:
+    label = _get(doc, "versionLabel", str)
     services: dict[str, MicroserviceIR] = {}
-    services_doc = _expect(doc, "services", dict, loc)
-    for name in services_doc:
-        ir = microservice_ir_from_doc(services_doc[name], f"{loc}.services.{name}")
-        if ir.name != name:
-            raise DocumentError(
-                f"service keyed {name} carries name {ir.name}",
-                f"{loc}.services.{name}.name",
-            )
-        services[name] = ir
-    edges = frozenset(
-        _edge_from_doc(e, f"{loc}.crossEdges[{i}]")
-        for i, e in enumerate(_expect(doc, "crossEdges", list, loc))
-    )
-    system = SystemIR(version_label=label, services=services, cross_edges=edges)
+    for name, sdoc in _get(doc, "services", dict).items():
+        try:
+            services[name] = ir = _read_service(sdoc)
+            if ir.name != name:
+                raise _Fault(f"service keyed {name} carries name {ir.name}", ".name")
+        except _Fault as fault:
+            fault.path.append(f".services.{name}")
+            raise
+    edges = _within(doc, "crossEdges", list, _each, _read_edge)
+    system = SystemIR(label, services, frozenset(edges))
     try:
         validate_system_ir(system)
     except ValueError as exc:
-        raise DocumentError(str(exc), f"{loc}.crossEdges") from exc
+        raise _Fault(str(exc), ".crossEdges") from None
     return system
 
 
@@ -516,7 +489,7 @@ def _system_pieces(system: SystemIR, window: FragmentWindow) -> Iterator[bytes]:
     sep = b"\n    "
     for edge in sorted(system.cross_edges, key=_edge_sort_key):
         yield sep
-        yield window.encode(edge, _edge_text)
+        yield window.encode(edge, _WRITE[DependencyEdge])
         sep = b",\n    "
     yield b"\n  ]" if system.cross_edges else b"]"
     yield f',\n  "schema": {_str(SYSTEM_IR_SCHEMA)},\n  "services": {{'.encode()
@@ -543,13 +516,7 @@ def serialize_ir(system: SystemIR, window: FragmentWindow | None = None) -> byte
 
 
 def deserialize_ir(data: bytes | str) -> SystemIR:
-    doc = parse_json(data)
-    schema = _expect(doc, "schema", str, "$")
-    if schema != SYSTEM_IR_SCHEMA:
-        raise DocumentError(
-            f"expected schema {SYSTEM_IR_SCHEMA}, got {schema}", "$.schema"
-        )
-    return system_ir_from_doc(doc, "$")
+    return _loaded(data, SYSTEM_IR_SCHEMA, _read_system)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +528,10 @@ def _change_text(ch: ComponentChange, ind: str) -> str:
     i = ind + "  "
     text = (
         f'{{\n{i}"changeKind": {_str(ch.kind.value)},'
-        f'\n{i}"componentId": {_component_id_text(ch.component_id, i)}'
+        f'\n{i}"componentId": {_WRITE[ComponentId](ch.component_id, i)}'
     )
     if ch.new_component is not None:
-        text += f',\n{i}"newComponent": {_component_text(ch.new_component, i)}'
+        text += f',\n{i}"newComponent": {_WRITE[Component](ch.new_component, i)}'
     if ch.old_content_hash is not None:
         text += f',\n{i}"oldContentHash": {_str(ch.old_content_hash)}'
     return f"{text}\n{ind}}}"
@@ -581,46 +548,27 @@ def _delta_text(delta: Delta, ind: str) -> str:
     )
 
 
-def delta_from_doc(doc: Any, loc: str = "$") -> Delta:
-    micro = _expect(doc, "microservice", str, loc)
-    changes = []
-    for i, cdoc in enumerate(_expect(doc, "changes", list, loc)):
-        cloc = f"{loc}.changes[{i}]"
-        kind_text = _expect(cdoc, "changeKind", str, cloc)
-        if kind_text == "REMOVE":  # accepted input alias for DELETE
-            kind_text = "DELETE"
-        try:
-            kind = ChangeKind(kind_text)
-        except ValueError as exc:
-            raise DocumentError(
-                f"unknown changeKind {kind_text!r}", f"{cloc}.changeKind"
-            ) from exc
-        cid = component_id_from_doc(
-            _expect(cdoc, "componentId", dict, cloc), f"{cloc}.componentId"
-        )
-        new_component = None
-        if "newComponent" in cdoc and cdoc["newComponent"] is not None:
-            new_component = component_from_doc(
-                cdoc["newComponent"], f"{cloc}.newComponent"
-            )
-        old_hash = cdoc.get("oldContentHash")
-        changes.append(
-            ComponentChange(
-                kind=kind,
-                component_id=cid,
-                new_component=new_component,
-                old_content_hash=old_hash,
-            )
-        )
+def _read_change(doc: Any) -> ComponentChange:
+    if _get(doc, "changeKind", str) == "REMOVE":  # an accepted input alias for DELETE
+        doc = {**doc, "changeKind": "DELETE"}
+    kind = _member(doc, "changeKind", ChangeKind)
+    cid = _within(doc, "componentId", dict, _READ[ComponentId], None)
+    new = doc.get("newComponent")
+    new = None if new is None else _within(doc, "newComponent", dict, _read_component)
+    old_hash = doc.get("oldContentHash")
+    if old_hash is not None and type(old_hash) is not str:
+        _bad(doc, "oldContentHash", str)
+    return ComponentChange(kind, cid, new, old_hash)
+
+
+def _read_delta(doc: dict) -> Delta:
+    micro = _get(doc, "microservice", str)
+    changes = _within(doc, "changes", list, _each, _read_change)
+    old, new = _get(doc, "oldVersionId", str), _get(doc, "newVersionId", str)
     try:
-        return make_delta(
-            micro,
-            _expect(doc, "oldVersionId", str, loc),
-            _expect(doc, "newVersionId", str, loc),
-            changes,
-        )
+        return make_delta(micro, old, new, changes)
     except ValueError as exc:
-        raise DocumentError(str(exc), f"{loc}.changes") from exc
+        raise _Fault(str(exc), ".changes") from None
 
 
 def serialize_delta(delta: Delta) -> bytes:
@@ -640,8 +588,18 @@ def serialize_delta_set(
 
 
 def deserialize_delta(data: bytes | str) -> Delta:
-    doc = parse_json(data)
-    schema = _expect(doc, "schema", str, "$")
-    if schema != DELTA_SCHEMA:
-        raise DocumentError(f"expected schema {DELTA_SCHEMA}, got {schema}", "$.schema")
-    return delta_from_doc(doc, "$")
+    return _loaded(data, DELTA_SCHEMA, _read_delta)
+
+
+# ---------------------------------------------------------------------------
+# Violations
+# ---------------------------------------------------------------------------
+
+
+def serialize_violations(violations: Sequence[Violation], label: str) -> bytes:
+    """The violations found in the system version ``label``, as ``violations@1``."""
+    return (
+        f'{{\n  "schema": {_str(VIOLATIONS_SCHEMA)},'
+        f'\n  "systemVersionLabel": {_str(label)},'
+        f'\n  "violations": {_array(violations, _WRITE[Violation], "  ")}\n}}\n'
+    ).encode()

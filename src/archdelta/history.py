@@ -21,7 +21,13 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .delta import compute_delta
-from .documents import FragmentWindow, canonical_json, serialize_delta_set, serialize_ir
+from .documents import (
+    FragmentWindow,
+    canonical_json,
+    serialize_delta_set,
+    serialize_ir,
+    serialize_violations,
+)
 from .errors import ArchDeltaError, ExtractionError
 from .extractor import (
     BUILD_DESCRIPTORS,
@@ -34,7 +40,7 @@ from .linker import DEFAULT_OVERLAP_THRESHOLD, build_system_ir
 from .merge import apply_delta, remove_service
 from .model import Delta, MicroserviceIR, SystemIR, with_content_version
 from .profiles import MarkerProfile, default_profile
-from .rules import Rule, Violation, builtin_rules, evaluate_many, violations_doc
+from .rules import Rule, Violation, builtin_rules, evaluate_many
 
 logger = logging.getLogger(__name__)
 
@@ -376,9 +382,7 @@ def write_artifacts(record: EvolutionRecord, out_dir: str | Path) -> None:
                 )
             )
         (out / "violations" / f"{i}.json").write_bytes(
-            canonical_json(
-                violations_doc(entry.violations, entry.system.version_label)
-            )
+            serialize_violations(entry.violations, entry.system.version_label)
         )
     (out / "timeseries.csv").write_bytes(emit_timeseries(record))
     (out / "summary.json").write_bytes(canonical_json(emit_summary(record)))

@@ -135,11 +135,13 @@ class LinkIndex:
                 service_endpoints[n] = _groups(services[n].iter_endpoints())
             now = service_endpoints.get(n, {})
             moved.update(s for s in was.keys() | now.keys() if was.get(s) != now.get(s))
+        changed_groups: dict[Shape, list[Endpoint]] = {}
+        for n in names:
+            for shape, group in service_endpoints.get(n, {}).items():
+                changed_groups.setdefault(shape, []).extend(group)
         endpoints = dict(self.endpoints)
         for shape in moved:
-            group = [
-                ep for n in names for ep in service_endpoints.get(n, {}).get(shape, ())
-            ]
+            group = changed_groups.get(shape, [])
             group += (
                 ep
                 for ep in endpoints.get(shape, ())

@@ -674,3 +674,37 @@ def make_delta(
         elif ch.old_content_hash is not None:
             raise ValueError("ADD entry must not carry an old hash")
     return Delta(microservice, old_version_id, new_version_id, ordered)
+
+
+# ---------------------------------------------------------------------------
+# Rule violations
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TriggerItem:
+    component_id: ComponentId
+    change_kind: ChangeKind
+
+
+@dataclass(frozen=True)
+class ImpactedItem:
+    """An affected element with its evidence.
+
+    ``evidence`` is a stable identity string and participates in violation
+    deduplication; ``site`` is descriptive context that does not.
+    """
+
+    component_id: ComponentId
+    kind: str  # restCall | endpoint | method | dependent | component
+    evidence: str
+    site: str = ""
+
+
+@dataclass(frozen=True)
+class Violation:
+    rule_name: str
+    system_version_label: str
+    triggering: tuple[TriggerItem, ...]
+    impacted: tuple[ImpactedItem, ...]
+    dedup_key: str

@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .documents import expect_strings, parse_json
+from .documents import parse_json
 from .errors import DocumentError
 
 PROFILE_SCHEMA = "marker-profile@1"
@@ -73,6 +73,22 @@ class MarkerProfile:
             (ComponentType.REPOSITORY, self.repository_markers),
             (ComponentType.ENTITY, self.entity_markers),
         )
+
+
+def expect_strings(doc: dict, key: str, loc: str) -> tuple[str, ...]:
+    """The list of strings under ``key``; a wrong element is located by index."""
+    if key not in doc:
+        raise DocumentError(f"missing key '{key}'", loc)
+    items = doc[key]
+    if not isinstance(items, list):
+        got = type(items).__name__
+        raise DocumentError(f"key '{key}' should be list, got {got}", f"{loc}.{key}")
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise DocumentError(
+                f"expected str, got {type(item).__name__}", f"{loc}.{key}[{i}]"
+            )
+    return tuple(items)
 
 
 def _is_index(value: Any) -> bool:

@@ -23,7 +23,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import jsonschema
 
-from .documents import component_id_to_doc, parse_json
+from .documents import parse_json
 from .errors import DocumentError, RuleBindingError
 from .extractor import parse_call_target, type_name_parts
 from .linker import LinkIndex, uncalled_endpoints, unmatched_calls
@@ -34,13 +34,14 @@ from .model import (
     ComponentId,
     ComponentType,
     Delta,
+    ImpactedItem,
     Incidence,
     Method,
     MicroserviceIR,
     SystemIR,
+    TriggerItem,
+    Violation,
 )
-
-VIOLATIONS_SCHEMA = "violations@1"
 
 BUILTIN_RULE_NAMES = ("IC", "UEM", "SMM", "RMM")
 
@@ -178,35 +179,6 @@ def builtin_rules() -> list[Rule]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriggerItem:
-    component_id: ComponentId
-    change_kind: ChangeKind
-
-
-@dataclass(frozen=True)
-class ImpactedItem:
-    """An affected element with its evidence.
-
-    ``evidence`` is a stable identity string and participates in violation
-    deduplication; ``site`` is descriptive context that does not.
-    """
-
-    component_id: ComponentId
-    kind: str  # restCall | endpoint | method | dependent | component
-    evidence: str
-    site: str = ""
-
-
-@dataclass(frozen=True)
-class Violation:
-    rule_name: str
-    system_version_label: str
-    triggering: tuple[TriggerItem, ...]
-    impacted: tuple[ImpactedItem, ...]
-    dedup_key: str
-
-
 def _dedup_key(rule_name: str, impacted: Iterable[ImpactedItem]) -> str:
     identity = "|".join(
         sorted(f"{i.component_id}#{i.kind}#{i.evidence}" for i in impacted)
@@ -235,38 +207,6 @@ def make_violation(
         impacted=ordered_impacted,
         dedup_key=_dedup_key(rule_name, ordered_impacted),
     )
-
-
-def violation_to_doc(v: Violation) -> dict:
-    return {
-        "ruleName": v.rule_name,
-        "systemVersionLabel": v.system_version_label,
-        "triggering": [
-            {
-                "componentId": component_id_to_doc(t.component_id),
-                "changeKind": t.change_kind.value,
-            }
-            for t in v.triggering
-        ],
-        "impacted": [
-            {
-                "componentId": component_id_to_doc(i.component_id),
-                "kind": i.kind,
-                "evidence": i.evidence,
-                "site": i.site,
-            }
-            for i in v.impacted
-        ],
-        "dedupKey": v.dedup_key,
-    }
-
-
-def violations_doc(violations: Sequence[Violation], label: str) -> dict:
-    return {
-        "schema": VIOLATIONS_SCHEMA,
-        "systemVersionLabel": label,
-        "violations": [violation_to_doc(v) for v in violations],
-    }
 
 
 def render_violations_text(violations: Sequence[Violation]) -> str:

@@ -622,6 +622,10 @@ def commit_versions(repo: Path, version_roots: list[Path]) -> list[str]:
             if child.name != ".git":
                 shutil.rmtree(child) if child.is_dir() else child.unlink()
         shutil.copytree(version_root, repo, dirs_exist_ok=True)
+        # copytree keeps the source files' modification times, so git's stat
+        # check could take a same-size edit as unchanged; an empty index makes
+        # ``add`` hash every file.
+        git(repo, "read-tree", "--empty")
         git(repo, "add", "-A")
         git(repo, "commit", "--quiet", "--allow-empty", "-m", f"step {i}")
     return git(repo, "rev-list", "--reverse", "HEAD").split()

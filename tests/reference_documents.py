@@ -1,8 +1,9 @@
-"""The dict builders of the IR and delta documents, kept as the tests' reference.
+"""The dict builders of the IR, delta and violations documents, kept as the
+tests' reference.
 
-This is how the documents were written before the emitter: each model object
+This is how the documents were written before the codec: each model object
 becomes a plain dict, and ``canonical_json`` encodes it with ``json.dumps``.
-The emitter in ``archdelta.documents`` must give the same bytes.
+The writers in ``archdelta.documents`` must give the same bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from archdelta.documents import (
     DELTA_SET_SCHEMA,
     MICROSERVICE_IR_SCHEMA,
     SYSTEM_IR_SCHEMA,
+    VIOLATIONS_SCHEMA,
     _edge_sort_key,
     component_id_to_doc,
 )
@@ -26,6 +28,7 @@ from archdelta.model import (
     RemoteCallEvidence,
     RestCall,
     SystemIR,
+    Violation,
 )
 
 
@@ -166,4 +169,37 @@ def delta_set_to_doc(deltas, reanchored: bool, removed_services) -> dict:
         "deltas": [delta_to_doc(d) for d in deltas],
         "reanchored": reanchored,
         "removedServices": list(removed_services),
+    }
+
+
+def violation_to_doc(v: Violation) -> dict:
+    return {
+        "ruleName": v.rule_name,
+        "systemVersionLabel": v.system_version_label,
+        "triggering": [
+            {
+                "componentId": component_id_to_doc(t.component_id),
+                "changeKind": t.change_kind.value,
+            }
+            for t in v.triggering
+        ],
+        "impacted": [
+            {
+                "componentId": component_id_to_doc(i.component_id),
+                "kind": i.kind,
+                "evidence": i.evidence,
+                "site": i.site,
+            }
+            for i in v.impacted
+        ],
+        "dedupKey": v.dedup_key,
+    }
+
+
+def violations_doc(violations, label: str) -> dict:
+    """The ``violations@1`` document of one system version."""
+    return {
+        "schema": VIOLATIONS_SCHEMA,
+        "systemVersionLabel": label,
+        "violations": [violation_to_doc(v) for v in violations],
     }

@@ -372,6 +372,40 @@ def _merge_edited_baseline(edit):
     return argv
 
 
+def _merge_edited_delta(edit):
+    def argv(versions, tmp_path):
+        baseline, delta = _documents(versions, tmp_path)
+        doc = json.loads(delta.read_text())
+        edit(doc)
+        delta.write_text(json.dumps(doc))
+        return ["merge", baseline, delta]
+
+    return argv
+
+
+def _name_owner_x(members):
+    """Give the first of ``members`` an owner in service ``x``."""
+    next(iter(members))["owningComponent"]["microservice"] = "x"
+
+
+def _baseline_members(doc, key):
+    return (
+        member
+        for service in doc["services"].values()
+        for comp in service["components"]
+        for member in comp[key]
+    )
+
+
+def _delta_rest_calls(doc):
+    return (
+        call
+        for change in doc["changes"]
+        for method in (change.get("newComponent") or {"methods": []})["methods"]
+        for call in method["restCalls"]
+    )
+
+
 def _extract_with_profile(edit):
     def argv(versions, tmp_path):
         spring = resources.files("archdelta.data.profiles").joinpath("spring.json")
@@ -411,6 +445,30 @@ def _extract_with_profile(edit):
                 )
             ),
             ".entityRef.annotations[0]: expected str, got NoneType",
+        ),
+        (
+            _merge_edited_baseline(
+                lambda doc: _name_owner_x(
+                    call
+                    for method in _baseline_members(doc, "methods")
+                    for call in method["restCalls"]
+                )
+            ),
+            ".restCalls[0].owningComponent: owner x::",
+        ),
+        (
+            _merge_edited_baseline(
+                lambda doc: _name_owner_x(_baseline_members(doc, "endpoints"))
+            ),
+            ".endpoints[0].owningComponent: owner x::",
+        ),
+        (
+            _merge_edited_delta(lambda doc: _name_owner_x(_delta_rest_calls(doc))),
+            ".restCalls[0].owningComponent: owner x::",
+        ),
+        (
+            _merge_edited_delta(lambda doc: doc["changes"][0].update(oldContentHash=5)),
+            "$.changes[0].oldContentHash: key 'oldContentHash' should be str, got int",
         ),
         (_extract_with_profile(lambda doc: []), "$: profile document must be an object"),
         (
@@ -467,6 +525,10 @@ def _extract_with_profile(edit):
         "method-annotation-number",
         "body-call-target-number",
         "entity-annotation-null",
+        "baseline-rest-call-owner",
+        "baseline-endpoint-owner",
+        "delta-rest-call-owner",
+        "delta-old-hash-number",
         "profile-not-an-object",
         "profile-extensions-number",
         "profile-extensions-string",

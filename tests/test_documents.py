@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from reference_documents import (
     delta_to_doc,
     standalone_microservice_ir_to_doc,
     system_ir_to_doc,
+    violations_doc,
 )
 from strategies import LINK_SERVICES, ir_chains, linked_irs, relinked, system_irs
 
@@ -24,26 +26,32 @@ from archdelta.documents import (
     serialize_delta,
     serialize_ir,
     serialize_microservice_ir,
+    serialize_violations,
 )
-from archdelta.errors import DocumentError
+from archdelta.errors import ArchDeltaError, DocumentError
 from archdelta.linker import build_system_ir
 from archdelta.merge import apply_delta, remove_service
 from archdelta.model import (
+    ChangeKind,
     ComponentType,
     DependencyEdge,
     EdgeKind,
     Endpoint,
     Entity,
     EntityField,
+    ImpactedItem,
     Method,
     MicroserviceIR,
     OverlapEvidence,
+    Parameter,
     RemoteCallEvidence,
     RestCall,
     SystemIR,
+    TriggerItem,
     component_id,
     make_component,
 )
+from archdelta.rules import make_violation
 
 
 def test_empty_system_round_trips():
@@ -376,3 +384,160 @@ def test_ir_and_delta_documents_make_no_json_dumps_call(history_versions, monkey
     for d in deltas:
         serialize_delta(d)
     assert calls == []
+
+
+_COMPONENT_IDS = st.builds(
+    component_id, _AWKWARD, st.sampled_from(list(ComponentType)), _AWKWARD
+)
+
+
+@st.composite
+def violations(draw):
+    impacted = st.builds(ImpactedItem, _COMPONENT_IDS, _AWKWARD, _AWKWARD, _AWKWARD)
+    kinds = st.sampled_from(list(ChangeKind))
+    triggering = st.builds(TriggerItem, _COMPONENT_IDS, kinds)
+    return make_violation(
+        draw(_AWKWARD),
+        draw(_AWKWARD),
+        draw(st.lists(impacted, min_size=1, max_size=3)),
+        draw(st.lists(triggering, max_size=2)),
+    )
+
+
+@given(st.lists(violations(), max_size=3), _AWKWARD)
+@settings(max_examples=150, deadline=None)
+def test_violations_serialize_like_the_reference(found, label):
+    expected = canonical_json(violations_doc(found, label))
+    assert serialize_violations(found, label) == expected
+
+
+def _small_services() -> tuple[MicroserviceIR, MicroserviceIR]:
+    """Two services that link both ways: a remote call and an entity overlap."""
+    fields = (EntityField("id", "long"), EntityField("name", "String"))
+    a_service = component_id("svc-a", ComponentType.SERVICE, "a.S")
+    a_repo = component_id("svc-a", ComponentType.REPOSITORY, "a.R")
+    b_controller = component_id("svc-b", ComponentType.CONTROLLER, "b.C")
+    call = RestCall("GET", "svc-b", "/items/{*}", "fetch", a_service)
+    a = [
+        make_component(
+            a_service,
+            methods=[
+                Method(
+                    "fetch",
+                    parameters=(Parameter("id", "String"),),
+                    return_type="Item",
+                    annotations=("Transactional",),
+                    body_call_targets=("R.find/1",),
+                    rest_calls=(call,),
+                    content_hash="h0",
+                )
+            ],
+            source_path="a/S.java",
+        ),
+        make_component(a_repo, methods=[Method("find", (Parameter("id", "long"),))]),
+        make_component(
+            component_id("svc-a", ComponentType.ENTITY, "a.E"),
+            entity_ref=Entity("E", fields, ("Entity",)),
+        ),
+    ]
+    b = [
+        make_component(
+            b_controller,
+            methods=[Method("get")],
+            endpoints=[Endpoint("GET", "/items/{*}", "get", b_controller)],
+        ),
+        make_component(
+            component_id("svc-b", ComponentType.ENTITY, "b.E"),
+            entity_ref=Entity("E", fields),
+        ),
+    ]
+    return (
+        MicroserviceIR(
+            "svc-a", "v0", {c.id: c for c in a}, frozenset({(a_service, a_repo)})
+        ),
+        MicroserviceIR("svc-b", "v0", {c.id: c for c in b}, frozenset()),
+    )
+
+
+def _small_delta(service: MicroserviceIR):
+    """The delta that changes the body of ``service``'s rest-calling method."""
+    comp = next(c for c in service.components.values() if c.rest_calls())
+    changed = make_component(
+        comp.id,
+        methods=[replace(comp.methods[0], content_hash="h1")],
+        source_path=comp.source_path,
+    )
+    components = {**service.components, comp.id: changed}
+    successor = MicroserviceIR(service.name, "v1", components, service.call_graph_edges)
+    return compute_delta(service, successor)
+
+
+_REPLACEMENTS = (None, True, 7, 1.5, "x", [], {})
+
+
+def _mutations(doc):
+    """Every document that differs from ``doc`` in one value or one deleted key."""
+
+    def walk(node, rebuild):
+        for value in _REPLACEMENTS:
+            yield rebuild(value)
+        if isinstance(node, dict):
+            for key, child in node.items():
+                yield rebuild({k: v for k, v in node.items() if k != key})
+                yield from walk(child, lambda new, key=key: rebuild({**node, key: new}))
+        elif isinstance(node, list):
+            for i, child in enumerate(node):
+                yield from walk(
+                    child, lambda new, i=i: rebuild([*node[:i], new, *node[i + 1 :]])
+                )
+
+    return walk(doc, lambda new: new)
+
+
+def _outcomes(data: bytes, load, use) -> set[str]:
+    """How each one-value mutation of ``data`` fares: rejected by ``load``,
+    loaded and refused by ``use``, or loaded and used.  Any other exception
+    escapes."""
+    seen = set()
+    for doc in _mutations(json.loads(data)):
+        try:
+            loaded = load(json.dumps(doc))
+        except DocumentError:
+            seen.add("rejected")
+            continue
+        try:
+            use(loaded)
+            seen.add("used")
+        except ArchDeltaError:
+            seen.add("refused")
+    return seen
+
+
+def test_every_one_value_mutation_is_rejected_or_handled():
+    a, b = _small_services()
+    system = build_system_ir([a, b])
+    assert {e.kind for e in system.cross_edges} == set(EdgeKind)
+    delta = _small_delta(a)
+    assert _outcomes(
+        serialize_ir(system), deserialize_ir, lambda s: apply_delta(s, delta)
+    ) >= {"rejected", "used"}
+    assert _outcomes(
+        serialize_delta(delta), deserialize_delta, lambda d: apply_delta(system, d)
+    ) >= {"rejected", "used"}
+
+
+def test_members_hold_their_components_id():
+    system = deserialize_ir(serialize_ir(build_system_ir(_small_services())))
+    for comp in system.iter_components():
+        assert all(ep.owning_component is comp.id for ep in comp.endpoints)
+        calls = comp.rest_calls()
+        assert all(call.owning_component is comp.id for call in calls)
+
+
+@pytest.mark.parametrize("falsy", [{}, False, 0, "", []])
+def test_falsy_entity_ref_other_than_null_is_rejected(falsy):
+    doc = json.loads(serialize_ir(_overlap_system(0.5)))
+    doc["services"]["svc-a"]["components"][0]["entityRef"] = falsy
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(json.dumps(doc))
+    assert excinfo.value.location.startswith("$.services.svc-a.components[0].entityRef")
