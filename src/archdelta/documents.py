@@ -49,8 +49,8 @@ from .model import (
     Violation,
     hash_component,
     make_delta,
+    validate_cross_edges,
     validate_microservice_ir,
-    validate_system_ir,
 )
 
 SYSTEM_IR_SCHEMA = "system-ir@1"
@@ -446,8 +446,8 @@ def _read_system(doc: dict) -> SystemIR:
             raise
     edges = _within(doc, "crossEdges", list, _each, _read_edge)
     system = SystemIR(label, services, frozenset(edges))
-    try:
-        validate_system_ir(system)
+    try:  # each service was validated as it was read
+        validate_cross_edges(system, system.cross_edges)
     except ValueError as exc:
         raise _Fault(str(exc), ".crossEdges") from None
     return system

@@ -41,7 +41,7 @@ from .model import (
 DEFAULT_OVERLAP_THRESHOLD = 0.5
 
 
-def _endpoint_sort_key(ep: Endpoint) -> tuple:
+def endpoint_sort_key(ep: Endpoint) -> tuple:
     return (
         ep.owning_component.microservice,
         str(ep.owning_component),
@@ -62,20 +62,21 @@ def _groups(endpoints: Iterable[Endpoint]) -> dict[Shape, tuple[Endpoint, ...]]:
     groups: dict[Shape, list[Endpoint]] = {}
     for ep in endpoints:
         groups.setdefault(_shape(ep), []).append(ep)
-    return {s: tuple(sorted(g, key=_endpoint_sort_key)) for s, g in groups.items()}
+    return {s: tuple(sorted(g, key=endpoint_sort_key)) for s, g in groups.items()}
 
 
 @dataclass(frozen=True)
 class LinkIndex:
     """Where every rest call of a system resolves.
 
-    Endpoint groups are keyed by shape and sorted by ``_endpoint_sort_key``,
+    Endpoint groups are keyed by shape and sorted by ``endpoint_sort_key``,
     system-wide in ``endpoints`` and per service in ``service_endpoints``.
     ``resolved`` maps each service's distinct calls to their endpoint (or
     None), ``callers`` each called endpoint to the distinct calls resolving
-    to it (same-service calls included), and ``unmatched`` holds the calls
-    that resolve to nothing.  Per-service mappings are never mutated, so an
-    increment's index shares those of every service its delta left alone.
+    to it (same-service calls included), ``unmatched`` holds the calls that
+    resolve to nothing and ``uncalled`` the endpoints no call resolves to.
+    Per-service mappings are never mutated, so an increment's index shares
+    those of every service its delta left alone.
     """
 
     endpoints: Mapping[Shape, tuple[Endpoint, ...]]
@@ -83,11 +84,12 @@ class LinkIndex:
     resolved: Mapping[str, Mapping[RestCall, Endpoint | None]]
     callers: Mapping[Endpoint, frozenset[RestCall]]
     unmatched: frozenset[RestCall]
+    uncalled: frozenset[Endpoint]
 
     @classmethod
     def build(cls, services: Mapping[str, MicroserviceIR]) -> LinkIndex:
         """Index a system from scratch."""
-        empty = cls({}, {}, {}, {}, frozenset())
+        empty = cls({}, {}, {}, {}, frozenset(), frozenset())
         added = [comp for ir in services.values() for comp in ir.components.values()]
         return empty.updated(services, (), added)[0]
 
@@ -147,7 +149,7 @@ class LinkIndex:
                 for ep in endpoints.get(shape, ())
                 if ep.owning_component.microservice not in names
             )
-            _put(endpoints, shape, tuple(sorted(group, key=_endpoint_sort_key)))
+            _put(endpoints, shape, tuple(sorted(group, key=endpoint_sort_key)))
 
         # A moved shape's matched calls are the callers of its old endpoints.
         affected = {
@@ -182,11 +184,28 @@ class LinkIndex:
             resolved[call.owning_component.microservice][call] = ep
             joined.setdefault(ep, set()).add(call)
         callers = dict(self.callers)
-        for ep in {*old.values(), *joined} - {None}:
+        recalled = {*old.values(), *joined} - {None}
+        for ep in recalled:
             calls = callers.get(ep, frozenset()).difference(old)
             _put(callers, ep, calls | joined.get(ep, set()))
         unmatched = self.unmatched.difference(old) | joined.get(None, set())
-        index = replace(lookup, resolved=resolved, callers=callers, unmatched=unmatched)
+        # Only an endpoint whose callers changed or whose component was
+        # replaced can enter or leave the uncalled set.
+        gone = {ep for comp in before for ep in comp.endpoints}
+        present = {ep for comp in after for ep in comp.endpoints}
+        candidates = recalled | gone | present
+        uncalled = self.uncalled.difference(candidates) | {
+            ep
+            for ep in candidates
+            if ep not in callers and (ep in present or ep not in gone)
+        }
+        index = replace(
+            lookup,
+            resolved=resolved,
+            callers=callers,
+            unmatched=unmatched,
+            uncalled=uncalled,
+        )
         return index, old.keys() | new.keys()
 
 
@@ -397,7 +416,7 @@ def data_overlap_edges(
 
 
 # The empty system, from which a build relinks.
-_NOTHING = SystemIR("", {}, frozenset())
+EMPTY_SYSTEM = SystemIR("", {}, frozenset())
 
 
 def relink(
@@ -432,7 +451,7 @@ def relink(
     )
     added |= overlap_edges
     incidence = None  # a build leaves its incidence to be built on first use
-    if baseline is not _NOTHING:
+    if baseline is not EMPTY_SYSTEM:
         incidence = Incidence.of(baseline)
         dropped |= {
             edge
@@ -473,7 +492,7 @@ def build_system_ir(
             raise LinkError(f"duplicate service name {ir.name!r}")
         service_map[ir.name] = ir
     added = [comp for ir in service_map.values() for comp in ir.components.values()]
-    system = relink(_NOTHING, service_map, (), added, overlap_threshold)
+    system = relink(EMPTY_SYSTEM, service_map, (), added, overlap_threshold)
     if version_label is not None:
         system = replace(system, version_label=version_label)
     validate_system_ir(system)
@@ -494,30 +513,46 @@ def _call_key(call: RestCall) -> tuple:
     )
 
 
-def unmatched_calls(system: SystemIR) -> list[RestCall]:
-    """Distinct rest calls with no matching endpoint anywhere in the system.
+def distinct_unmatched(comp: Component, unmatched: frozenset[RestCall]) -> list[RestCall]:
+    """The component's calls in ``unmatched``, in method order.  Calls
+    differing only in their site count once, as the first of them."""
+    seen: set[tuple] = set()
+    out = []
+    for m in comp.methods:
+        for call in m.rest_calls:
+            if call in unmatched and _call_key(call) not in seen:
+                seen.add(_call_key(call))
+                out.append(call)
+    return out
 
-    Calls differing only in their site count once, as the first of them in
-    their component's method order.
-    """
+
+def call_sort_key(call: RestCall) -> tuple:
+    return (str(call.owning_component), call.signature(), call.site_method)
+
+
+def unmatched_calls(system: SystemIR) -> list[RestCall]:
+    """Distinct rest calls with no matching endpoint anywhere in the system,
+    as ``distinct_unmatched`` counts them."""
     unmatched = LinkIndex.of(system).unmatched
-    out: list[RestCall] = []
-    for cid in {call.owning_component for call in unmatched}:
-        seen: set[tuple] = set()
-        for m in system.component(cid).methods:
-            for call in m.rest_calls:
-                if call in unmatched and _call_key(call) not in seen:
-                    seen.add(_call_key(call))
-                    out.append(call)
-    out.sort(key=lambda c: (str(c.owning_component), c.signature(), c.site_method))
+    out = [
+        call
+        for cid in {call.owning_component for call in unmatched}
+        for call in distinct_unmatched(system.component(cid), unmatched)
+    ]
+    out.sort(key=call_sort_key)
     return out
 
 
 def uncalled_endpoints(system: SystemIR) -> list[Endpoint]:
     """Endpoints matched by zero rest calls system-wide."""
-    called = LinkIndex.of(system).callers
-    out = [ep for ep in system.iter_endpoints() if ep not in called]
-    out.sort(key=_endpoint_sort_key)
+    uncalled = LinkIndex.of(system).uncalled
+    out = [
+        ep
+        for cid in {ep.owning_component for ep in uncalled}
+        for ep in system.component(cid).endpoints
+        if ep in uncalled
+    ]
+    out.sort(key=endpoint_sort_key)
     return out
 
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
     from .linker import LinkIndex, OverlapIndex
+    from .rules import LinkViolations
 
 UNRESOLVED = "UNRESOLVED"
 PATH_VAR = "{*}"
@@ -536,8 +537,9 @@ class SystemIR:
     """A linked system version.
 
     ``link_index`` holds where every rest call resolves, ``incidence`` the
-    cross edges by component and ``overlap_index`` the entities by field
-    name; ``LinkIndex.of``, ``Incidence.of`` and ``OverlapIndex.of`` build
+    cross edges by component, ``overlap_index`` the entities by field name
+    and ``link_violations`` the IC and UEM violations; ``LinkIndex.of``,
+    ``Incidence.of``, ``OverlapIndex.of`` and ``LinkViolations.of`` build
     them on first use.  They are derived data: they take no part in
     equality, ``repr`` or documents.
     """
@@ -548,6 +550,9 @@ class SystemIR:
     link_index: LinkIndex | None = field(default=None, compare=False, repr=False)
     incidence: Incidence | None = field(default=None, compare=False, repr=False)
     overlap_index: OverlapIndex | None = field(
+        default=None, compare=False, repr=False
+    )
+    link_violations: LinkViolations | None = field(
         default=None, compare=False, repr=False
     )
 

@@ -19,14 +19,22 @@ import functools
 import hashlib
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Iterable, Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import jsonschema
 
 from .documents import parse_json
 from .errors import DocumentError, RuleBindingError
 from .extractor import parse_call_target, type_name_parts
-from .linker import LinkIndex, uncalled_endpoints, unmatched_calls
+from .linker import (
+    EMPTY_SYSTEM,
+    LinkIndex,
+    call_sort_key,
+    distinct_unmatched,
+    endpoint_sort_key,
+    unmatched_calls,
+)
 from .model import (
     ChangeKind,
     Component,
@@ -34,10 +42,12 @@ from .model import (
     ComponentId,
     ComponentType,
     Delta,
+    Endpoint,
     ImpactedItem,
     Incidence,
     Method,
     MicroserviceIR,
+    RestCall,
     SystemIR,
     TriggerItem,
     Violation,
@@ -197,15 +207,18 @@ def make_violation(
     ordered_impacted = tuple(
         sorted(impacted, key=lambda i: (str(i.component_id), i.kind, i.evidence))
     )
-    ordered_triggering = tuple(
-        sorted(triggering, key=lambda t: (str(t.component_id), t.change_kind.value))
-    )
     return Violation(
         rule_name=rule_name,
         system_version_label=system_version_label,
-        triggering=ordered_triggering,
+        triggering=_ordered_triggering(triggering),
         impacted=ordered_impacted,
         dedup_key=_dedup_key(rule_name, ordered_impacted),
+    )
+
+
+def _ordered_triggering(triggering: Iterable[TriggerItem]) -> tuple[TriggerItem, ...]:
+    return tuple(
+        sorted(triggering, key=lambda t: (str(t.component_id), t.change_kind.value))
     )
 
 
@@ -238,20 +251,106 @@ def _changed_ids(deltas: Sequence[Delta]) -> dict[ComponentId, ChangeKind]:
     return merged
 
 
-def _link_violation(
-    rule_name: str,
-    increment: SystemIR,
-    item: ImpactedItem,
-    culprits: Iterable[ComponentId],
-    changed: Mapping[ComponentId, ChangeKind],
-) -> Violation:
-    """A violation of a link rule, triggered by those culprits the deltas changed."""
-    return make_violation(
-        rule_name,
-        increment.version_label,
-        impacted=[item],
-        triggering=[TriggerItem(c, changed[c]) for c in culprits if c in changed],
-    )
+Owner = tuple[str, str, str]
+# One IC or UEM violation of a system: its place in the detector's order, its
+# owner, the call or endpoint it flags, and the violation itself as
+# ``make_violation`` built it, with an empty label and no triggering list.
+Entry = tuple[tuple, Owner, RestCall | Endpoint, Violation]
+
+
+def _owner(cid: ComponentId) -> Owner:
+    """``cid`` as strings, which hash without running Python code."""
+    return (cid.microservice, cid.component_type.value, cid.qualified_name)
+
+
+def _call_entries(comp: Component, index: LinkIndex) -> Iterator[Entry]:
+    owner = _owner(comp.id)
+    for call in distinct_unmatched(comp, index.unmatched):
+        item = ImpactedItem(comp.id, "restCall", call.signature(), call.site_method)
+        yield call_sort_key(call), owner, call, make_violation("IC", "", [item])
+
+
+def _endpoint_entries(comp: Component, index: LinkIndex) -> Iterator[Entry]:
+    owner = _owner(comp.id)
+    for ep in comp.endpoints:
+        if ep in index.uncalled:
+            item = ImpactedItem(comp.id, "endpoint", ep.signature(), ep.handler_method)
+            yield endpoint_sort_key(ep), owner, ep, make_violation("UEM", "", [item])
+
+
+def _replaced(
+    entries: tuple[Entry, ...],
+    system: SystemIR,
+    refreshed: set[ComponentId],
+    rebuild: Callable[[Component, LinkIndex], Iterator[Entry]],
+) -> tuple[Entry, ...]:
+    """``entries`` with those of the refreshed components rebuilt."""
+    if not refreshed:
+        return entries
+    index = LinkIndex.of(system)
+    gone = {_owner(cid) for cid in refreshed}
+    merged = [entry for entry in entries if entry[1] not in gone]
+    for cid in refreshed:
+        comp = system.component(cid)
+        if comp is not None:
+            merged += rebuild(comp, index)
+    merged.sort(key=itemgetter(0))  # the kept entries are in order already
+    return tuple(merged)
+
+
+@dataclass(frozen=True)
+class LinkViolations:
+    """A system's IC and UEM violations, in the detectors' order, without the
+    label and triggering list each step stamps on them.
+
+    An entry depends only on its owner component and on the link index's
+    ``unmatched`` and ``uncalled`` sets.  So a system's entries are derived
+    from a baseline's: only the entries of components that differ between
+    the two, or whose calls or endpoints entered or left those sets, are
+    built again.  A system is carried with its entries, like its link index.
+    """
+
+    invalid_calls: tuple[Entry, ...]
+    uncalled_endpoints: tuple[Entry, ...]
+
+    @classmethod
+    def of(cls, system: SystemIR, baseline: SystemIR | None = None) -> LinkViolations:
+        """The system's entries, derived on first use from the baseline's if
+        it has them, else from the empty system's, and kept with the system."""
+        if system.link_violations is None:
+            if baseline is None or baseline.link_violations is None:
+                baseline = EMPTY_SYSTEM
+            view = baseline.link_violations or cls((), ())
+            object.__setattr__(system, "link_violations", view._updated(baseline, system))
+        return system.link_violations
+
+    def _updated(self, baseline: SystemIR, system: SystemIR) -> LinkViolations:
+        old, new = LinkIndex.of(baseline), LinkIndex.of(system)
+        modified = _modified_components(baseline, system)
+        calling = {c.id for c in modified if any(m.rest_calls for m in c.methods)}
+        calling.update(c.owning_component for c in old.unmatched ^ new.unmatched)
+        serving = {c.id for c in modified if c.endpoints}
+        serving.update(ep.owning_component for ep in old.uncalled ^ new.uncalled)
+        return LinkViolations(
+            _replaced(self.invalid_calls, system, calling, _call_entries),
+            _replaced(self.uncalled_endpoints, system, serving, _endpoint_entries),
+        )
+
+
+def _modified_components(baseline: SystemIR, system: SystemIR) -> list[Component]:
+    """Both versions of each component the two systems hold under one id as
+    different objects.  An added or removed component needs no entry here:
+    its calls and endpoints enter or leave the index's sets."""
+    modified = []
+    for name, now in system.services.items():
+        was = baseline.services.get(name)
+        if was is None or was is now:
+            continue
+        for cid, comp in now.components.items():
+            old = was.components.get(cid)
+            if old is not None and old is not comp:
+                modified += (old, comp)
+    return modified
 
 
 def detect_invalid_calls(
@@ -264,19 +363,35 @@ def detect_invalid_calls(
 
     When the change context is supplied, the triggering list names the delta
     entry that broke the call (the call's own component, or the component
-    whose endpoint served this call in the baseline).
+    whose endpoint served this call in the baseline).  ``increment`` is the
+    baseline with the deltas applied, so only the calls of changed
+    components and the baseline callers of their endpoints can have one.
     """
     changed = _changed_ids(deltas)
-    violations = []
-    for call in unmatched_calls(increment):
-        culprits = [call.owning_component]
-        if call.owning_component not in changed and baseline is not None:
-            old_endpoint = LinkIndex.of(baseline).resolve(call)
-            culprits = [old_endpoint.owning_component] if old_endpoint else []
-        item = ImpactedItem(
-            call.owning_component, "restCall", call.signature(), call.site_method
+    touched = {_owner(cid) for cid in changed}
+    if changed and baseline is not None:
+        old = LinkIndex.of(baseline)
+        touched.update(
+            _owner(call.owning_component)
+            for comp in filter(None, map(baseline.component, changed))
+            for ep in comp.endpoints
+            for call in old.callers.get(ep, ())
         )
-        violations.append(_link_violation("IC", increment, item, culprits, changed))
+    label = increment.version_label
+    entries = LinkViolations.of(increment, baseline).invalid_calls
+    violations = []
+    for _, owner, call, template in entries:
+        triggering = ()
+        if owner in touched:
+            culprit = call.owning_component
+            if culprit not in changed and baseline is not None:
+                old_endpoint = LinkIndex.of(baseline).resolve(call)
+                culprit = old_endpoint.owning_component if old_endpoint else None
+            if culprit in changed:
+                triggering = (TriggerItem(culprit, changed[culprit]),)
+        violations.append(
+            Violation("IC", label, triggering, template.impacted, template.dedup_key)
+        )
     return violations
 
 
@@ -290,24 +405,55 @@ def detect_uncalled_endpoints(
 
     Endpoints used only by user interfaces or third-party systems surface
     here as ghost predictions; that caveat is inherent to static scope.
+
+    With the change context, the triggering list names the changed
+    components among the endpoint's own and, for an unchanged endpoint, the
+    baseline callers of every endpoint of its shape.  ``increment`` is the
+    baseline with the deltas applied, so only the endpoints of changed
+    components and those of shapes a changed component called can have one.
     """
     changed = _changed_ids(deltas)
-    violations = []
-    for endpoint in uncalled_endpoints(increment):
-        owner = endpoint.owning_component
-        culprits = {owner}
-        if baseline is not None and changed and owner not in changed:
-            # the components whose calls reached this shape in the baseline
-            old = LinkIndex.of(baseline)
-            culprits = {
-                call.owning_component
-                for ep in old.endpoints.get((endpoint.http_method, endpoint.path), ())
-                for call in old.callers.get(ep, ())
-            }
-        item = ImpactedItem(
-            owner, "endpoint", endpoint.signature(), endpoint.handler_method
+    touched = {_owner(cid) for cid in changed}
+    old = LinkIndex.of(baseline) if changed and baseline is not None else None
+    if old is not None:
+        shapes = {
+            (call.http_method, call.path)
+            for comp in filter(None, map(baseline.component, changed))
+            for call in comp.rest_calls()
+        }
+        new = LinkIndex.of(increment)
+        touched.update(
+            _owner(ep.owning_component)
+            for shape in shapes
+            for ep in new.endpoints.get(shape, ())
         )
-        violations.append(_link_violation("UEM", increment, item, culprits, changed))
+    triggering_of: dict[tuple[str, str], tuple[TriggerItem, ...]] = {}
+    label = increment.version_label
+    entries = LinkViolations.of(increment, baseline).uncalled_endpoints
+    violations = []
+    for _, owner, endpoint, template in entries:
+        triggering = ()
+        if owner in touched:
+            cid = endpoint.owning_component
+            if cid in changed:
+                triggering = (TriggerItem(cid, changed[cid]),)
+            elif old is not None:
+                # the changed components whose calls reached this shape in
+                # the baseline
+                shape = (endpoint.http_method, endpoint.path)
+                if shape not in triggering_of:
+                    culprits = {
+                        call.owning_component
+                        for ep in old.endpoints.get(shape, ())
+                        for call in old.callers.get(ep, ())
+                    }
+                    triggering_of[shape] = _ordered_triggering(
+                        TriggerItem(c, kind) for c, kind in changed.items() if c in culprits
+                    )
+                triggering = triggering_of[shape]
+        violations.append(
+            Violation("UEM", label, triggering, template.impacted, template.dedup_key)
+        )
     return violations
 
 
@@ -683,7 +829,7 @@ def evaluate_many(
     unique: dict[str, Violation] = {}
     for v in violations:
         unique.setdefault(v.dedup_key, v)
-    return sorted(unique.values(), key=lambda v: (v.rule_name, v.dedup_key))
+    return sorted(unique.values(), key=attrgetter("rule_name", "dedup_key"))
 
 
 def evaluate(

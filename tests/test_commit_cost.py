@@ -1,9 +1,10 @@
 """A commit's work follows the commit, not the system.
 
-These tests count work, not time: the nodes ``impact_set`` expands and the
-cross edges ``apply_delta`` validates, per commit, and the entity pairs whose
-overlap it computes, per entity-field commit, on synthetic systems of 24 and
-96 services that receive the same kinds of commit.  Every service talks
+These tests count work, not time: the nodes ``impact_set`` expands, the
+cross edges ``apply_delta`` validates and the violations the rules build, per
+commit, and the entity pairs whose overlap it computes, per entity-field
+commit, on synthetic systems of 24 and 96 services that receive the same
+kinds of commit.  Every service talks
 to a fixed number of others, so a commit's neighbourhood has the same size
 at both scales, and so must its work.  A build of the same systems computes
 the overlap of each entity pair at most once.
@@ -15,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from archdelta import impact, linker
+from archdelta import impact, linker, rules
 from archdelta.delta import compute_delta
 from archdelta.extractor import resolve_call_graph
 from archdelta.impact import impact_set
@@ -41,23 +42,29 @@ def _service(
 ) -> MicroserviceIR:
     """Service ``i`` of a ring of ``n``.
 
-    Its controller serves GET and, with ``post``, POST, and calls the service
-    class, which calls the repository and the controllers of services
-    ``i + hop`` and ``i + 3``.  Its entity shares its fields with the
-    entities of the other services in its block of four.
+    Its controller serves GET, DELETE and, with ``post``, POST, and calls
+    the service class, which calls the repository and the controllers of
+    services ``i + hop`` and ``i + 3``.  No call reaches DELETE, and the
+    service class also calls a path that service ``i + 1`` does not serve.
+    Its entity shares its fields with the entities of the other services in
+    its block of four.
     """
     name = f"svc{i}"
     api = component_id(name, ComponentType.CONTROLLER, f"s{i}.Api")
     core = component_id(name, ComponentType.SERVICE, f"s{i}.Core")
     repo = component_id(name, ComponentType.REPOSITORY, f"s{i}.Repo")
     item = component_id(name, ComponentType.ENTITY, f"s{i}.Item")
-    endpoints = [Endpoint("GET", f"/s{i}/items/{{*}}", "get", api)]
+    endpoints = [
+        Endpoint("GET", f"/s{i}/items/{{*}}", "get", api),
+        Endpoint("DELETE", f"/s{i}/items/{{*}}", "drop", api),
+    ]
     if post:
         endpoints.append(Endpoint("POST", f"/s{i}/items", "post", api))
-    get, put = (i + hop) % n, (i + 3) % n
+    get, put, stray = (i + hop) % n, (i + 3) % n, (i + 1) % n
     calls = (
         RestCall("GET", f"svc{get}", f"/s{get}/items/{{*}}", "fetch", core),
         RestCall("POST", f"svc{put}", f"/s{put}/items", "fetch", core),
+        RestCall("PUT", f"svc{stray}", f"/s{stray}/gone", "fetch", core),
     )
     fields = ("id", f"b{i // 4}", f"{field}{i // 4}")
     comps = [
@@ -103,12 +110,12 @@ _COMMITS = [
 ]
 
 
-def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float]:
-    """Mean nodes expanded and cross edges validated per commit, and entity
-    pairs compared per entity-field commit."""
-    counts = {"expanded": 0, "validated": 0, "compared": 0}
+def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float, float]:
+    """Mean nodes expanded, cross edges validated and violations built per
+    commit, and entity pairs compared per entity-field commit."""
+    counts = {"expanded": 0, "validated": 0, "built": 0, "compared": 0}
     expand, validate = impact._expand, linker.validate_cross_edges
-    overlap = linker.entity_overlap
+    overlap, make_violation = linker.entity_overlap, rules.make_violation
 
     def counting_expand(*args):
         counts["expanded"] += 1
@@ -123,23 +130,34 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float]:
         counts["compared"] += 1
         return overlap(a, b)
 
+    def counting_make_violation(*args, **kwargs):
+        counts["built"] += 1
+        return make_violation(*args, **kwargs)
+
+    checks = rules.builtin_rules()
     system = build_system_ir(_service(i, n) for i in range(n))
+    # each service has one uncalled endpoint and one unmatched call
+    assert len(rules.evaluate_many(None, [], system, checks)) == 2 * n
     with monkeypatch.context() as patch:
         patch.setattr(impact, "_expand", counting_expand)
         patch.setattr(linker, "validate_cross_edges", counting_validate)
         patch.setattr(linker, "entity_overlap", counting_overlap)
+        patch.setattr(rules, "make_violation", counting_make_violation)
         commits = entity_commits = 0
         for i in (2, 9, 17):
             for change in _COMMITS:
                 current = system.services[f"svc{i}"]
                 d = compute_delta(current, _service(i, n, **change))
                 impact_set(system, d)
-                system = apply_delta(system, d)
+                increment = apply_delta(system, d)
+                rules.evaluate_many(system, [d], increment, checks)
+                system = increment
                 commits += 1
                 entity_commits += "field" in change
     return (
         counts["expanded"] / commits,
         counts["validated"] / commits,
+        counts["built"] / commits,
         counts["compared"] / entity_commits,
     )
 
@@ -147,7 +165,12 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float]:
 def test_commit_work_does_not_grow_with_the_system(monkeypatch):
     small = _work_per_commit(24, monkeypatch)
     large = _work_per_commit(96, monkeypatch)
-    names = ("nodes expanded", "edges validated", "entity pairs compared")
+    names = (
+        "nodes expanded",
+        "edges validated",
+        "violations built",
+        "entity pairs compared",
+    )
     for what, a, b in zip(names, small, large):
         assert a > 0 and b > 0, what
         assert max(a, b) <= 1.5 * min(a, b), f"{what}: {a} at 24, {b} at 96"

@@ -6,15 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_rules
 from strategies import LINK_SERVICES, linked_irs, relinked
 
 from archdelta import rules as rules_module
 from archdelta.delta import compute_delta
 from archdelta.errors import DocumentError
-from archdelta.extractor import scan_repository
+from archdelta.extractor import resolve_call_graph, scan_repository
 from archdelta.linker import build_system_ir, link_report
-from archdelta.merge import apply_delta
-from archdelta.model import ChangeKind, ComponentType, MicroserviceIR, ir_content_digest
+from archdelta.merge import apply_delta, remove_service
+from archdelta.model import (
+    ChangeKind,
+    ComponentType,
+    Endpoint,
+    Method,
+    MicroserviceIR,
+    RestCall,
+    component_id,
+    ir_content_digest,
+    make_component,
+)
 from archdelta.profiles import default_profile
 from archdelta.rules import (
     builtin_rules,
@@ -163,6 +174,72 @@ def test_uncalled_endpoint_counting(systems):
         "GET /api/v1/users/{*}/orders",
         "POST /api/v1/orders",
     ]
+
+
+def _serving(name: str, verb: str, path: str) -> MicroserviceIR:
+    api = component_id(name, ComponentType.CONTROLLER, "pkg.Api")
+    comp = make_component(api, endpoints=[Endpoint(verb, path, "handle", api)])
+    return MicroserviceIR(name, "v0", {api: comp}, frozenset())
+
+
+def _calling(name: str, calls: list[tuple[str, str, str]]) -> MicroserviceIR:
+    core = component_id(name, ComponentType.SERVICE, "pkg.Core")
+    method = Method(
+        "fetch",
+        rest_calls=tuple(
+            RestCall(verb, target, path, "pkg.Core.fetch", core)
+            for verb, target, path in calls
+        ),
+    )
+    comps = {core: make_component(core, methods=[method])}
+    return MicroserviceIR(name, "v0", comps, resolve_call_graph(comps))
+
+
+def test_uem_names_the_changed_caller_of_every_endpoint_of_the_shape():
+    # svc-a and svc-b both serve GET /x, and svc-c calls svc-a's.  When that
+    # call goes, svc-b's endpoint is neither changed nor newly uncalled, but
+    # its triggering list comes from the baseline callers of the whole shape.
+    baseline = build_system_ir(
+        [
+            _serving("svc-a", "GET", "/x"),
+            _serving("svc-b", "GET", "/x"),
+            _calling("svc-c", [("GET", "svc-a", "/x")]),
+        ]
+    )
+    assert detect_uncalled_endpoints(baseline)  # svc-b's, and a view to carry
+    d = compute_delta(baseline.services["svc-c"], _calling("svc-c", []))
+    increment = apply_delta(baseline, d)
+    got = detect_uncalled_endpoints(increment, baseline=baseline, deltas=[d])
+    caller = component_id("svc-c", ComponentType.SERVICE, "pkg.Core")
+    assert [v.impacted[0].component_id.microservice for v in got] == ["svc-a", "svc-b"]
+    for v in got:
+        assert [(t.component_id, t.change_kind) for t in v.triggering] == [
+            (caller, ChangeKind.MODIFY)
+        ]
+    assert got == reference_rules.detect_uncalled_endpoints(
+        increment, baseline=baseline, deltas=[d]
+    )
+
+
+def test_uem_flags_an_endpoint_as_often_as_its_component_declares_it():
+    # overloaded handlers can give a controller two equal endpoints; dropping
+    # one changes no endpoint's membership of the uncalled set
+    api = component_id("svc-a", ComponentType.CONTROLLER, "pkg.Api")
+    ep = Endpoint("GET", "/x", "handle", api)
+
+    def service(*endpoints):
+        comp = make_component(api, endpoints=endpoints)
+        return MicroserviceIR("svc-a", "v0", {api: comp}, frozenset())
+
+    baseline = build_system_ir([service(ep, ep)])
+    assert len(detect_uncalled_endpoints(baseline)) == 2
+    d = compute_delta(baseline.services["svc-a"], service(ep))
+    increment = apply_delta(baseline, d)
+    got = detect_uncalled_endpoints(increment, baseline=baseline, deltas=[d])
+    assert got == reference_rules.detect_uncalled_endpoints(
+        increment, baseline=baseline, deltas=[d]
+    )
+    assert len(got) == 1
 
 
 def test_every_endpoint_called_yields_no_uem(summary_versions):
@@ -419,3 +496,49 @@ def test_custom_rules_match_the_scanning_helpers(data):
             assert indexed_neighbours(increment, comp.id) == scanning_neighbours(
                 increment, comp.id
             )
+
+
+def _reference_evaluate_many(baseline, deltas, increment, rules):
+    """``evaluate_many`` with the full-sweep IC and UEM detectors."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in ("detect_invalid_calls", "detect_uncalled_endpoints"):
+            monkeypatch.setattr(rules_module, name, getattr(reference_rules, name))
+        return evaluate_many(baseline, deltas, increment, rules)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_carried_link_rules_equal_the_full_sweep(data):
+    """At every step of a link-churn chain, IC and UEM as carried from the
+    previous step equal the full-sweep reference, triggering lists, order and
+    labels included.  A step applies the deltas of one or two services, as a
+    replay step does, and may remove a service.  Some chains start from the
+    empty system."""
+    start = data.draw(st.sampled_from([LINK_SERVICES, ()]))
+    system = build_system_ir([data.draw(linked_irs(name)) for name in start])
+    steps = [(None, [], system)]
+    for step in range(1, data.draw(st.integers(1, 5)) + 1):
+        baseline, deltas = system, []
+        names = data.draw(
+            st.lists(st.sampled_from(LINK_SERVICES), min_size=1, max_size=2, unique=True)
+        )
+        for name in names:
+            current = system.services.get(name) or MicroserviceIR(
+                name, "", {}, frozenset()
+            )
+            d = compute_delta(current, data.draw(relinked(current, f"v{step}")))
+            deltas.append(d)
+            system = apply_delta(system, d)
+        others = sorted(set(system.services) - set(names))
+        if others and data.draw(st.booleans()):
+            system = remove_service(system, data.draw(st.sampled_from(others)))
+        steps.append((baseline, deltas, system))
+    rules = builtin_rules()
+    for baseline, deltas, increment in steps:
+        assert evaluate_many(baseline, deltas, increment, rules) == (
+            _reference_evaluate_many(baseline, deltas, increment, rules)
+        )
+        for context in ({"baseline": baseline, "deltas": deltas}, {"deltas": deltas}):
+            for name in ("detect_invalid_calls", "detect_uncalled_endpoints"):
+                got = getattr(rules_module, name)(increment, **context)
+                assert got == getattr(reference_rules, name)(increment, **context)
