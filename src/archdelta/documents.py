@@ -68,15 +68,6 @@ def canonical_json(doc: Any) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def parse_json(data: bytes | str, loc: str = "$") -> Any:
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"invalid JSON: {exc}", loc) from exc
-
-
 # ---------------------------------------------------------------------------
 # What generated and hand-written code share
 # ---------------------------------------------------------------------------
@@ -332,11 +323,16 @@ def _read_component(doc: Any) -> Component:
     return comp
 
 
-def _loaded(data: bytes | str, schema: str, read: Callable[[dict], Any]) -> Any:
-    """``read`` of the document ``data`` tagged ``schema``; a fault at its path."""
-    doc = parse_json(data)
+def _loaded(data: bytes | str, schema: str | None, read: Callable[[Any], Any]) -> Any:
+    """``read`` of the JSON document ``data``, tagged ``schema`` unless that
+    is None; a fault is raised as a ``DocumentError`` at its path.  Rule
+    files and marker profiles are read through here too."""
     try:
-        tag = _get(doc, "schema", str)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from exc
+    try:
+        tag = _get(doc, "schema", str) if schema is not None else None
         if tag != schema:
             raise _Fault(f"expected schema {schema}, got {tag}", ".schema")
         return read(doc)
@@ -415,6 +411,15 @@ def _read_edge(doc: Any) -> DependencyEdge:
     remote = kind is EdgeKind.REMOTE_CALL
     evidence_type = RemoteCallEvidence if remote else OverlapEvidence
     evidence = _within(doc, "evidence", dict, _READ[evidence_type], None)
+    if remote:  # the call is made by the source and served by the target
+        owner = evidence.rest_call.owning_component
+        if owner != source:
+            at = ".evidence.restCall.owningComponent"
+            raise _Fault(f"owner {owner} is not the edge's source {source}", at)
+        owner = evidence.endpoint.owning_component
+        if owner != target:
+            at = ".evidence.endpoint.owningComponent"
+            raise _Fault(f"owner {owner} is not the edge's target {target}", at)
     try:
         return DependencyEdge(kind, source, target, evidence)
     except ValueError as exc:

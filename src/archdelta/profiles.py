@@ -12,8 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .documents import parse_json
-from .errors import DocumentError
+from .documents import _bad, _each, _Fault, _get, _loaded, _strings_of, _within
 
 PROFILE_SCHEMA = "marker-profile@1"
 
@@ -75,97 +74,72 @@ class MarkerProfile:
         )
 
 
-def expect_strings(doc: dict, key: str, loc: str) -> tuple[str, ...]:
-    """The list of strings under ``key``; a wrong element is located by index."""
-    if key not in doc:
-        raise DocumentError(f"missing key '{key}'", loc)
-    items = doc[key]
-    if not isinstance(items, list):
-        got = type(items).__name__
-        raise DocumentError(f"key '{key}' should be list, got {got}", f"{loc}.{key}")
-    for i, item in enumerate(items):
-        if not isinstance(item, str):
-            raise DocumentError(
-                f"expected str, got {type(item).__name__}", f"{loc}.{key}[{i}]"
-            )
-    return tuple(items)
+def _index(doc: dict, key: str, name: str) -> int:
+    """``doc[key]``, a non-negative argument position; ``true`` is not one."""
+    value = doc.get(key)
+    if type(value) is not int or value < 0:
+        raise _Fault(f"pattern {name} must be an index", "." + key)
+    return value
 
 
-def _is_index(value: Any) -> bool:
-    """A non-negative argument position; ``true`` and ``false`` are not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def profile_from_doc(doc: Any, loc: str = "$") -> MarkerProfile:
-    if not isinstance(doc, dict):
-        raise DocumentError("profile document must be an object", loc)
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise DocumentError(
-            f"expected schema {PROFILE_SCHEMA}, got {doc.get('schema')!r}",
-            f"{loc}.schema",
+def _read_pattern(doc: Any) -> RemoteCallPattern:
+    receiver, method = _get(doc, "receiverType", str), _get(doc, "methodName", str)
+    verb = doc.get("verb")
+    if type(verb) is dict:
+        verb = _within(doc, "verb", dict, _index, "argIndex", "verb argIndex")
+    elif verb not in _HTTP_VERBS:
+        raise _Fault(
+            f"pattern verb must be one of {', '.join(_HTTP_VERBS)} "
+            "or {\"argIndex\": n}",
+            ".verb",
         )
+    if "urlArg" not in doc:
+        _bad(doc, "urlArg", int)
+    return RemoteCallPattern(receiver, method, _index(doc, "urlArg", "urlArg"), verb)
+
+
+def _markers(doc: dict, key: str) -> frozenset[str]:
+    return frozenset(_within(doc, key, list, _strings_of))
+
+
+def _read_profile(doc: Any) -> MarkerProfile:
+    if type(doc) is not dict:
+        raise _Fault("profile document must be an object")
+    tag = doc.get("schema")
+    if tag != PROFILE_SCHEMA:
+        raise _Fault(f"expected schema {PROFILE_SCHEMA}, got {tag!r}", ".schema")
     endpoint_markers = doc.get("endpointMarkers")
-    if not isinstance(endpoint_markers, dict):
-        raise DocumentError("missing or non-object key 'endpointMarkers'", loc)
+    if type(endpoint_markers) is not dict:
+        raise _Fault("missing or non-object key 'endpointMarkers'")
     for token, verb in endpoint_markers.items():
-        if not isinstance(verb, str) or verb not in _VERB_VALUES:
-            raise DocumentError(
-                f"endpoint marker {token!r} maps to unknown verb {verb!r}",
-                f"{loc}.endpointMarkers.{token}",
-            )
-    patterns = []
-    raw_patterns = doc.get("remoteCallPatterns")
-    if not isinstance(raw_patterns, list):
-        raise DocumentError("missing or non-list key 'remoteCallPatterns'", loc)
-    for i, p in enumerate(raw_patterns):
-        ploc = f"{loc}.remoteCallPatterns[{i}]"
-        if not isinstance(p, dict):
-            raise DocumentError("pattern must be an object", ploc)
-        verb = p.get("verb")
-        if isinstance(verb, dict):
-            verb = verb.get("argIndex")
-            if not _is_index(verb):
-                raise DocumentError(
-                    "pattern verb argIndex must be an index", f"{ploc}.verb.argIndex"
-                )
-        elif verb not in _HTTP_VERBS:
-            raise DocumentError(
-                f"pattern verb must be one of {', '.join(_HTTP_VERBS)} "
-                "or {\"argIndex\": n}",
-                f"{ploc}.verb",
-            )
-        try:
-            receiver, method, url_arg = p["receiverType"], p["methodName"], p["urlArg"]
-        except KeyError as exc:
-            raise DocumentError(f"pattern missing key {exc}", ploc) from exc
-        for key, value in (("receiverType", receiver), ("methodName", method)):
-            if not isinstance(value, str):
-                raise DocumentError(f"pattern {key} must be a string", f"{ploc}.{key}")
-        if not _is_index(url_arg):
-            raise DocumentError("pattern urlArg must be an index", f"{ploc}.urlArg")
-        patterns.append(RemoteCallPattern(receiver, method, url_arg, verb))
+        if type(verb) is not str or verb not in _VERB_VALUES:
+            message = f"endpoint marker {token!r} maps to unknown verb {verb!r}"
+            raise _Fault(message, f".endpointMarkers.{token}")
+    if type(doc.get("remoteCallPatterns")) is not list:
+        raise _Fault("missing or non-list key 'remoteCallPatterns'")
+    patterns = _within(doc, "remoteCallPatterns", list, _each, _read_pattern)
     extensions = (".java",)
     if "fileExtensions" in doc:
-        extensions = expect_strings(doc, "fileExtensions", loc)
+        extensions = _within(doc, "fileExtensions", list, _strings_of)
     try:
         return MarkerProfile(
-            controller_markers=frozenset(expect_strings(doc, "controllerMarkers", loc)),
-            service_markers=frozenset(expect_strings(doc, "serviceMarkers", loc)),
-            repository_markers=frozenset(expect_strings(doc, "repositoryMarkers", loc)),
-            entity_markers=frozenset(expect_strings(doc, "entityMarkers", loc)),
+            controller_markers=_markers(doc, "controllerMarkers"),
+            service_markers=_markers(doc, "serviceMarkers"),
+            repository_markers=_markers(doc, "repositoryMarkers"),
+            entity_markers=_markers(doc, "entityMarkers"),
             endpoint_markers=dict(endpoint_markers),
-            remote_call_patterns=tuple(patterns),
+            remote_call_patterns=patterns,
             file_extensions=extensions,
         )
     except ValueError as exc:
-        raise DocumentError(str(exc), loc) from exc
+        raise _Fault(str(exc)) from None
 
 
 def load_profile(path: str | Path) -> MarkerProfile:
-    return profile_from_doc(parse_json(Path(path).read_bytes()))
+    return _loaded(Path(path).read_bytes(), None, _read_profile)
 
 
 def default_profile() -> MarkerProfile:
     """The bundled Java Spring profile."""
     raw = resources.files("archdelta.data.profiles").joinpath("spring.json").read_bytes()
-    return profile_from_doc(parse_json(raw))
+    return _loaded(raw, None, _read_profile)

@@ -15,17 +15,14 @@ Rule matches are flags for the review process, not proofs of breakage.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-import jsonschema
-
-from .documents import parse_json
-from .errors import DocumentError, RuleBindingError
+from .documents import _each, _Fault, _get, _loaded, _within
+from .errors import RuleBindingError
 from .extractor import parse_call_target, type_name_parts
 from .linker import (
     EMPTY_SYSTEM,
@@ -33,7 +30,6 @@ from .linker import (
     call_sort_key,
     distinct_unmatched,
     endpoint_sort_key,
-    unmatched_calls,
 )
 from .model import (
     ChangeKind,
@@ -55,56 +51,15 @@ from .model import (
 
 BUILTIN_RULE_NAMES = ("IC", "UEM", "SMM", "RMM")
 
-_RULE_COMPONENT_TYPES = ["Endpoint", "Call", "Controller", "Service", "Repository"]
-_CHANGE_TYPE_TOKENS = ["Delete", "Update", "Add", "All", "Modify", "Remove"]
+_LEVELS = ("Delta", "System")
+_COMPONENT_TYPES = ("Endpoint", "Call", "Controller", "Service", "Repository")
+_CHANGE_TYPES = ("Delete", "Update", "Add", "All", "Modify", "Remove")
 _CHANGE_TYPE_ALIASES = {"Modify": "Update", "Remove": "Delete"}
+_IMPACT_TYPES = ("Unused", "Inconsistent", "Unmatched")
 _KIND_TO_CHANGE_TYPE = {
     ChangeKind.ADD: "Add",
     ChangeKind.MODIFY: "Update",
     ChangeKind.DELETE: "Delete",
-}
-
-RULE_DOCUMENT_SCHEMA = {
-    "type": "object",
-    "required": ["name", "AnalysisLevels", "ChangedComponents", "MonitoredImpact"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "AnalysisLevels": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"enum": ["Delta", "System"]},
-        },
-        "ChangedComponents": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["ComponentType", "ChangeType"],
-                "additionalProperties": False,
-                "properties": {
-                    "ComponentType": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"enum": _RULE_COMPONENT_TYPES},
-                    },
-                    "ChangeType": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"enum": _CHANGE_TYPE_TOKENS},
-                    },
-                },
-            },
-        },
-        "MonitoredImpact": {
-            "type": "object",
-            "required": ["ComponentType", "ImpactType"],
-            "additionalProperties": False,
-            "properties": {
-                "ComponentType": {"enum": _RULE_COMPONENT_TYPES},
-                "ImpactType": {"enum": ["Unused", "Inconsistent", "Unmatched"]},
-            },
-        },
-    },
 }
 
 
@@ -128,51 +83,67 @@ class Rule:
     monitored_impact: MonitoredImpact
 
 
-def _rule_from_doc(doc: Mapping[str, Any]) -> Rule:
-    filters = []
-    for flt in doc["ChangedComponents"]:
-        change_types = frozenset(
-            _CHANGE_TYPE_ALIASES.get(t, t) for t in flt["ChangeType"]
-        )
-        filters.append(
-            ChangedComponentFilter(
-                component_types=frozenset(flt["ComponentType"]),
-                change_types=change_types,
-            )
-        )
-    monitored = doc["MonitoredImpact"]
-    return Rule(
-        name=doc["name"],
-        analysis_levels=frozenset(doc["AnalysisLevels"]),
-        changed_components=tuple(filters),
-        monitored_impact=MonitoredImpact(
-            component_type=monitored["ComponentType"],
-            impact_type=monitored["ImpactType"],
-        ),
+def _closed(doc: Any, keys: tuple[str, ...]) -> None:
+    """Fail unless ``doc`` is an object holding exactly ``keys``."""
+    if type(doc) is not dict:
+        raise _Fault("expected an object")
+    for key in keys:
+        if key not in doc:
+            raise _Fault(f"missing key '{key}'")
+    unexpected = sorted(doc.keys() - set(keys))
+    if unexpected:
+        raise _Fault(f"unexpected key '{unexpected[0]}'")
+
+
+def _token(token: Any, known: tuple[str, ...]) -> str:
+    if type(token) is not str or token not in known:
+        raise _Fault(f"{token!r} is not one of {list(known)!r}")
+    return token
+
+
+def _tokens(items: list, known: tuple[str, ...]) -> frozenset[str]:
+    if not items:
+        raise _Fault("expected a non-empty list")
+    return frozenset(_each(items, _token, known))
+
+
+def _read_filter(doc: Any) -> ChangedComponentFilter:
+    _closed(doc, ("ComponentType", "ChangeType"))
+    types = _within(doc, "ComponentType", list, _tokens, _COMPONENT_TYPES)
+    changes = _within(doc, "ChangeType", list, _tokens, _CHANGE_TYPES)
+    return ChangedComponentFilter(
+        types, frozenset(_CHANGE_TYPE_ALIASES.get(t, t) for t in changes)
     )
 
 
-@functools.cache
-def _rule_validator() -> jsonschema.protocols.Validator:
-    """The rule schema's validator, checked and built once per process."""
-    cls = jsonschema.validators.validator_for(RULE_DOCUMENT_SCHEMA)
-    cls.check_schema(RULE_DOCUMENT_SCHEMA)
-    return cls(RULE_DOCUMENT_SCHEMA)
+def _read_monitored(doc: Any) -> MonitoredImpact:
+    _closed(doc, ("ComponentType", "ImpactType"))
+    return MonitoredImpact(
+        _within(doc, "ComponentType", str, _token, _COMPONENT_TYPES),
+        _within(doc, "ImpactType", str, _token, _IMPACT_TYPES),
+    )
+
+
+def _read_rule(doc: Any) -> Rule:
+    _closed(doc, ("name", "AnalysisLevels", "ChangedComponents", "MonitoredImpact"))
+    name = _get(doc, "name", str)
+    if not name:
+        raise _Fault("expected a non-empty string", ".name")
+    return Rule(
+        name,
+        _within(doc, "AnalysisLevels", list, _tokens, _LEVELS),
+        _within(doc, "ChangedComponents", list, _each, _read_filter),
+        _within(doc, "MonitoredImpact", dict, _read_monitored),
+    )
+
+
+def _read_rules(doc: Any) -> list[Rule]:
+    return list(_each(doc, _read_rule)) if type(doc) is list else [_read_rule(doc)]
 
 
 def load_rules(rule_document: bytes | str) -> list[Rule]:
-    """Parse and validate a rule document (one rule object or a list)."""
-    doc = parse_json(rule_document)
-    docs = doc if isinstance(doc, list) else [doc]
-    rules = []
-    for i, rule_doc in enumerate(docs):
-        errors = _rule_validator().iter_errors(rule_doc)
-        exc = jsonschema.exceptions.best_match(errors)  # as jsonschema.validate
-        if exc is not None:
-            location = exc.json_path if isinstance(doc, dict) else f"$[{i}]" + exc.json_path[1:]
-            raise DocumentError(exc.message, location) from exc
-        rules.append(_rule_from_doc(rule_doc))
-    return rules
+    """Parse and check a rule document (one rule object or a list)."""
+    return _loaded(rule_document, None, _read_rules)
 
 
 def builtin_rules() -> list[Rule]:
@@ -670,23 +641,22 @@ def _impact_items_for_component(
     comp: Component,
     increment: SystemIR,
     baseline: SystemIR | None,
-    unmatched: frozenset,
 ) -> list[ImpactedItem]:
     monitored = rule.monitored_impact
     ctype = monitored.component_type
     impact = monitored.impact_type
     items: list[ImpactedItem] = []
     if ctype in ("Call", "Endpoint"):
+        index = LinkIndex.of(increment)
         if ctype == "Call":
             members = [
-                (call in unmatched, "restCall", call.signature(), m.name)
+                (call in index.unmatched, "restCall", call.signature(), m.name)
                 for m in comp.methods
                 for call in m.rest_calls
             ]
         else:
-            called = LinkIndex.of(increment).callers
             members = [
-                (ep not in called, "endpoint", ep.signature(), ep.handler_method)
+                (ep in index.uncalled, "endpoint", ep.signature(), ep.handler_method)
                 for ep in comp.endpoints
             ]
         inconsistent = _is_inconsistent(comp, baseline)
@@ -706,7 +676,7 @@ def _impact_items_for_component(
     elif impact == "Unused":
         if not _has_inbound(comp.id, increment):
             items.append(ImpactedItem(comp.id, "component", "no inbound dependency"))
-    else:  # pragma: no cover - schema keeps this unreachable
+    else:  # pragma: no cover - the rule reader keeps this unreachable
         raise RuleBindingError(f"unsupported impact type {impact!r}")
     return items
 
@@ -730,12 +700,9 @@ def _has_inbound(cid: ComponentId, system: SystemIR) -> bool:
 def _evaluate_generic_system(
     rule: Rule, increment: SystemIR, baseline: SystemIR | None
 ) -> list[Violation]:
-    unmatched = frozenset(unmatched_calls(increment))
     violations = []
     for comp in increment.iter_components():
-        for item in _impact_items_for_component(
-            rule, comp, increment, baseline, unmatched
-        ):
+        for item in _impact_items_for_component(rule, comp, increment, baseline):
             violations.append(
                 make_violation(rule.name, increment.version_label, impacted=[item])
             )
@@ -758,16 +725,13 @@ def _evaluate_generic_delta(
     reached = {ch.component_id for ch in seeds}
     for ch in seeds:
         reached.update(_neighbours(increment, ch.component_id))
-    unmatched = frozenset(unmatched_calls(increment))
     triggering = [TriggerItem(ch.component_id, ch.kind) for ch in seeds]
     violations = []
     for cid in sorted(reached, key=str):
         comp = increment.component(cid)
         if comp is None:
             continue  # deleted by this delta
-        for item in _impact_items_for_component(
-            rule, comp, increment, baseline, unmatched
-        ):
+        for item in _impact_items_for_component(rule, comp, increment, baseline):
             violations.append(
                 make_violation(
                     rule.name,

@@ -16,6 +16,7 @@ from reference_documents import (
 )
 from strategies import LINK_SERVICES, ir_chains, linked_irs, relinked, system_irs
 
+from archdelta.cli import main
 from archdelta.delta import compute_delta
 from archdelta.documents import (
     FragmentWindow,
@@ -541,3 +542,47 @@ def test_falsy_entity_ref_other_than_null_is_rejected(falsy):
     with pytest.raises(DocumentError) as excinfo:
         deserialize_ir(json.dumps(doc))
     assert excinfo.value.location.startswith("$.services.svc-a.components[0].entityRef")
+
+
+def _evidence_edit(edit):
+    """The small system's document with ``edit`` applied to the evidence of
+    its RemoteCall edge; returns the text and the edge's index."""
+    a, b = _small_services()
+    doc = json.loads(serialize_ir(build_system_ir([a, b])))
+    [i] = [i for i, e in enumerate(doc["crossEdges"]) if e["kind"] == "RemoteCall"]
+    edit(doc["crossEdges"][i]["evidence"])
+    return json.dumps(doc), i
+
+
+def _rest_call_elsewhere(evidence):
+    evidence["restCall"]["owningComponent"]["microservice"] = "x"
+    evidence["endpoint"]["path"] = "/nowhere"
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (_rest_call_elsewhere, "restCall"),
+        (
+            lambda evidence: evidence["endpoint"]["owningComponent"].update(
+                qualifiedName="b.D"
+            ),
+            "endpoint",
+        ),
+    ],
+    ids=["rest-call-owner", "endpoint-owner"],
+)
+def test_remote_call_evidence_owned_by_other_components_is_rejected(
+    edit, key, tmp_path, capsys
+):
+    data, i = _evidence_edit(edit)
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(data)
+    location = f"$.crossEdges[{i}].evidence.{key}.owningComponent"
+    assert excinfo.value.location == location
+    baseline, delta = tmp_path / "baseline.json", tmp_path / "delta.json"
+    baseline.write_text(data)
+    delta.write_bytes(serialize_delta(_small_delta(_small_services()[0])))
+    capsys.readouterr()
+    assert main(["merge", str(baseline), str(delta)]) == 2
+    assert location in capsys.readouterr().err

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -126,12 +129,126 @@ def test_load_rejects_unknown_impact_type():
     assert "ImpactType" in excinfo.value.location
 
 
-def test_rule_validator_is_built_once_and_used_for_every_document():
-    rules_module._rule_validator.cache_clear()
-    for _ in range(3):
-        builtin_rules()
-    info = rules_module._rule_validator.cache_info()
-    assert (info.misses, info.hits) == (1, 3 * 4 - 1)
+def _rule_doc() -> dict:
+    return {
+        "name": "R",
+        "AnalysisLevels": ["System", "Delta"],
+        "ChangedComponents": [
+            {"ComponentType": ["Service", "Call"], "ChangeType": ["Modify", "All"]}
+        ],
+        "MonitoredImpact": {"ComponentType": "Service", "ImpactType": "Inconsistent"},
+    }
+
+
+def _rule_edit(edit):
+    def document():
+        doc = _rule_doc()
+        edit(doc)
+        return doc
+
+    return document
+
+
+def _filter_edit(**changes):
+    return _rule_edit(lambda doc: doc["ChangedComponents"][0].update(changes))
+
+
+def _monitored_edit(**changes):
+    return _rule_edit(lambda doc: doc["MonitoredImpact"].update(changes))
+
+
+@pytest.mark.parametrize(
+    "document, location",
+    [
+        (_rule_edit(lambda doc: doc.pop("MonitoredImpact")), "$"),
+        (_rule_edit(lambda doc: doc.update(extra=1)), "$"),
+        (_rule_edit(lambda doc: doc.update(name="")), "$.name"),
+        (_rule_edit(lambda doc: doc.update(name=5)), "$.name"),
+        (_rule_edit(lambda doc: doc.update(AnalysisLevels=[])), "$.AnalysisLevels"),
+        (_rule_edit(lambda doc: doc.update(AnalysisLevels="System")), "$.AnalysisLevels"),
+        (
+            _rule_edit(lambda doc: doc.update(AnalysisLevels=["System", "Bogus"])),
+            "$.AnalysisLevels[1]",
+        ),
+        (
+            _rule_edit(lambda doc: doc.update(AnalysisLevels=[["System"]])),
+            "$.AnalysisLevels[0]",
+        ),
+        (_rule_edit(lambda doc: doc.update(ChangedComponents=[5])), "$.ChangedComponents[0]"),
+        (_filter_edit(extra=[]), "$.ChangedComponents[0]"),
+        (
+            _rule_edit(lambda doc: doc["ChangedComponents"][0].pop("ChangeType")),
+            "$.ChangedComponents[0]",
+        ),
+        (_filter_edit(ComponentType=[]), "$.ChangedComponents[0].ComponentType"),
+        (_filter_edit(ComponentType=["Entity"]), "$.ChangedComponents[0].ComponentType[0]"),
+        (_filter_edit(ChangeType=[{}]), "$.ChangedComponents[0].ChangeType[0]"),
+        (
+            _rule_edit(lambda doc: doc.update(MonitoredImpact=[doc["MonitoredImpact"]])),
+            "$.MonitoredImpact",
+        ),
+        (_monitored_edit(ComponentType=["Service"]), "$.MonitoredImpact.ComponentType"),
+        (_monitored_edit(ImpactType="Bogus"), "$.MonitoredImpact.ImpactType"),
+        (lambda: [_rule_doc(), {**_rule_doc(), "extra": 1}], "$[1]"),
+        (lambda: 5, "$"),
+    ],
+    ids=[
+        "missing-key",
+        "unexpected-key",
+        "name-empty",
+        "name-number",
+        "levels-empty",
+        "levels-string",
+        "level-unknown",
+        "level-list",
+        "filter-number",
+        "filter-extra-key",
+        "filter-missing-key",
+        "filter-types-empty",
+        "filter-type-unknown",
+        "filter-change-object",
+        "monitored-list",
+        "monitored-type-list",
+        "impact-unknown",
+        "second-rule",
+        "scalar",
+    ],
+)
+def test_malformed_rule_document_is_rejected_at_its_location(document, location):
+    with pytest.raises(DocumentError) as excinfo:
+        load_rules(json.dumps(document()))
+    assert excinfo.value.location == location
+
+
+def test_first_unexpected_key_in_sorted_order_is_reported():
+    with pytest.raises(DocumentError) as excinfo:
+        load_rules(json.dumps({**_rule_doc(), "zeta": 1, "alpha": 2}))
+    assert str(excinfo.value) == "$: unexpected key 'alpha'"
+
+
+@pytest.mark.parametrize(
+    "document, names",
+    [
+        (lambda: [], []),
+        (_rule_edit(lambda doc: doc.update(AnalysisLevels=["System", "System"])), ["R"]),
+        (_rule_edit(lambda doc: doc.update(ChangedComponents=[])), ["R"]),
+    ],
+    ids=["empty-list", "duplicate-levels", "no-filters"],
+)
+def test_rule_documents_accepted(document, names):
+    assert [rule.name for rule in load_rules(json.dumps(document()))] == names
+
+
+def test_loading_rules_and_profiles_imports_no_schema_library():
+    code = (
+        "import sys, archdelta; archdelta.builtin_rules(); archdelta.default_profile(); "
+        "print('jsonschema' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
 
 
 def test_builtin_rules_ship_all_four():
@@ -398,6 +515,33 @@ def test_generic_rule_equivalent_to_ic_detector(systems):
     builtin = detect_invalid_calls(systems[2])
     assert len(generic) == len(builtin) == 1
     assert generic[0].impacted[0].evidence == builtin[0].impacted[0].evidence
+
+
+@pytest.mark.parametrize("level", ["System", "Delta"])
+def test_generic_call_rule_flags_a_call_made_from_two_methods_once(level):
+    svc = component_id("svc-a", ComponentType.SERVICE, "pkg.S")
+    methods = [
+        Method(site, rest_calls=(RestCall("GET", "svc-b", "/gone", site, svc),))
+        for site in ("a", "b")
+    ]
+    empty = MicroserviceIR("svc-a", "v0", {}, frozenset())
+    service = MicroserviceIR(
+        "svc-a", "v1", {svc: make_component(svc, methods=methods)}, frozenset()
+    )
+    [rule] = load_rules(
+        json.dumps(
+            {
+                "name": "CustomUnmatched",
+                "AnalysisLevels": [level],
+                "ChangedComponents": [{"ComponentType": ["Call"], "ChangeType": ["All"]}],
+                "MonitoredImpact": {"ComponentType": "Call", "ImpactType": "Unmatched"},
+            }
+        )
+    )
+    baseline, increment = build_system_ir([empty]), build_system_ir([service])
+    d = compute_delta(empty, service)
+    [violation] = evaluate(baseline, d, increment, [rule])
+    assert [(i.evidence, i.site) for i in violation.impacted] == [("GET svc-b /gone", "a")]
 
 
 def test_generic_delta_rule_traverses_to_dependents(systems, deltas):
