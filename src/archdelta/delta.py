@@ -81,26 +81,17 @@ def apply_to_service(ir: MicroserviceIR, delta: Delta) -> MicroserviceIR:
         if change.kind is ChangeKind.ADD:
             if cid in components:
                 raise MergeError(f"ADD of already-present component {cid}")
-            components[cid] = change.new_component
-        elif change.kind is ChangeKind.DELETE:
-            if cid not in components:
-                raise MergeError(f"DELETE of unknown component {cid}")
-            if components[cid].content_hash != change.old_content_hash:
-                raise StaleBaselineError(
-                    f"DELETE of {cid}: baseline hash "
-                    f"{components[cid].content_hash[:12]} does not match recorded "
-                    f"{str(change.old_content_hash)[:12]}"
-                )
+        elif cid not in components:
+            raise MergeError(f"{change.kind.value} of unknown component {cid}")
+        elif components[cid].content_hash != change.old_content_hash:
+            raise StaleBaselineError(
+                f"{change.kind.value} of {cid}: baseline hash "
+                f"{components[cid].content_hash[:12]} does not match recorded "
+                f"{str(change.old_content_hash)[:12]}"
+            )
+        if change.kind is ChangeKind.DELETE:
             del components[cid]
         else:
-            if cid not in components:
-                raise MergeError(f"MODIFY of unknown component {cid}")
-            if components[cid].content_hash != change.old_content_hash:
-                raise StaleBaselineError(
-                    f"MODIFY of {cid}: baseline hash "
-                    f"{components[cid].content_hash[:12]} does not match recorded "
-                    f"{str(change.old_content_hash)[:12]}"
-                )
             components[cid] = change.new_component
     return MicroserviceIR(
         name=ir.name,

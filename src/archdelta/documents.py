@@ -11,9 +11,10 @@ is not a plain record is written by hand: the service, system and delta
 documents, and the cross edge reader, whose ``kind`` picks its evidence type.
 
 Reading re-checks structural invariants: a member's owner is the component
-holding it, references resolve, stored hashes match recomputed ones.  A
-failed check raises ``_Fault``, and each enclosing reader adds its step to
-the fault's path, so a location is formatted only on failure.
+holding it, references resolve, a remote-call edge's evidence is a call of
+its source and an endpoint of its target, stored hashes match recomputed
+ones.  A failed check raises ``_Fault``, and each enclosing reader adds its
+step to the fault's path, so a location is formatted only on failure.
 """
 
 from __future__ import annotations
@@ -403,7 +404,36 @@ def deserialize_microservice_ir(data: bytes | str) -> MicroserviceIR:
 # ---------------------------------------------------------------------------
 
 
-def _read_edge(doc: Any) -> DependencyEdge:
+# The plain-string keys of a component's rest calls and of its endpoints,
+# by the component's id as a tuple: both hash without running Python code.
+_Members = tuple[set[tuple[str, ...]], set[tuple[str, ...]]]
+
+
+def _members(
+    cid: ComponentId, services: dict[str, MicroserviceIR], keys: dict[tuple, _Members]
+) -> _Members:
+    """The keys of ``cid``'s rest calls and endpoints, built once per load."""
+    owner = (cid.microservice, cid.component_type, cid.qualified_name)
+    found = keys.get(owner)
+    if found is None:
+        service = services.get(cid.microservice)
+        comp = service.components.get(cid) if service is not None else None
+        if comp is None:
+            raise _Fault(f"cross edge references unknown component {cid}")
+        found = keys[owner] = (
+            {
+                (c.http_method, c.target_service, c.path, c.site_method)
+                for m in comp.methods
+                for c in m.rest_calls
+            },
+            {(e.http_method, e.path, e.handler_method) for e in comp.endpoints},
+        )
+    return found
+
+
+def _read_edge(
+    doc: Any, services: dict[str, MicroserviceIR], keys: dict[tuple, _Members]
+) -> DependencyEdge:
     kind = _member(doc, "kind", EdgeKind)
     read = _READ[ComponentId]
     source = _within(doc, "source", dict, read, None)
@@ -412,14 +442,23 @@ def _read_edge(doc: Any) -> DependencyEdge:
     evidence_type = RemoteCallEvidence if remote else OverlapEvidence
     evidence = _within(doc, "evidence", dict, _READ[evidence_type], None)
     if remote:  # the call is made by the source and served by the target
-        owner = evidence.rest_call.owning_component
+        call, endpoint = evidence.rest_call, evidence.endpoint
+        owner = call.owning_component
         if owner != source:
             at = ".evidence.restCall.owningComponent"
             raise _Fault(f"owner {owner} is not the edge's source {source}", at)
-        owner = evidence.endpoint.owning_component
+        owner = endpoint.owning_component
         if owner != target:
             at = ".evidence.endpoint.owningComponent"
             raise _Fault(f"owner {owner} is not the edge's target {target}", at)
+        key = (call.http_method, call.target_service, call.path, call.site_method)
+        if key not in _members(source, services, keys)[0]:
+            what = f"rest call {call.signature()} in {call.site_method}"
+            raise _Fault(f"{what} is not one of {source}'s", ".evidence.restCall")
+        key = (endpoint.http_method, endpoint.path, endpoint.handler_method)
+        if key not in _members(target, services, keys)[1]:
+            what = f"endpoint {endpoint.signature()} of {endpoint.handler_method}"
+            raise _Fault(f"{what} is not one of {target}'s", ".evidence.endpoint")
     try:
         return DependencyEdge(kind, source, target, evidence)
     except ValueError as exc:
@@ -449,7 +488,7 @@ def _read_system(doc: dict) -> SystemIR:
         except _Fault as fault:
             fault.path.append(f".services.{name}")
             raise
-    edges = _within(doc, "crossEdges", list, _each, _read_edge)
+    edges = _within(doc, "crossEdges", list, _each, _read_edge, services, {})
     system = SystemIR(label, services, frozenset(edges))
     try:  # each service was validated as it was read
         validate_cross_edges(system, system.cross_edges)

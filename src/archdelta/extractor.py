@@ -23,7 +23,6 @@ import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, MutableMapping, NamedTuple
 
@@ -266,9 +265,7 @@ class ParsedMethod:
     parameters: tuple[Parameter, ...]
     return_type: str
     annotations: tuple[ParsedAnnotation, ...]
-    modifiers: tuple[str, ...]
-    body: str | None  # None for abstract/interface methods
-    body_span: tuple[int, int] | None = field(default=None, compare=False)
+    body_span: tuple[int, int] | None  # None for abstract/interface methods
 
 
 @dataclass(frozen=True)
@@ -290,12 +287,6 @@ class _BodyCall(NamedTuple):
 
 
 @dataclass(frozen=True)
-class _BodyScan:
-    types: dict[str, str]  # receiver name -> simple type name
-    calls: tuple[_BodyCall, ...]  # in source order
-
-
-@dataclass(frozen=True)
 class ParsedUnit:
     package: str
     type_name: str
@@ -308,23 +299,6 @@ class ParsedUnit:
     @property
     def qualified_name(self) -> str:
         return f"{self.package}.{self.type_name}" if self.package else self.type_name
-
-    @cached_property
-    def body_scans(self) -> tuple[_BodyScan | None, ...]:
-        """One type and call scan per method body, aligned with ``methods``."""
-        class_fields = {f.name: _simple_type(f.declared_type) for f in self.fields}
-        scans: list[_BodyScan | None] = []
-        for method in self.methods:
-            if method.body_span is None:
-                scans.append(None)
-                continue
-            types = dict(class_fields)
-            types.update(
-                {p.name: _simple_type(p.declared_type) for p in method.parameters}
-            )
-            types.update(_local_types(self.source.skel, *method.body_span))
-            scans.append(_BodyScan(types, _scan_calls(self.source, *method.body_span)))
-        return tuple(scans)
 
 
 _TYPE_DECL = re.compile(r"\b(class|interface|enum)\s+(\w+)")
@@ -368,7 +342,7 @@ def _try_parse_method(
     m = _TRAILING_NAME.search(before)
     if not m:
         return None
-    modifiers, prefix = _split_modifiers(before[: m.start()].strip())
+    _, prefix = _split_modifiers(before[: m.start()].strip())
     return_type = _collapse_type(prefix)
     if not return_type:
         return None  # constructor; outside the structural model
@@ -377,8 +351,6 @@ def _try_parse_method(
         parameters=_parse_params(src, open_idx + 1, close_idx),
         return_type=return_type,
         annotations=tuple(anns),
-        modifiers=tuple(modifiers),
-        body=None if body_span is None else src.code[body_span[0] : body_span[1]],
         body_span=body_span,
     )
 
@@ -660,43 +632,29 @@ def _receiver_matches(
     return receiver.lower().endswith(pattern_type.lower())
 
 
+def _match_rest_call(
+    src: _Source, call: _BodyCall, rtype: str | None, profile: MarkerProfile
+) -> tuple[str, str, str] | None:
+    """(verb, target service, path) by the first profile pattern a receiver
+    call matches; None when it matches none."""
+    for pattern in profile.remote_call_patterns:
+        if call.method != pattern.method_name:
+            continue
+        if not _receiver_matches(call.receiver, rtype, pattern.receiver_type):
+            continue
+        if pattern.url_arg >= call.arity:
+            continue
+        verb = _resolve_verb(pattern.verb, [src.code[s:e] for s, e in call.args])
+        if verb is not None:
+            return verb, *_parse_url_expression(src, *call.args[pattern.url_arg])
+    return None
+
+
 def extract_rest_calls(
     unit: ParsedUnit, profile: MarkerProfile, owning: ComponentId
 ) -> list[RestCall]:
     """Remote calls in all method bodies, matched by profile patterns."""
-    calls: list[RestCall] = []
-    code = unit.source.code
-    for method, scan in zip(unit.methods, unit.body_scans):
-        if scan is None:
-            continue
-        site = f"{unit.qualified_name}.{method.name}"
-        for call in scan.calls:
-            if call.receiver is None:
-                continue
-            rtype = scan.types.get(call.receiver)
-            for pattern in profile.remote_call_patterns:
-                if call.method != pattern.method_name:
-                    continue
-                if not _receiver_matches(call.receiver, rtype, pattern.receiver_type):
-                    continue
-                if pattern.url_arg >= call.arity:
-                    continue
-                verb = _resolve_verb(pattern.verb, [code[s:e] for s, e in call.args])
-                if verb is None:
-                    continue
-                url_start, url_end = call.args[pattern.url_arg]
-                target, path = _parse_url_expression(unit.source, url_start, url_end)
-                calls.append(
-                    RestCall(
-                        http_method=verb,
-                        target_service=target,
-                        path=path,
-                        site_method=site,
-                        owning_component=owning,
-                    )
-                )
-                break
-    return calls
+    return [c for m in _build_methods(unit, profile, owning) for c in m.rest_calls]
 
 
 def extract_entity(unit: ParsedUnit) -> Entity:
@@ -715,20 +673,34 @@ def extract_entity(unit: ParsedUnit) -> Entity:
     )
 
 
-def _build_methods(unit: ParsedUnit, profile: MarkerProfile, cid: ComponentId):
-    rest_by_method = {}
-    for call in extract_rest_calls(unit, profile, cid):
-        rest_by_method.setdefault(call.site_method, []).append(call)
+def _build_methods(
+    unit: ParsedUnit, profile: MarkerProfile, owning: ComponentId
+) -> list[Method]:
+    """The unit's methods.  One scan of each body gives its call targets and
+    its rest calls, so each rest call is recorded on the method making it."""
+    src = unit.source
+    class_fields = {f.name: _simple_type(f.declared_type) for f in unit.fields}
     methods = []
-    for pm, scan in zip(unit.methods, unit.body_scans):
+    for pm in unit.methods:
         targets: list[str] = []
-        for call in scan.calls if scan is not None else ():
-            if call.receiver is None:
-                targets.append(f"{call.method}/{call.arity}")
-            else:
-                rtype = scan.types.get(call.receiver, call.receiver)
-                targets.append(f"{rtype}.{call.method}/{call.arity}")
-        site = f"{unit.qualified_name}.{pm.name}"
+        rest_calls: list[RestCall] = []
+        body = None
+        if pm.body_span is not None:
+            body = src.code[pm.body_span[0] : pm.body_span[1]]
+            types = dict(class_fields)
+            types.update({p.name: _simple_type(p.declared_type) for p in pm.parameters})
+            types.update(_local_types(src.skel, *pm.body_span))
+            site = f"{unit.qualified_name}.{pm.name}"
+            for call in _scan_calls(src, *pm.body_span):
+                if call.receiver is None:
+                    targets.append(f"{call.method}/{call.arity}")
+                    continue
+                rtype = types.get(call.receiver)
+                receiver = call.receiver if rtype is None else rtype
+                targets.append(f"{receiver}.{call.method}/{call.arity}")
+                matched = _match_rest_call(src, call, rtype, profile)
+                if matched is not None:
+                    rest_calls.append(RestCall(*matched, site, owning))
         methods.append(
             Method(
                 name=pm.name,
@@ -736,8 +708,8 @@ def _build_methods(unit: ParsedUnit, profile: MarkerProfile, cid: ComponentId):
                 return_type=pm.return_type,
                 annotations=tuple(a.as_string() for a in pm.annotations),
                 body_call_targets=tuple(targets),
-                rest_calls=tuple(rest_by_method.get(site, ())),
-                content_hash=method_content_hash(pm.body),
+                rest_calls=tuple(rest_calls),
+                content_hash=method_content_hash(body),
             )
         )
     return methods

@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
+from .documents import component_id_to_doc
 from .model import ComponentId, Delta, EdgeKind, Incidence, SystemIR
 
 IMPACT_REPORT_SCHEMA = "impact-report@1"
@@ -137,16 +138,15 @@ def impact_set(
     )
 
 
+def _edge_doc(edge: PathEdge) -> dict:
+    return {
+        "kind": edge.kind,
+        "fromComponentId": component_id_to_doc(edge.from_id),
+        "toComponentId": component_id_to_doc(edge.to_id),
+    }
+
+
 def impact_report_to_doc(report: ImpactReport) -> dict:
-    from .documents import component_id_to_doc
-
-    def edge_doc(edge: PathEdge) -> dict:
-        return {
-            "kind": edge.kind,
-            "fromComponentId": component_id_to_doc(edge.from_id),
-            "toComponentId": component_id_to_doc(edge.to_id),
-        }
-
     return {
         "schema": IMPACT_REPORT_SCHEMA,
         "direct": [
@@ -155,7 +155,7 @@ def impact_report_to_doc(report: ImpactReport) -> dict:
         "indirect": [
             {
                 "componentId": component_id_to_doc(cid),
-                "path": [edge_doc(e) for e in report.indirect[cid]],
+                "path": [_edge_doc(e) for e in report.indirect[cid]],
             }
             for cid in sorted(report.indirect, key=str)
         ],
@@ -165,8 +165,6 @@ def impact_report_to_doc(report: ImpactReport) -> dict:
 
 def impact_graph_doc(report: ImpactReport) -> dict:
     """Node/edge list for external visualizers, tagged direct/indirect."""
-    from .documents import component_id_to_doc
-
     nodes = [
         {"componentId": component_id_to_doc(cid), "role": "direct"}
         for cid in sorted(report.direct, key=str)
@@ -181,12 +179,5 @@ def impact_graph_doc(report: ImpactReport) -> dict:
     return {
         "schema": "impact-graph@1",
         "nodes": nodes,
-        "edges": [
-            {
-                "kind": e.kind,
-                "fromComponentId": component_id_to_doc(e.from_id),
-                "toComponentId": component_id_to_doc(e.to_id),
-            }
-            for e in edges
-        ],
+        "edges": [_edge_doc(e) for e in edges],
     }

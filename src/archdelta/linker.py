@@ -131,15 +131,14 @@ class LinkIndex:
         names = {cid.microservice for cid in changed}
         service_endpoints = {n: self.service_endpoints.get(n, {}) for n in services}
         moved: set[Shape] = set()
+        changed_groups: dict[Shape, list[Endpoint]] = {}
         for n in names:
             was = self.service_endpoints.get(n, {})
             if n in services:
                 service_endpoints[n] = _groups(services[n].iter_endpoints())
             now = service_endpoints.get(n, {})
             moved.update(s for s in was.keys() | now.keys() if was.get(s) != now.get(s))
-        changed_groups: dict[Shape, list[Endpoint]] = {}
-        for n in names:
-            for shape, group in service_endpoints.get(n, {}).items():
+            for shape, group in now.items():
                 changed_groups.setdefault(shape, []).extend(group)
         endpoints = dict(self.endpoints)
         for shape in moved:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -697,50 +698,42 @@ def _has_inbound(cid: ComponentId, system: SystemIR) -> bool:
     return bool(service and cid in service.callers) or _has_cross_edge(cid, system)
 
 
-def _evaluate_generic_system(
-    rule: Rule, increment: SystemIR, baseline: SystemIR | None
+def _generic_violations(
+    rule: Rule,
+    comps: Iterable[Component],
+    increment: SystemIR,
+    baseline: SystemIR | None,
+    triggering: Sequence[TriggerItem] = (),
 ) -> list[Violation]:
-    violations = []
-    for comp in increment.iter_components():
-        for item in _impact_items_for_component(rule, comp, increment, baseline):
-            violations.append(
-                make_violation(rule.name, increment.version_label, impacted=[item])
-            )
-    return violations
+    """One violation per impacted item of each of ``comps``."""
+    return [
+        make_violation(rule.name, increment.version_label, [item], triggering)
+        for comp in comps
+        for item in _impact_items_for_component(rule, comp, increment, baseline)
+    ]
+
+
+def _evaluate_generic_system(
+    rule: Rule, increment: SystemIR, *, baseline: SystemIR | None, deltas: Sequence
+) -> list[Violation]:
+    return _generic_violations(rule, increment.iter_components(), increment, baseline)
 
 
 def _evaluate_generic_delta(
-    rule: Rule,
-    baseline: SystemIR,
-    d: Delta,
-    increment: SystemIR,
+    rule: Rule, baseline: SystemIR, d: Delta, increment: SystemIR
 ) -> list[Violation]:
     seeds: list[ComponentChange] = [
         change
         for change in d.changes
         if any(_change_matches(change, flt, baseline) for flt in rule.changed_components)
     ]
-    if not seeds:
-        return []
     reached = {ch.component_id for ch in seeds}
     for ch in seeds:
         reached.update(_neighbours(increment, ch.component_id))
+    # a component this delta deleted has no impacted items
+    comps = filter(None, map(increment.component, sorted(reached, key=str)))
     triggering = [TriggerItem(ch.component_id, ch.kind) for ch in seeds]
-    violations = []
-    for cid in sorted(reached, key=str):
-        comp = increment.component(cid)
-        if comp is None:
-            continue  # deleted by this delta
-        for item in _impact_items_for_component(rule, comp, increment, baseline):
-            violations.append(
-                make_violation(
-                    rule.name,
-                    increment.version_label,
-                    impacted=[item],
-                    triggering=triggering,
-                )
-            )
-    return violations
+    return _generic_violations(rule, comps, increment, baseline, triggering)
 
 
 # ---------------------------------------------------------------------------
@@ -759,37 +752,21 @@ def evaluate_many(
     System rules sweep the increment once; Delta rules run per delta against
     the shared baseline.  Results are deduplicated by dedup key and sorted.
     """
+    # Looked up at call time, so that a detector replaced on the module runs.
+    on_system = {"IC": detect_invalid_calls, "UEM": detect_uncalled_endpoints}
+    on_delta = {
+        "SMM": detect_service_method_modifications,
+        "RMM": detect_repository_method_modifications,
+    }
     violations: list[Violation] = []
     for rule in rules:
         if "System" in rule.analysis_levels:
-            if rule.name == "IC":
-                violations.extend(
-                    detect_invalid_calls(increment, baseline=baseline, deltas=deltas)
-                )
-            elif rule.name == "UEM":
-                violations.extend(
-                    detect_uncalled_endpoints(
-                        increment, baseline=baseline, deltas=deltas
-                    )
-                )
-            else:
-                violations.extend(
-                    _evaluate_generic_system(rule, increment, baseline)
-                )
+            detect = on_system.get(rule.name, partial(_evaluate_generic_system, rule))
+            violations += detect(increment, baseline=baseline, deltas=deltas)
         if "Delta" in rule.analysis_levels and baseline is not None:
+            detect = on_delta.get(rule.name, partial(_evaluate_generic_delta, rule))
             for d in deltas:
-                if rule.name == "SMM":
-                    violations.extend(
-                        detect_service_method_modifications(baseline, d, increment)
-                    )
-                elif rule.name == "RMM":
-                    violations.extend(
-                        detect_repository_method_modifications(baseline, d, increment)
-                    )
-                else:
-                    violations.extend(
-                        _evaluate_generic_delta(rule, baseline, d, increment)
-                    )
+                violations += detect(baseline, d, increment)
     unique: dict[str, Violation] = {}
     for v in violations:
         unique.setdefault(v.dedup_key, v)

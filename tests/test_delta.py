@@ -107,6 +107,46 @@ def test_apply_detects_stale_baseline():
         apply_to_service(base_v0, d)  # delta was computed against v1, not v0
 
 
+@pytest.mark.parametrize("kind", [ChangeKind.MODIFY, ChangeKind.DELETE])
+@pytest.mark.parametrize(
+    "qname, recorded, error, message",
+    [
+        (
+            "p.Ghost",
+            None,
+            MergeError,
+            "{kind} of unknown component svc::Service::p.Ghost",
+        ),
+        (
+            "p.A",
+            "f" * 64,
+            StaleBaselineError,
+            "{kind} of svc::Service::p.A: baseline hash {held} does not match "
+            "recorded ffffffffffff",
+        ),
+    ],
+    ids=["unknown", "stale"],
+)
+def test_apply_rejects_a_change_to_a_component_it_does_not_hold(
+    kind, qname, recorded, error, message
+):
+    comp = _component("svc", "p.A", "x();")
+    base = _ir("svc", "v0", {comp.id: comp})
+    target = _component("svc", qname, "y();")
+    change = ComponentChange(
+        kind,
+        target.id,
+        new_component=target if kind is ChangeKind.MODIFY else None,
+        old_content_hash=recorded or target.content_hash,
+    )
+    with pytest.raises(MergeError) as excinfo:
+        apply_to_service(base, Delta("svc", "v0", "v1", (change,)))
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message.format(
+        kind=kind.value, held=comp.content_hash[:12]
+    )
+
+
 def test_compose_identity():
     comp_old = _component("svc", "p.A", "a();")
     comp_new = _component("svc", "p.A", "b();")

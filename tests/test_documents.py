@@ -586,3 +586,30 @@ def test_remote_call_evidence_owned_by_other_components_is_rejected(
     capsys.readouterr()
     assert main(["merge", str(baseline), str(delta)]) == 2
     assert location in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda evidence: evidence["restCall"].update(path="/elsewhere"), "restCall"),
+        (lambda evidence: evidence["endpoint"].update(path="/nowhere"), "endpoint"),
+    ],
+    ids=["rest-call", "endpoint"],
+)
+def test_remote_call_evidence_outside_its_components_is_rejected(
+    edit, key, tmp_path, capsys
+):
+    """The evidence call must be one of the source's calls and the endpoint
+    one of the target's; a stray one would survive a merge beside the edge
+    the merge derives."""
+    data, i = _evidence_edit(edit)
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(data)
+    location = f"$.crossEdges[{i}].evidence.{key}"
+    assert excinfo.value.location == location
+    baseline, delta = tmp_path / "baseline.json", tmp_path / "delta.json"
+    baseline.write_text(data)
+    delta.write_bytes(serialize_delta(_small_delta(_small_services()[0])))
+    capsys.readouterr()
+    assert main(["merge", str(baseline), str(delta)]) == 2
+    assert location in capsys.readouterr().err

@@ -182,6 +182,27 @@ def test_unit_without_remote_calls_yields_none():
     assert extract_rest_calls(unit, PROFILE, cid) == []
 
 
+def test_overloads_keep_their_own_rest_calls():
+    text = (
+        "package p;\n@Service\npublic class S {\n"
+        "    private RestTemplate restTemplate;\n"
+        "    public String fetch() {\n"
+        '        return restTemplate.getForObject("http://svc-b/a", String.class);\n'
+        "    }\n"
+        "    public String fetch(int id) {\n"
+        '        return restTemplate.getForObject("http://svc-c/b/" + id, String.class);\n'
+        "    }\n"
+        "}\n"
+    )
+    component, _ = extract_component(text, PROFILE, "svc", "S.java")
+    calls = {m.arity: [c.signature() for c in m.rest_calls] for m in component.methods}
+    assert calls == {0: ["GET svc-b /a"], 1: ["GET svc-c /b/{*}"]}
+    assert {c.signature() for c in component.rest_calls()} == {
+        "GET svc-b /a",
+        "GET svc-c /b/{*}",
+    }
+
+
 def test_entity_account_fields():
     unit = parse_unit(ACCOUNT_ENTITY)
     entity = extract_entity(unit)
@@ -312,7 +333,7 @@ def test_each_file_is_tokenized_once_and_each_body_scanned_once(
     for path in files:
         unit = parse_unit(path.read_text())
         if classify_source_unit(path.read_text(), PROFILE) is not None:
-            bodies += sum(m.body is not None for m in unit.methods)
+            bodies += sum(m.body_span is not None for m in unit.methods)
     counts = {"views": 0, "scans": 0}
 
     def counted(name, key):

@@ -21,7 +21,9 @@ from archdelta.merge import apply_delta, remove_service
 from archdelta.model import (
     ChangeKind,
     ComponentType,
+    Delta,
     Endpoint,
+    ImpactedItem,
     Method,
     MicroserviceIR,
     RestCall,
@@ -39,6 +41,7 @@ from archdelta.rules import (
     evaluate,
     evaluate_many,
     load_rules,
+    make_violation,
 )
 
 PROFILE = default_profile()
@@ -640,6 +643,27 @@ def test_custom_rules_match_the_scanning_helpers(data):
             assert indexed_neighbours(increment, comp.id) == scanning_neighbours(
                 increment, comp.id
             )
+
+
+def test_evaluate_many_runs_the_detectors_the_module_holds(monkeypatch):
+    """``evaluate_many`` looks each built-in detector up at call time, so one
+    replaced on the module runs: the reference detectors swapped in below and
+    the benchmark's traced wrappers."""
+    cid = component_id("svc", ComponentType.SERVICE, "p.S")
+    sentinels = []
+    for name in (
+        "detect_invalid_calls",
+        "detect_uncalled_endpoints",
+        "detect_service_method_modifications",
+        "detect_repository_method_modifications",
+    ):
+        sentinel = make_violation(name, "", [ImpactedItem(cid, "stub", name)])
+        sentinels.append(sentinel)
+        monkeypatch.setattr(rules_module, name, lambda *a, v=sentinel, **k: [v])
+    system = build_system_ir([])
+    step = [Delta("svc", "v0", "v1", ())]
+    found = evaluate_many(system, step, system, builtin_rules())
+    assert found == sorted(sentinels, key=lambda v: (v.rule_name, v.dedup_key))
 
 
 def _reference_evaluate_many(baseline, deltas, increment, rules):
