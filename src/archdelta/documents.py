@@ -11,22 +11,27 @@ is not a plain record is written by hand: the service, system and delta
 documents, and the cross edge reader, whose ``kind`` picks its evidence type.
 
 Reading re-checks structural invariants: a member's owner is the component
-holding it, references resolve, a remote-call edge's evidence is a call of
-its source and an endpoint of its target, stored hashes match recomputed
-ones.  A failed check raises ``_Fault``, and each enclosing reader adds its
-step to the fault's path, so a location is formatted only on failure.
+holding it, references resolve to the loaded objects themselves, a
+remote-call edge's evidence is a call of its source and an endpoint of its
+target, a data-overlap edge joins two entities at their overlap, stored
+hashes match recomputed ones.  A failed check raises ``_Fault``, and each
+enclosing reader adds its step to the fault's path, so a location is
+formatted only on failure.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import typing
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _str
+from operator import itemgetter
 from typing import Any, Callable, Iterator, NoReturn, Sequence
 
-from .errors import DocumentError
+from .errors import DocumentError, UndefinedSimilarityError
+from .linker import overlap_edge
 from .model import (
     ChangeKind,
     Component,
@@ -50,7 +55,6 @@ from .model import (
     Violation,
     hash_component,
     make_delta,
-    validate_cross_edges,
     validate_microservice_ir,
 )
 
@@ -327,19 +331,28 @@ def _read_component(doc: Any) -> Component:
 def _loaded(data: bytes | str, schema: str | None, read: Callable[[Any], Any]) -> Any:
     """``read`` of the JSON document ``data``, tagged ``schema`` unless that
     is None; a fault is raised as a ``DocumentError`` at its path.  Rule
-    files and marker profiles are read through here too."""
+    files and marker profiles are read through here too.
+
+    The cyclic collector is paused meanwhile, then left as it was found: a
+    load makes many objects but no cycle, so a collection would find nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
-    try:
-        tag = _get(doc, "schema", str) if schema is not None else None
-        if tag != schema:
-            raise _Fault(f"expected schema {schema}, got {tag}", ".schema")
-        return read(doc)
-    except _Fault as fault:
-        location = "$" + "".join(reversed(fault.path))
-        raise DocumentError(fault.message, location) from None
+        try:
+            doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DocumentError(f"invalid JSON: {exc}") from exc
+        try:
+            tag = _get(doc, "schema", str) if schema is not None else None
+            if tag != schema:
+                raise _Fault(f"expected schema {schema}, got {tag}", ".schema")
+            return read(doc)
+        except _Fault as fault:
+            location = "$" + "".join(reversed(fault.path))
+            raise DocumentError(fault.message, location) from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +383,37 @@ def _service_text(ir: MicroserviceIR, ind: str, schema: str | None = None) -> st
     )
 
 
-def _read_call_edge(doc: Any) -> tuple[ComponentId, ComponentId]:
-    read = _READ[ComponentId]
-    a = _within(doc, "fromComponentId", dict, read, None)
-    return a, _within(doc, "toComponentId", dict, read, None)
+# An id document's fields: the key a loaded component is found by, which hashes
+# without running Python code.  KeyError or TypeError on a misshapen document.
+_key = itemgetter("microservice", "componentType", "qualifiedName")
 
 
-def _read_service(doc: Any) -> MicroserviceIR:
+def _read_call_edge(doc: Any, ids: dict[tuple, Any]) -> tuple:
+    try:
+        return ids[_key(doc["fromComponentId"])].id, ids[_key(doc["toComponentId"])].id
+    except (KeyError, TypeError):  # read in full to name the fault, if there is one
+        read = _READ[ComponentId]
+        a = _within(doc, "fromComponentId", dict, read, None)
+        return a, _within(doc, "toComponentId", dict, read, None)
+
+
+def _read_service(doc: Any, ids: dict[tuple, Any]) -> MicroserviceIR:
+    """``doc`` as a service, whose call graph's ends are found in ``ids``.  Each
+    component is added to ``ids`` by its key of 3 strings, its rest calls and
+    endpoints by that key and their own fields: 7 and 6 strings, never equal."""
     name, version = _get(doc, "name", str), _get(doc, "versionId", str)
     components: dict[ComponentId, Component] = {}
     for i, comp in enumerate(_within(doc, "components", list, _each, _read_component)):
         if components.setdefault(comp.id, comp) is not comp:
             raise _Fault(f"duplicate component {comp.id}", f".components[{i}]")
-    edges = _within(doc, "callGraphEdges", list, _each, _read_call_edge)
+        cid = comp.id
+        key = cid.microservice, cid.component_type.value, cid.qualified_name
+        ids[key] = comp
+        for c in (c for m in comp.methods for c in m.rest_calls):
+            ids[(*key, c.http_method, c.target_service, c.path, c.site_method)] = c
+        for e in comp.endpoints:
+            ids[(*key, e.http_method, e.path, e.handler_method)] = e
+    edges = _within(doc, "callGraphEdges", list, _each, _read_call_edge, ids)
     ir = MicroserviceIR(name, version, components, frozenset(edges))
     try:
         validate_microservice_ir(ir)
@@ -396,7 +427,7 @@ def serialize_microservice_ir(ir: MicroserviceIR) -> bytes:
 
 
 def deserialize_microservice_ir(data: bytes | str) -> MicroserviceIR:
-    return _loaded(data, MICROSERVICE_IR_SCHEMA, _read_service)
+    return _loaded(data, MICROSERVICE_IR_SCHEMA, lambda doc: _read_service(doc, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -404,65 +435,89 @@ def deserialize_microservice_ir(data: bytes | str) -> MicroserviceIR:
 # ---------------------------------------------------------------------------
 
 
-# The plain-string keys of a component's rest calls and of its endpoints,
-# by the component's id as a tuple: both hash without running Python code.
-_Members = tuple[set[tuple[str, ...]], set[tuple[str, ...]]]
+_EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
+# Per end of a RemoteCall edge: its role, the evidence key of its member, the
+# member's fields and the words that name the member in a fault.
+_CALL = itemgetter("httpMethod", "targetService", "path", "siteMethod")
+_ENDPOINT = itemgetter("httpMethod", "path", "handlerMethod")
+_SIDES = (
+    ("source", "restCall", _CALL, "rest call {} {} {} in {}"),
+    ("target", "endpoint", _ENDPOINT, "endpoint {} {} of {}"),
+)
 
 
-def _members(
-    cid: ComponentId, services: dict[str, MicroserviceIR], keys: dict[tuple, _Members]
-) -> _Members:
-    """The keys of ``cid``'s rest calls and endpoints, built once per load."""
-    owner = (cid.microservice, cid.component_type, cid.qualified_name)
-    found = keys.get(owner)
-    if found is None:
-        service = services.get(cid.microservice)
-        comp = service.components.get(cid) if service is not None else None
-        if comp is None:
-            raise _Fault(f"cross edge references unknown component {cid}")
-        found = keys[owner] = (
-            {
-                (c.http_method, c.target_service, c.path, c.site_method)
-                for m in comp.methods
-                for c in m.rest_calls
-            },
-            {(e.http_method, e.path, e.handler_method) for e in comp.endpoints},
-        )
-    return found
+def _component(key: tuple, ids: dict[tuple, Any]) -> Component:
+    comp = ids.get(key)
+    if comp is None:
+        raise _Fault(f"cross edge references unknown component {'::'.join(key)}")
+    return comp
 
 
-def _read_edge(
-    doc: Any, services: dict[str, MicroserviceIR], keys: dict[tuple, _Members]
-) -> DependencyEdge:
-    kind = _member(doc, "kind", EdgeKind)
-    read = _READ[ComponentId]
-    source = _within(doc, "source", dict, read, None)
-    target = _within(doc, "target", dict, read, None)
-    remote = kind is EdgeKind.REMOTE_CALL
-    evidence_type = RemoteCallEvidence if remote else OverlapEvidence
-    evidence = _within(doc, "evidence", dict, _READ[evidence_type], None)
-    if remote:  # the call is made by the source and served by the target
-        call, endpoint = evidence.rest_call, evidence.endpoint
-        owner = call.owning_component
-        if owner != source:
-            at = ".evidence.restCall.owningComponent"
-            raise _Fault(f"owner {owner} is not the edge's source {source}", at)
-        owner = endpoint.owning_component
-        if owner != target:
-            at = ".evidence.endpoint.owningComponent"
-            raise _Fault(f"owner {owner} is not the edge's target {target}", at)
-        key = (call.http_method, call.target_service, call.path, call.site_method)
-        if key not in _members(source, services, keys)[0]:
-            what = f"rest call {call.signature()} in {call.site_method}"
-            raise _Fault(f"{what} is not one of {source}'s", ".evidence.restCall")
-        key = (endpoint.http_method, endpoint.path, endpoint.handler_method)
-        if key not in _members(target, services, keys)[1]:
-            what = f"endpoint {endpoint.signature()} of {endpoint.handler_method}"
-            raise _Fault(f"{what} is not one of {target}'s", ".evidence.endpoint")
+def _overlap(source: Component, target: Component, similarity: float) -> DependencyEdge:
+    """The edge the linker makes between two entities, which must be the
+    document's: from ``source`` to ``target``, at ``similarity``."""
+    for comp in (source, target):
+        if comp.entity_ref is None:
+            raise _Fault(f"DataOverlap end {comp.id} is not an entity")
+    ends = (source.id, source.entity_ref), (target.id, target.entity_ref)
     try:
-        return DependencyEdge(kind, source, target, evidence)
+        edge = overlap_edge(*ends)
+    except UndefinedSimilarityError as exc:
+        raise _Fault(str(exc), ".evidence.similarity") from None
+    except ValueError as exc:  # both ends in one service
+        raise _Fault(str(exc)) from None
+    if edge.source is not source.id:
+        raise _Fault(f"DataOverlap source {source.id} sorts after target {target.id}")
+    overlap = edge.evidence.similarity
+    if similarity != overlap:
+        what = f"similarity {_float(similarity)} is not the overlap {_float(overlap)}"
+        raise _Fault(f"{what} of {source.id} and {target.id}", ".evidence.similarity")
+    return edge
+
+
+def _edge(doc: Any, ids: dict[tuple, Any]) -> DependencyEdge:
+    """The edge of ``doc``, made of the objects of ``ids``.  A failed check raises
+    ``_Fault``; a misshapen document may raise KeyError or TypeError instead."""
+    kind = _EDGE_KINDS[doc["kind"]]
+    ends = _key(doc["source"]), _key(doc["target"])
+    if kind is EdgeKind.DATA_OVERLAP:
+        source, target = _component(ends[0], ids), _component(ends[1], ids)
+        similarity = _within(doc, "evidence", dict, _number, "similarity")
+        return _overlap(source, target, similarity)
+    # the call is made by the source and served by the target
+    parts = [doc["evidence"][key] for _, key, _, _ in _SIDES]
+    for (role, key, _, _), part, end in zip(_SIDES, parts, ends):
+        owner = _key(part["owningComponent"])
+        if owner != end:
+            what = f"owner {'::'.join(owner)} is not the edge's {role}"
+            at = f".evidence.{key}.owningComponent"
+            raise _Fault(f"{what} {'::'.join(end)}", at)
+    members = []
+    for (_, key, fields, words), part, end in zip(_SIDES, parts, ends):
+        members.append(ids.get(end + fields(part)))
+        if members[-1] is None:
+            what = f"{words.format(*fields(part))} is not one of"
+            raise _Fault(f"{what} {_component(end, ids).id}'s", ".evidence." + key)
+    evidence = RemoteCallEvidence(*members)
+    try:
+        return DependencyEdge(kind, ids[ends[0]].id, ids[ends[1]].id, evidence)
     except ValueError as exc:
         raise _Fault(str(exc)) from None
+
+
+def _read_edge(doc: Any, ids: dict[tuple, Any]) -> DependencyEdge:
+    try:
+        return _edge(doc, ids)
+    except (_Fault, KeyError, TypeError):
+        pass
+    # A fault in the edge's form comes before any other: read it field by
+    # field, then check it again to name the fault.
+    kind = _member(doc, "kind", EdgeKind)
+    for key in ("source", "target"):
+        _within(doc, key, dict, _READ[ComponentId], None)
+    evidence = RemoteCallEvidence if kind is EdgeKind.REMOTE_CALL else OverlapEvidence
+    _within(doc, "evidence", dict, _READ[evidence], None)
+    return _edge(doc, ids)
 
 
 def _edge_sort_key(edge: DependencyEdge) -> tuple:
@@ -480,21 +535,17 @@ def _edge_sort_key(edge: DependencyEdge) -> tuple:
 def _read_system(doc: dict) -> SystemIR:
     label = _get(doc, "versionLabel", str)
     services: dict[str, MicroserviceIR] = {}
+    ids: dict[tuple, Any] = {}
     for name, sdoc in _get(doc, "services", dict).items():
         try:
-            services[name] = ir = _read_service(sdoc)
+            services[name] = ir = _read_service(sdoc, ids)
             if ir.name != name:
                 raise _Fault(f"service keyed {name} carries name {ir.name}", ".name")
         except _Fault as fault:
             fault.path.append(f".services.{name}")
             raise
-    edges = _within(doc, "crossEdges", list, _each, _read_edge, services, {})
-    system = SystemIR(label, services, frozenset(edges))
-    try:  # each service was validated as it was read
-        validate_cross_edges(system, system.cross_edges)
-    except ValueError as exc:
-        raise _Fault(str(exc), ".crossEdges") from None
-    return system
+    edges = _within(doc, "crossEdges", list, _each, _read_edge, ids)
+    return SystemIR(label, services, frozenset(edges))
 
 
 class FragmentWindow:

@@ -357,25 +357,20 @@ def overlap_candidates(
     ]
 
 
+def overlap_edge(a: Member, b: Member) -> DependencyEdge:
+    """The DataOverlap edge of two entities at their overlap, whatever it is:
+    its source is the end whose id sorts first by ``str``."""
+    (source, ent_a), (target, ent_b) = (b, a) if str(b[0]) < str(a[0]) else (a, b)
+    evidence = OverlapEvidence(similarity=entity_overlap(ent_a, ent_b))
+    return DependencyEdge(EdgeKind.DATA_OVERLAP, source, target, evidence)
+
+
 def overlap_edges_for_pairs(
     pairs: Iterable[tuple[Member, Member]], threshold: float
 ) -> set[DependencyEdge]:
     """DataOverlap edges of the candidate pairs that pass the overlap test."""
-    edges = set()
-    for (cid_a, ent_a), (cid_b, ent_b) in pairs:
-        similarity = entity_overlap(ent_a, ent_b)
-        if similarity < threshold:
-            continue
-        source, target = sorted((cid_a, cid_b), key=str)
-        edges.add(
-            DependencyEdge(
-                kind=EdgeKind.DATA_OVERLAP,
-                source=source,
-                target=target,
-                evidence=OverlapEvidence(similarity=similarity),
-            )
-        )
-    return edges
+    edges = (overlap_edge(a, b) for a, b in pairs)
+    return {edge for edge in edges if edge.evidence.similarity >= threshold}
 
 
 def data_overlap_edges(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ from reference_documents import (
 )
 from strategies import LINK_SERVICES, ir_chains, linked_irs, relinked, system_irs
 
+from archdelta import documents
 from archdelta.cli import main
 from archdelta.delta import compute_delta
 from archdelta.documents import (
@@ -30,10 +33,11 @@ from archdelta.documents import (
     serialize_violations,
 )
 from archdelta.errors import ArchDeltaError, DocumentError
-from archdelta.linker import build_system_ir
+from archdelta.linker import build_system_ir, entity_overlap
 from archdelta.merge import apply_delta, remove_service
 from archdelta.model import (
     ChangeKind,
+    ComponentId,
     ComponentType,
     DependencyEdge,
     EdgeKind,
@@ -96,8 +100,23 @@ def test_cross_edge_to_missing_component_is_rejected():
             "evidence": {"similarity": 1.0},
         }
     ]
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as excinfo:
         deserialize_ir(json.dumps(doc))
+    assert excinfo.value.location == "$.crossEdges[0]"
+    message = "cross edge references unknown component ghost::Entity::pkg.A"
+    assert str(excinfo.value) == f"$.crossEdges[0]: {message}"
+
+
+def test_remote_call_edge_to_missing_component_is_rejected_at_the_edge():
+    def ghost_target(edge):
+        edge["target"]["microservice"] = "ghost"
+        edge["evidence"]["endpoint"]["owningComponent"]["microservice"] = "ghost"
+
+    data, i = _edge_edit("RemoteCall", ghost_target)
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(data)
+    assert excinfo.value.location == f"$.crossEdges[{i}]"
+    assert "unknown component ghost::Controller::b.C" in str(excinfo.value)
 
 
 def test_tampered_component_hash_is_rejected(history_versions):
@@ -214,8 +233,6 @@ _AWKWARD = st.text(
     min_size=1,
     max_size=6,
 )
-# Both ends of [0, 1], the smallest subnormal, and a repr that needs 17 digits.
-_EDGE_FLOATS = [0.0, 1.0, 5e-324, 0.30000000000000004]
 
 
 @st.composite
@@ -227,15 +244,24 @@ def awkward_systems(draw):
     endpoint = Endpoint("GET", path, draw(_AWKWARD), target)
     caller = component_id(source_name, ComponentType.SERVICE, "p." + draw(_AWKWARD))
     call = RestCall("GET", target_name, path, draw(_AWKWARD), caller)
-    field = EntityField(draw(_AWKWARD), draw(_AWKWARD))
+    # fields named from one pool, so that the entities overlap by any fraction
+    names = draw(st.lists(_AWKWARD, min_size=1, max_size=3, unique=True))
+    fields = st.lists(st.sampled_from(names), min_size=1, unique=True)
     entities = [
         make_component(
             component_id(name, ComponentType.ENTITY, "e." + draw(_AWKWARD)),
-            entity_ref=Entity(draw(_AWKWARD), (field,), (draw(_AWKWARD),)),
+            entity_ref=Entity(
+                draw(_AWKWARD),
+                tuple(EntityField(f, draw(_AWKWARD)) for f in draw(fields)),
+                (draw(_AWKWARD),),
+            ),
             source_path=draw(_AWKWARD),
         )
         for name in (source_name, target_name)
     ]
+    # oriented and weighed as the linker makes the edge
+    entities.sort(key=lambda c: str(c.id))
+    overlap = entity_overlap(entities[0].entity_ref, entities[1].entity_ref)
     comps = {
         source_name: [
             make_component(
@@ -243,13 +269,13 @@ def awkward_systems(draw):
                 methods=[Method(draw(_AWKWARD), rest_calls=(call,))],
                 source_path=draw(_AWKWARD),
             ),
-            entities[0],
         ],
         target_name: [
             make_component(target, endpoints=[endpoint], source_path=draw(_AWKWARD)),
-            entities[1],
         ],
     }
+    for entity in entities:
+        comps[entity.id.microservice].append(entity)
     services = {
         name: MicroserviceIR(name, draw(_AWKWARD), {c.id: c for c in group}, frozenset())
         for name, group in comps.items()
@@ -263,9 +289,7 @@ def awkward_systems(draw):
                 EdgeKind.DATA_OVERLAP,
                 entities[0].id,
                 entities[1].id,
-                OverlapEvidence(
-                    draw(st.floats(0, 1) | st.sampled_from(_EDGE_FLOATS))
-                ),
+                OverlapEvidence(overlap),
             ),
         }
     )
@@ -325,15 +349,42 @@ def test_similarity_serializes_like_the_reference(similarity, text):
     assert f'"similarity": {text}\n'.encode() in data
 
 
-@pytest.mark.parametrize("written, text", [("1", "1.0"), ("1e400", "Infinity")])
-def test_loaded_similarity_reserializes_like_the_reference(written, text):
-    data = serialize_ir(_overlap_system(0.5)).replace(
-        b'"similarity": 0.5', f'"similarity": {written}'.encode()
+def _overlap_written(written: str) -> bytes:
+    """The document of ``_overlap_system`` at its overlap, 1.0, with the
+    similarity written as ``written``."""
+    return serialize_ir(_overlap_system(1.0)).replace(
+        b'"similarity": 1.0', f'"similarity": {written}'.encode()
     )
-    loaded = deserialize_ir(data)
+
+
+@pytest.mark.parametrize("written, text", [("1", "1.0"), ("100e-2", "1.0")])
+def test_loaded_similarity_reserializes_like_the_reference(written, text):
+    loaded = deserialize_ir(_overlap_written(written))
     again = serialize_ir(loaded)
     assert again == _reference(loaded)
     assert f'"similarity": {text}\n'.encode() in again
+
+
+@pytest.mark.parametrize("written", ["1e400", "NaN", "0.5", "0.9999999999999999"])
+def test_loaded_similarity_other_than_the_overlap_is_rejected(written):
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(_overlap_written(written))
+    assert excinfo.value.location == "$.crossEdges[0].evidence.similarity"
+    words = "is not the overlap 1.0 of svc-a::Entity::e.E and svc-b::Entity::e.E"
+    assert words in str(excinfo.value)
+
+
+def test_overlap_of_an_entity_without_fields_is_rejected():
+    system = _overlap_system(1.0)
+    bare = make_component(
+        component_id("svc-b", ComponentType.ENTITY, "e.E"), entity_ref=Entity("E")
+    )
+    service = MicroserviceIR("svc-b", "v0", {bare.id: bare}, frozenset())
+    system = replace(system, services={**system.services, "svc-b": service})
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(serialize_ir(system))
+    assert excinfo.value.location == "$.crossEdges[0].evidence.similarity"
+    assert "undefined for empty field set" in str(excinfo.value)
 
 
 def test_replay_delta_sets_equal_the_reference(history_versions, tmp_path):
@@ -527,12 +578,72 @@ def test_every_one_value_mutation_is_rejected_or_handled():
     ) >= {"rejected", "used"}
 
 
+def _component_ids_reachable(root) -> set[int]:
+    """The identities of the ``ComponentId`` objects reachable from ``root``
+    through fields, cached properties and collections."""
+    found, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, ComponentId):
+            found.add(id(obj))
+        elif dataclasses.is_dataclass(obj):
+            stack.extend(vars(obj).values())
+        elif isinstance(obj, dict):
+            stack.extend((*obj.keys(), *obj.values()))
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+    return found
+
+
 def test_members_hold_their_components_id():
     system = deserialize_ir(serialize_ir(build_system_ir(_small_services())))
     for comp in system.iter_components():
         assert all(ep.owning_component is comp.id for ep in comp.endpoints)
         calls = comp.rest_calls()
         assert all(call.owning_component is comp.id for call in calls)
+    for ir in system.services.values():
+        for a, b in ir.call_graph_edges:
+            assert a is ir.components[a].id and b is ir.components[b].id
+    assert {e.kind for e in system.cross_edges} == set(EdgeKind)
+    for edge in system.cross_edges:
+        source, target = system.component(edge.source), system.component(edge.target)
+        assert edge.source is source.id and edge.target is target.id
+        if edge.kind is EdgeKind.REMOTE_CALL:
+            call, endpoint = edge.evidence.rest_call, edge.evidence.endpoint
+            assert any(call is c for m in source.methods for c in m.rest_calls)
+            assert any(endpoint is e for e in target.endpoints)
+    components = list(system.iter_components())
+    assert _component_ids_reachable(system) == {id(c.id) for c in components}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_load_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    """The cyclic collector is paused while a document is read, and after a
+    load or a fault it is on again only if it was on before."""
+    good = serialize_ir(build_system_ir(_small_services()))
+    mid_read = good.replace(b'"similarity": 1.0', b'"similarity": 0.01')
+    paused, read_system = [], documents._read_system
+
+    def read(doc):
+        paused.append(not gc.isenabled())
+        return read_system(doc)
+
+    monkeypatch.setattr(documents, "_read_system", read)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        deserialize_ir(good)
+        assert gc.isenabled() is enabled
+        for bad in (b"{not json", mid_read):
+            with pytest.raises(DocumentError):
+                deserialize_ir(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert paused == [True, True]
 
 
 @pytest.mark.parametrize("falsy", [{}, False, 0, "", []])
@@ -544,14 +655,20 @@ def test_falsy_entity_ref_other_than_null_is_rejected(falsy):
     assert excinfo.value.location.startswith("$.services.svc-a.components[0].entityRef")
 
 
+def _edge_edit(kind, edit):
+    """The small system's document with ``edit`` applied to its ``kind``
+    edge; returns the text and the edge's index."""
+    a, b = _small_services()
+    doc = json.loads(serialize_ir(build_system_ir([a, b])))
+    [i] = [i for i, e in enumerate(doc["crossEdges"]) if e["kind"] == kind]
+    edit(doc["crossEdges"][i])
+    return json.dumps(doc), i
+
+
 def _evidence_edit(edit):
     """The small system's document with ``edit`` applied to the evidence of
     its RemoteCall edge; returns the text and the edge's index."""
-    a, b = _small_services()
-    doc = json.loads(serialize_ir(build_system_ir([a, b])))
-    [i] = [i for i, e in enumerate(doc["crossEdges"]) if e["kind"] == "RemoteCall"]
-    edit(doc["crossEdges"][i]["evidence"])
-    return json.dumps(doc), i
+    return _edge_edit("RemoteCall", lambda edge: edit(edge["evidence"]))
 
 
 def _rest_call_elsewhere(evidence):
@@ -607,6 +724,51 @@ def test_remote_call_evidence_outside_its_components_is_rejected(
         deserialize_ir(data)
     location = f"$.crossEdges[{i}].evidence.{key}"
     assert excinfo.value.location == location
+    baseline, delta = tmp_path / "baseline.json", tmp_path / "delta.json"
+    baseline.write_text(data)
+    delta.write_bytes(serialize_delta(_small_delta(_small_services()[0])))
+    capsys.readouterr()
+    assert main(["merge", str(baseline), str(delta)]) == 2
+    assert location in capsys.readouterr().err
+
+
+def _non_entity_source(edge):
+    edge["source"].update(componentType="Service", qualifiedName="a.S")
+
+
+def _swapped_ends(edge):
+    edge["source"], edge["target"] = edge["target"], edge["source"]
+
+
+@pytest.mark.parametrize(
+    "edit, at, words",
+    [
+        (
+            lambda edge: edge["evidence"].update(similarity=0.01),
+            ".evidence.similarity",
+            "similarity 0.01 is not the overlap 1.0",
+        ),
+        (
+            _non_entity_source,
+            "",
+            "DataOverlap end svc-a::Service::a.S is not an entity",
+        ),
+        (_swapped_ends, "", "DataOverlap source svc-b::Entity::b.E sorts after target"),
+    ],
+    ids=["similarity", "non-entity-end", "orientation"],
+)
+def test_data_overlap_edge_other_than_the_linkers_is_rejected(
+    edit, at, words, tmp_path, capsys
+):
+    """A loaded baseline's DataOverlap edge joins two entities, in the order
+    and at the similarity the linker gives it; a stray one would survive a
+    merge beside the edge the merge derives."""
+    data, i = _edge_edit("DataOverlap", edit)
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(data)
+    location = f"$.crossEdges[{i}]{at}"
+    assert excinfo.value.location == location
+    assert words in str(excinfo.value)
     baseline, delta = tmp_path / "baseline.json", tmp_path / "delta.json"
     baseline.write_text(data)
     delta.write_bytes(serialize_delta(_small_delta(_small_services()[0])))
