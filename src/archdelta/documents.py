@@ -55,7 +55,7 @@ from .model import (
     Violation,
     hash_component,
     make_delta,
-    validate_microservice_ir,
+    check_microservice_ir,
 )
 
 SYSTEM_IR_SCHEMA = "system-ir@1"
@@ -155,7 +155,7 @@ def _strings_of(items: list) -> tuple[str, ...]:
 
 def _number(doc: dict, key: str) -> float:
     value = doc.get(key)
-    if not isinstance(value, (int, float)):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         _bad(doc, key, float)
     return float(value)
 
@@ -416,7 +416,7 @@ def _read_service(doc: Any, ids: dict[tuple, Any]) -> MicroserviceIR:
     edges = _within(doc, "callGraphEdges", list, _each, _read_call_edge, ids)
     ir = MicroserviceIR(name, version, components, frozenset(edges))
     try:
-        validate_microservice_ir(ir)
+        check_microservice_ir(ir)
     except ValueError as exc:
         raise _Fault(str(exc)) from None
     return ir

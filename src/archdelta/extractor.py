@@ -5,8 +5,10 @@ annotations, method signatures and bodies as token streams, which is all the
 downstream analysis consumes.  It never executes builds and it degrades to
 warnings on files it cannot make sense of.
 
-Each file is tokenized once, by ``model.source_views``: the tokens are string
-and char literals, ``\"\"\"`` text blocks and comments.  That pass yields two
+Each file is lexed once, by ``model.source_views``: the lexemes are string
+and char literals, ``\"\"\"`` text blocks and comments.  Each starts at a quote
+or a slash, and the lexeme pattern is tried only there, so whitespace and
+other code cost one scan for those characters.  That pass yields two
 offset-aligned views.  ``code`` has comments blanked and is where values are
 read.  ``skel`` also blanks literal interiors, keeping the quotes, and is
 where structure is found, so braces and keywords inside literals cannot
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, MutableMapping, NamedTuple
+from typing import Iterator, Mapping, MutableMapping, NamedTuple
 
 from .errors import AmbiguousMarkerError, ExtractionError
 from .model import (
@@ -83,7 +86,7 @@ _CALL_KEYWORDS = {
     "new",
 }
 
-_SKIP_DIR_PARTS = {"target", "build", "out", "node_modules"}
+_PRUNED_DIRS = {"target", "build", "out", "node_modules"}
 
 BUILD_DESCRIPTORS = ("pom.xml", "build.gradle", "build.gradle.kts")
 
@@ -155,8 +158,12 @@ class _Source:
         return parts
 
 
+_WHITESPACE = re.compile(r"\s+")
+_NAME = re.compile(r"[A-Za-z_][\w]*")
+
+
 def _collapse_type(text: str) -> str:
-    return re.sub(r"\s+", "", text.strip())
+    return _WHITESPACE.sub("", text.strip())
 
 
 def _simple_type(declared: str) -> str:
@@ -167,7 +174,7 @@ def _simple_type(declared: str) -> str:
 
 def type_name_parts(declared: str) -> frozenset[str]:
     """Simple names appearing in a declared type, base and generic arguments."""
-    names = re.findall(r"[A-Za-z_][\w]*", declared)
+    names = _NAME.findall(declared)
     return frozenset(n.rsplit(".", 1)[-1] for n in names)
 
 
@@ -234,21 +241,29 @@ def _leading_annotations(
     return anns, start
 
 
+_NAMED_PATH = re.compile(r"\b(?:value|path)\s*=\s*\{?\s*\"([^\"]*)\"")
+_LEADING_PATH = re.compile(r"\s*\{?\s*\"([^\"]*)\"")
+_METHOD_CONSTANT = re.compile(
+    r"\bmethod\s*=\s*\{?\s*(?:RequestMethod\s*\.\s*)?([A-Z]+)"
+)
+_METHOD_STRING = re.compile(r"\bmethod\s*=\s*\{?\s*\"([A-Z]+)\"")
+
+
 def _annotation_path_value(args: str) -> str:
-    m = re.search(r"\b(?:value|path)\s*=\s*\{?\s*\"([^\"]*)\"", args)
+    m = _NAMED_PATH.search(args)
     if m:
         return m.group(1)
-    m = re.match(r"\s*\{?\s*\"([^\"]*)\"", args)
+    m = _LEADING_PATH.match(args)
     if m:
         return m.group(1)
     return ""
 
 
 def _annotation_method_attr(args: str) -> str | None:
-    m = re.search(r"\bmethod\s*=\s*\{?\s*(?:RequestMethod\s*\.\s*)?([A-Z]+)", args)
+    m = _METHOD_CONSTANT.search(args)
     if m:
         return m.group(1)
-    m = re.search(r"\bmethod\s*=\s*\{?\s*\"([A-Z]+)\"", args)
+    m = _METHOD_STRING.search(args)
     if m:
         return m.group(1)
     return None
@@ -301,7 +316,9 @@ class ParsedUnit:
         return f"{self.package}.{self.type_name}" if self.package else self.type_name
 
 
+_PACKAGE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
 _TYPE_DECL = re.compile(r"\b(class|interface|enum)\s+(\w+)")
+_WORD = re.compile(r"\w+")
 _TRAILING_NAME = re.compile(r"(\w+)\s*$")
 _THROWS = re.compile(r"\bthrows\b[\w.,<>\s]*$")
 _MEMBER_PUNCT = re.compile(r"[(){;=]")
@@ -372,7 +389,7 @@ def _try_parse_fields(src: _Source, start: int, end: int) -> list[ParsedField]:
     names = [m.group(1)]
     for extra_start, extra_end in parts[1:]:
         extra_name = src.code[extra_start:extra_end].strip()
-        if re.fullmatch(r"\w+", extra_name):
+        if _WORD.fullmatch(extra_name):
             names.append(extra_name)
     return [
         ParsedField(
@@ -404,7 +421,7 @@ def parse_unit(text: str) -> ParsedUnit | None:
     src = _Source(text)
     skel = src.skel
 
-    pkg_match = re.search(r"^\s*package\s+([\w.]+)\s*;", skel, re.MULTILINE)
+    pkg_match = _PACKAGE.search(skel)
     package = pkg_match.group(1) if pkg_match else ""
 
     decl = _TYPE_DECL.search(skel)
@@ -579,6 +596,11 @@ def _scan_calls(src: _Source, start: int, end: int) -> tuple[_BodyCall, ...]:
     return tuple(calls)
 
 
+_SCHEME = re.compile(r"https?://")
+_VERB_CONSTANT = re.compile(r"(?:HttpMethod\s*\.\s*)?\b([A-Z]+)\b")
+_VERB_STRING = re.compile(r"\"([A-Z]+)\"")
+
+
 def _parse_url_expression(src: _Source, start: int, end: int) -> tuple[str, str]:
     """Resolve a URL argument span to (target service, normalized path).
 
@@ -595,7 +617,7 @@ def _parse_url_expression(src: _Source, start: int, end: int) -> tuple[str, str]
         else:  # anything but one string literal
             pieces.append(NON_LITERAL)
     joined = "".join(pieces)
-    scheme = re.match(r"https?://", joined)
+    scheme = _SCHEME.match(joined)
     if scheme:
         rest = joined[scheme.end() :]
         host, _, path_part = rest.partition("/")
@@ -615,10 +637,10 @@ def _resolve_verb(pattern_verb: str | int, args: list[str]) -> str | None:
     if pattern_verb >= len(args):
         return None
     text = args[pattern_verb]
-    m = re.search(r"(?:HttpMethod\s*\.\s*)?\b([A-Z]+)\b", text)
+    m = _VERB_CONSTANT.search(text)
     if m and m.group(1) in ("GET", "POST", "PUT", "DELETE", "PATCH"):
         return m.group(1)
-    m = re.search(r"\"([A-Z]+)\"", text)
+    m = _VERB_STRING.search(text)
     if m:
         return m.group(1)
     return None
@@ -801,29 +823,49 @@ def resolve_call_graph(
 # ---------------------------------------------------------------------------
 
 
-def _skippable(rel_parts: tuple[str, ...]) -> bool:
-    for i, part in enumerate(rel_parts[:-1]):
-        if part.startswith("."):
-            return True
-        if part in _SKIP_DIR_PARTS:
-            return True
-        if part == "src" and i + 1 < len(rel_parts) and rel_parts[i + 1] == "test":
-            return True
-    return False
+def _entries(path: str, prefix: str, skip: str) -> list[tuple[str, os.DirEntry]]:
+    """A directory's entries but any named ``skip``, each with ``prefix`` + its
+    name, last name first."""
+    try:
+        with os.scandir(path) as it:
+            found = [(prefix + e.name, e) for e in it if e.name != skip]
+    except PermissionError:
+        return []
+    found.sort(reverse=True)  # names differ, so entries are never compared
+    return found
 
 
-def _source_files(root: Path, profile: MarkerProfile) -> list[tuple[str, Path]]:
-    files = []
-    for path in sorted(root.rglob("*")):
-        if not path.is_file():
-            continue
-        if path.suffix not in profile.file_extensions:
-            continue
-        rel = path.relative_to(root)
-        if _skippable(rel.parts):
-            continue
-        files.append((rel.as_posix(), path))
-    return files
+def _walk(root: Path) -> Iterator[tuple[str, os.DirEntry]]:
+    """Every entry under ``root`` that is not skipped, with its ``/``-separated
+    path from ``root``, in the order of sorted paths: a directory's entries by
+    name, each directory's tree right after it.  Hidden and build output
+    directories, ``src/test`` and symlinked directories are not entered."""
+    pending = _entries(os.fspath(root), "", "")
+    while pending:
+        rel, entry = pending.pop()
+        yield rel, entry
+        name = entry.name
+        if (
+            entry.is_dir(follow_symlinks=False)
+            and not name.startswith(".")
+            and name not in _PRUNED_DIRS
+        ):
+            pending += _entries(entry.path, rel + "/", "test" if name == "src" else "")
+
+
+def _suffix(name: str) -> str:
+    """``PurePath(name).suffix``; ``os.path.splitext`` differs on ``..java``."""
+    dot = name.rfind(".")
+    return name[dot:] if 0 < dot < len(name) - 1 else ""
+
+
+def _source_files(root: Path, profile: MarkerProfile) -> list[tuple[str, str]]:
+    # plain path strings: a ``Path`` interns every name it parses
+    return [
+        (rel, entry.path)
+        for rel, entry in _walk(root)
+        if _suffix(entry.name) in profile.file_extensions and entry.is_file()
+    ]
 
 
 # (service, relative path, content digest) -> extraction result
@@ -852,7 +894,8 @@ def scan_repository(
     sink = warnings if warnings is not None else []
     components: dict[ComponentId, Component] = {}
     for rel, path in _source_files(root, profile):
-        data = path.read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
         key = (service_name, rel, hashlib.sha256(data).hexdigest())
         if cache is not None and key in cache:
             comp = cache[key]
@@ -903,23 +946,23 @@ def discover_services(
     if not root.is_dir():
         raise ExtractionError(f"not a readable directory: {root}")
     overrides = dict(name_overrides or {})
-    candidates: set[Path] = set()
-    for descriptor in BUILD_DESCRIPTORS:
-        for hit in root.rglob(descriptor):
-            rel = hit.relative_to(root)
-            if _skippable(rel.parts):
-                continue
-            candidates.add(hit.parent)
+    # each descriptor's directory, as the names of its path from ``root``
+    candidates = sorted(
+        {
+            tuple(rel.split("/")[:-1])
+            for rel, entry in _walk(root)
+            if entry.name in BUILD_DESCRIPTORS and os.path.exists(entry.path)
+        }
+    )
+    # sorted, a directory's descendants follow it directly
     leaves = [
-        c
-        for c in candidates
-        if not any(o != c and o.is_relative_to(c) for o in candidates)
-    ]
-    if not leaves:
-        leaves = [root]
+        root.joinpath(*c)
+        for c, after in zip(candidates, candidates[1:] + [None])
+        if after is None or after[: len(c)] != c
+    ] or [root]
     services: list[tuple[str, Path]] = []
     seen: dict[str, Path] = {}
-    for path in sorted(leaves):
+    for path in leaves:
         rel = path.relative_to(root).as_posix() if path != root else "."
         name = overrides.get(rel) or overrides.get(path.name) or path.name
         if name in seen:

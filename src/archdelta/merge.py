@@ -16,7 +16,7 @@ from .model import (
     Delta,
     MicroserviceIR,
     SystemIR,
-    validate_microservice_ir,
+    check_microservice_ir,
 )
 
 
@@ -35,7 +35,7 @@ def apply_delta(
             )
         old_service = MicroserviceIR(d.microservice, d.old_version_id, {}, frozenset())
     new_service = apply_to_service(old_service, d)
-    validate_microservice_ir(new_service)
+    check_microservice_ir(new_service)
     changed = d.change_ids()
     before = [old_service.components[c] for c in changed if c in old_service.components]
     after = [new_service.components[c] for c in changed if c in new_service.components]

@@ -60,22 +60,37 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# The one source tokenizer: literals, comments and whitespace runs.  A literal
-# is a string, char or ``"""`` text block; inside it a backslash escapes the
-# next character, and an unterminated literal or block comment runs to the end
-# of the text.  Whatever no token covers is code.
-_TOKEN = re.compile(
+# The one source tokenizer: literals and comments.  A literal is a string,
+# char or ``"""`` text block; inside it a backslash escapes the next character,
+# and an unterminated literal or block comment runs to the end of the text.
+# Whatever no lexeme covers is code.
+_LEXEME = re.compile(
     r"""(?P<literal>(?P<quote>"{3}|["'])(?:[^"'\\]+|\\.?|(?!(?P=quote))["'])*"""
     r"(?P<close>(?P=quote))?)"
-    r"|(?P<comment>//[^\n]*|/\*.*?(?:\*/|\Z))"
-    r"|(?P<space>\s+)",
+    r"|(?P<comment>//[^\n]*|/\*.*?(?:\*/|\Z))",
     re.DOTALL,
 )
+# Every lexeme starts at one of these, so the pattern is tried only there.
+_LEXEME_START = re.compile(r"[\"'/]")
 _NOT_NEWLINE = re.compile(r"[^\n]")
+_SPACES = re.compile(r"\s+")
+
+
+def _lexemes(text: str) -> Iterator[re.Match]:
+    """The literals and comments of ``text``, in order."""
+    find, match = _LEXEME_START.search, _LEXEME.match
+    pos = 0
+    while hit := find(text, pos):
+        m = match(text, hit.start())
+        if m is None:  # a slash that starts no comment
+            pos = hit.end()
+        else:
+            yield m
+            pos = m.end()
 
 
 def source_views(text: str) -> tuple[str, str]:
-    """The two offset-aligned views of a source text, from one token pass.
+    """The two offset-aligned views of a source text, from one lexeme pass.
 
     ``code`` has every comment character blanked except newlines, so
     ``"http://x"`` stays intact.  ``skel`` additionally blanks the interior
@@ -85,15 +100,12 @@ def source_views(text: str) -> tuple[str, str]:
     code: list[str] = []
     skel: list[str] = []
     pos = 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
+    for m in _lexemes(text):
         start, end = m.span()
         code.append(text[pos:start])
         skel.append(text[pos:start])
         pos = end
-        if kind == "comment":
+        if m.lastgroup == "comment":
             blank = _NOT_NEWLINE.sub(" ", m.group())
             code.append(blank)
             skel.append(blank)
@@ -110,16 +122,26 @@ def normalize_source_text(text: str) -> str:
     """Canonical form of a source fragment for hashing.
 
     Comments are dropped and whitespace runs collapse to a single space, but
-    only outside literals: whitespace inside a literal is content.
+    only outside literals: whitespace inside a literal is content.  A comment
+    counts as whitespace, and none is kept at either end of the text.
     """
-    pieces: list[str] = []
+    parts: list[str] = []
+    gap: list[str] = []  # code and comments since the last literal
     pos = 0
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup != "literal":  # a comment or whitespace run ends a piece
-            pieces.append(text[pos : m.start()])
-            pos = m.end()
-    pieces.append(text[pos:])
-    return " ".join(piece for piece in pieces if piece)
+    for m in _lexemes(text):
+        gap.append(text[pos : m.start()])
+        pos = m.end()
+        if m.lastgroup == "comment":
+            gap.append(" ")
+        else:
+            parts.append(_SPACES.sub(" ", "".join(gap)))
+            parts.append(m.group())
+            gap = []
+    gap.append(text[pos:])
+    parts.append(_SPACES.sub(" ", "".join(gap)))
+    parts[0] = parts[0].lstrip(" ")
+    parts[-1] = parts[-1].rstrip(" ")
+    return "".join(parts)
 
 
 def method_content_hash(body_text: str | None) -> str:
@@ -431,13 +453,9 @@ def _grouped(pairs: Iterable[tuple[ComponentId, ComponentId]]) -> dict:
     return {key: tuple(values) for key, values in groups.items()}
 
 
-def validate_microservice_ir(ir: MicroserviceIR) -> list[str]:
-    """Check structural invariants; returns non-fatal warnings.
-
-    Broken references are errors; duplicate (verb, path) endpoint pairs
-    within the service are reported as warnings because dropping either
-    one would corrupt component content hashes.
-    """
+def check_microservice_ir(ir: MicroserviceIR) -> None:
+    """Raise ``ValueError`` on a broken reference: a component keyed by
+    another id or owned by another service, or a call edge to no component."""
     for cid, comp in ir.components.items():
         if comp.id != cid:
             raise ValueError(f"component keyed as {cid} carries id {comp.id}")
@@ -446,6 +464,16 @@ def validate_microservice_ir(ir: MicroserviceIR) -> list[str]:
     for a, b in ir.call_graph_edges:
         if a not in ir.components or b not in ir.components:
             raise ValueError(f"call edge ({a}, {b}) references unknown components")
+
+
+def validate_microservice_ir(ir: MicroserviceIR) -> list[str]:
+    """Check structural invariants; returns non-fatal warnings.
+
+    Broken references are errors (``check_microservice_ir``); duplicate
+    (verb, path) endpoint pairs within the service are reported as warnings
+    because dropping either one would corrupt component content hashes.
+    """
+    check_microservice_ir(ir)
     warnings: list[str] = []
     seen: dict[tuple[str, str], Endpoint] = {}
     for ep in ir.iter_endpoints():
@@ -579,7 +607,7 @@ def validate_system_ir(system: SystemIR) -> None:
     for name, svc in system.services.items():
         if svc.name != name:
             raise ValueError(f"service keyed as {name} carries name {svc.name}")
-        validate_microservice_ir(svc)
+        check_microservice_ir(svc)
     validate_cross_edges(system, system.cross_edges)
 
 

@@ -374,6 +374,23 @@ def test_loaded_similarity_other_than_the_overlap_is_rejected(written):
     assert words in str(excinfo.value)
 
 
+@pytest.mark.parametrize("written", ["true", "false"])
+def test_loaded_similarity_of_a_boolean_is_rejected(written, tmp_path, capsys):
+    """JSON ``true`` is no number, although Python's ``True`` is an int."""
+    data = _overlap_written(written)
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(data)
+    location = "$.crossEdges[0].evidence.similarity"
+    assert excinfo.value.location == location
+    assert "key 'similarity' should be float, got bool" in str(excinfo.value)
+    baseline, delta = tmp_path / "baseline.json", tmp_path / "delta.json"
+    baseline.write_bytes(data)
+    delta.write_bytes(serialize_delta(_small_delta(_small_services()[0])))
+    capsys.readouterr()
+    assert main(["merge", str(baseline), str(delta)]) == 2
+    assert location in capsys.readouterr().err
+
+
 def test_overlap_of_an_entity_without_fields_is_rejected():
     system = _overlap_system(1.0)
     bare = make_component(

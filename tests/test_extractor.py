@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import gc
 import sys
+import tempfile
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import reference_walk
 from corpus import ACCOUNT_ENTITY, ORDER_SERVICE_V0
 
 import archdelta.extractor as extractor
-from archdelta.errors import AmbiguousMarkerError
+from archdelta.errors import AmbiguousMarkerError, ExtractionError
 from archdelta.extractor import (
+    BUILD_DESCRIPTORS,
     ScanWarning,
     classify_source_unit,
     discover_services,
@@ -516,3 +521,107 @@ def test_marker_nested_in_arguments_does_not_make_the_unit_ambiguous():
     component, _ = extract_component(NESTED_MARKER_SERVICE, PROFILE, "svc", "B.java")
     assert component.id == component_id("svc", ComponentType.SERVICE, "shop.Billing")
     assert [m.name for m in component.methods] == ["bill"]
+
+
+# Names a generated tree draws from: each name the walk treats apart, and
+# names whose sorted paths are not their sorted strings ("a/x" sorts before
+# "a-b").
+_TREE_NAMES = (
+    "a", "a-b", "a.java", "..java", "A.JAVA", ".git", ".A.java", "B.java",
+    "src", "test", "main", "target", "build", "out", "node_modules",
+    *BUILD_DESCRIPTORS,
+)
+_TREES = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(_TREE_NAMES), min_size=1, max_size=4).map(tuple),
+        st.sampled_from(("file", "dir", "dir-link", "file-link", "broken-link")),
+    ),
+    max_size=30,
+)
+_EVERY_CASE = [
+    ((".git", "pom.xml"), "file"),
+    ((".git", "A.java"), "file"),
+    ((".A.java",), "file"),
+    (("target", "A.java"), "file"),
+    (("a", "build", "A.java"), "file"),
+    (("a", "b", "out", "pom.xml"), "file"),
+    (("node_modules", "build.gradle"), "file"),
+    (("src", "test", "A.java"), "file"),
+    (("src", "main", "test", "A.java"), "file"),
+    (("m", "src", "test"), "file"),
+    (("a", "test", "A.java"), "file"),
+    (("pom.xml",), "file"),
+    (("a", "pom.xml"), "file"),
+    (("a", "b", "build.gradle"), "file"),
+    (("m", "build.gradle.kts"), "dir"),
+    (("linked",), "dir-link"),
+    (("Linked.java",), "file-link"),
+    (("Broken.java",), "broken-link"),
+    (("gone", "pom.xml"), "broken-link"),
+    (("..java",), "file"),
+    (("A.JAVA",), "file"),
+    (("a", "x.java"), "file"),
+    (("a-b",), "file"),
+    (("a.java",), "file"),
+]
+
+
+def _tree(base: Path, entries) -> Path:
+    """A tree of ``entries`` under ``base``; its links point out of it."""
+    outside = base / "outside"
+    (outside / "pkg").mkdir(parents=True)
+    (outside / "pkg" / "X.java").write_text("")
+    (outside / "pom.xml").write_text("")
+    targets = {
+        "dir-link": outside,
+        "file-link": outside / "pkg" / "X.java",
+        "broken-link": outside / "missing",
+    }
+    root = base / "tree"
+    root.mkdir()
+    for parts, kind in entries:
+        path = root.joinpath(*parts)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if kind == "file":
+                path.write_text("")
+            elif kind == "dir":
+                path.mkdir()
+            else:
+                path.symlink_to(targets[kind])
+        except OSError:  # a name already taken, or a file where a directory goes
+            pass
+    return root
+
+
+def _services(discover, root):
+    try:
+        return [(name, str(path)) for name, path in discover(root)]
+    except ExtractionError as exc:
+        return str(exc)
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="the reference is rglob as of Python 3.11"
+)
+@given(_TREES, st.sampled_from([(".java",), (".java", "", ".JAVA", ".xml")]))
+@example(_EVERY_CASE, (".java", ""))
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+    derandomize=True,
+)
+def test_the_walk_finds_what_the_pathlib_walk_found(entries, extensions):
+    profile = replace(PROFILE, file_extensions=extensions)
+    with tempfile.TemporaryDirectory() as base:
+        root = _tree(Path(base), entries)
+        for walk_root in (root, root / "src"):
+            if not walk_root.is_dir():
+                continue
+            files = extractor._source_files(walk_root, profile)
+            expected = reference_walk._source_files(walk_root, profile)
+            assert [(r, str(p)) for r, p in files] == [(r, str(p)) for r, p in expected]
+            assert _services(discover_services, walk_root) == _services(
+                reference_walk.discover_services, walk_root
+            )

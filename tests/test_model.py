@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 import string
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference_lexer
 
+import archdelta.model as model
 from archdelta.model import (
     ComponentType,
     Endpoint,
@@ -99,6 +101,48 @@ def test_text_block_is_one_literal():
     interior = len(block) - len('x = """') - len('"""; y')
     assert skel == 'x = """' + " " * interior + '"""; y'
     assert normalize_source_text(block) == block
+
+
+class _CountedPattern:
+    """A compiled pattern that counts the matches tried with it."""
+
+    def __init__(self, pattern: re.Pattern) -> None:
+        self.pattern, self.attempts = pattern, 0
+
+    def match(self, text: str, pos: int) -> re.Match | None:
+        self.attempts += 1
+        return self.pattern.match(text, pos)
+
+
+def _mix(seed: int, alphabet: str) -> str:
+    rng = random.Random(seed)
+    return "".join(rng.choice(alphabet) for _ in range(10_000))
+
+
+# Texts of 10k characters that start a lexeme, or seem to, again and again.
+_STARTERS = [
+    "/" * 10_000,
+    "'" * 10_000,
+    '"' + "a" * 9_999,
+    "/*" + "/" * 9_998,
+    "/*" + " '\" x" * 1_999 + " ",
+    "a/" * 5_000,
+    "'/" * 5_000,
+    "\"'" * 5_000,
+    _mix(7, "/'\"*\\a \n"),
+    _mix(8, "/'\""),
+]
+
+
+@pytest.mark.parametrize("text", _STARTERS, ids=range(len(_STARTERS)))
+@pytest.mark.parametrize("read", [source_views, normalize_source_text])
+def test_the_lexeme_pattern_is_tried_only_at_quotes_and_slashes(text, read, monkeypatch):
+    """At most one attempt per quote or slash, each from where the last lexeme
+    ended: the lexer's work is linear in the text, whatever the text."""
+    counted = _CountedPattern(model._LEXEME)
+    monkeypatch.setattr(model, "_LEXEME", counted)
+    read(text)
+    assert 0 < counted.attempts <= sum(text.count(c) for c in "\"'/")
 
 
 def _make(body: str, return_type: str = "Order", annotations=()):
