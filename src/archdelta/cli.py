@@ -287,9 +287,23 @@ def _add_overlap_threshold(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _hop_bound(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of hops, not {text!r}"
+        )
+    return value
+
+
 def _add_impact_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-hops", type=int, default=None)
-    p.add_argument("--cross-service-hops", type=int, default=DEFAULT_CROSS_SERVICE_HOPS)
+    p.add_argument("--max-hops", type=_hop_bound, default=None)
+    p.add_argument(
+        "--cross-service-hops", type=_hop_bound, default=DEFAULT_CROSS_SERVICE_HOPS
+    )
     p.add_argument("--no-data-overlap", action="store_true")
     p.add_argument("--entity-usage", action="store_true")
 

@@ -8,7 +8,8 @@ A record's keys are its model fields' names in lower camel case.  Each
 record type's writer and reader are derived from its fields' annotations and
 generated once, at import, as ``dataclasses`` generates ``__init__``.  What
 is not a plain record is written by hand: the service, system and delta
-documents, and the cross edge reader, whose ``kind`` picks its evidence type.
+documents, a violation, whose label may be its document's, and the cross
+edge reader, whose ``kind`` picks its evidence type.
 
 Reading re-checks structural invariants: a member's owner is the component
 holding it, references resolve to the loaded objects themselves, a
@@ -26,6 +27,7 @@ import gc
 import json
 import typing
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring_ascii as _str
 from operator import itemgetter
 from typing import Any, Callable, Iterator, NoReturn, Sequence
@@ -305,7 +307,7 @@ def _generate(written: Sequence[type], read: Sequence[type]) -> None:
 
 _RECORDS = (ComponentId, Parameter, RestCall, Endpoint, Method, EntityField, Entity)
 _RECORDS += (Component, RemoteCallEvidence, OverlapEvidence)
-_generate((*_RECORDS, DependencyEdge, TriggerItem, ImpactedItem, Violation), _RECORDS)
+_generate((*_RECORDS, DependencyEdge, TriggerItem, ImpactedItem), _RECORDS)
 
 
 def component_id_to_doc(cid: ComponentId) -> dict:
@@ -691,10 +693,25 @@ def deserialize_delta(data: bytes | str) -> Delta:
 # ---------------------------------------------------------------------------
 
 
+def _violation_text(v: Violation, ind: str, label: str) -> str:
+    i = ind + "  "
+    own = label if v.system_version_label is None else v.system_version_label
+    return (
+        f'{{\n{i}"dedupKey": {_str(v.dedup_key)},'
+        f'\n{i}"impacted": {_array(v.impacted, _WRITE[ImpactedItem], i)},'
+        f'\n{i}"ruleName": {_str(v.rule_name)},'
+        f'\n{i}"systemVersionLabel": {_str(own)},'
+        f'\n{i}"triggering": {_array(v.triggering, _WRITE[TriggerItem], i)}\n{ind}}}'
+    )
+
+
 def serialize_violations(violations: Sequence[Violation], label: str) -> bytes:
-    """The violations found in the system version ``label``, as ``violations@1``."""
+    """The violations found in the system version ``label``, as
+    ``violations@1``.  A violation without a label of its own takes
+    ``label``."""
+    text = partial(_violation_text, label=label)
     return (
         f'{{\n  "schema": {_str(VIOLATIONS_SCHEMA)},'
         f'\n  "systemVersionLabel": {_str(label)},'
-        f'\n  "violations": {_array(violations, _WRITE[Violation], "  ")}\n}}\n'
+        f'\n  "violations": {_array(violations, text, "  ")}\n}}\n'
     ).encode()

@@ -868,8 +868,8 @@ def _source_files(root: Path, profile: MarkerProfile) -> list[tuple[str, str]]:
     ]
 
 
-# (service, relative path, content digest) -> extraction result
-ExtractionCache = MutableMapping[tuple[str, str, str], "Component | None"]
+# (service, relative path) -> (content digest, extraction result)
+ExtractionCache = MutableMapping[tuple[str, str], "tuple[str, Component | None]"]
 
 
 def scan_repository(
@@ -885,8 +885,11 @@ def scan_repository(
 
     Per-file failures never abort the scan; they are logged and, when a
     ``warnings`` list is supplied, collected there.  Passing a ``cache``
-    (keyed by file content) makes repeated scans over evolving checkouts
-    re-parse only changed files.
+    makes repeated scans over evolving checkouts re-parse only changed
+    files.  It holds one entry per file path, the result for the content
+    read last, so it grows with the tree and not with its history; a file
+    that returns to an earlier content is extracted again, and its notes
+    are reported again.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -896,9 +899,10 @@ def scan_repository(
     for rel, path in _source_files(root, profile):
         with open(path, "rb") as f:
             data = f.read()
-        key = (service_name, rel, hashlib.sha256(data).hexdigest())
-        if cache is not None and key in cache:
-            comp = cache[key]
+        digest = hashlib.sha256(data).hexdigest()
+        cached = cache.get((service_name, rel)) if cache is not None else None
+        if cached is not None and cached[0] == digest:
+            comp = cached[1]
         else:
             comp = None
             try:
@@ -912,7 +916,7 @@ def scan_repository(
                 sink.append(ScanWarning(rel, str(exc)))
                 logger.warning("skipping %s: %s", rel, exc)
             if cache is not None:
-                cache[key] = comp
+                cache[service_name, rel] = (digest, comp)
         if comp is None:
             continue
         if comp.id in components:

@@ -112,6 +112,28 @@ class LinkIndex:
         candidates = own.get(_shape(call))
         return candidates[0] if candidates else None
 
+    def toggled(self, old: LinkIndex) -> tuple[set[RestCall], set[Endpoint]]:
+        """The calls that entered or left ``unmatched`` from ``old`` to this
+        index, and the endpoints that entered or left ``uncalled`` as calls
+        started or stopped resolving to them; an endpoint that came or went
+        is not looked for.
+
+        Only a service whose resolutions the two indexes do not share can
+        hold such a call, or a call that resolved to such an endpoint.  So
+        for an index derived from ``old`` the work follows the change, not
+        the system.
+        """
+        calls: set[RestCall] = set()
+        endpoints: set[Endpoint] = set()
+        for name in self.resolved.keys() | old.resolved.keys():
+            was, now = old.resolved.get(name, {}), self.resolved.get(name, {})
+            if was is not now:
+                calls ^= {call for call, ep in was.items() if ep is None}
+                calls ^= {call for call, ep in now.items() if ep is None}
+                endpoints.update(ep for ep in was.values() if ep in self.uncalled)
+                endpoints.update(ep for ep in now.values() if ep in old.uncalled)
+        return calls, endpoints
+
     def updated(
         self,
         services: Mapping[str, MicroserviceIR],

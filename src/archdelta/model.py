@@ -736,8 +736,15 @@ class ImpactedItem:
 
 @dataclass(frozen=True)
 class Violation:
+    """A rule match.
+
+    ``system_version_label`` is None for a violation of the version its
+    document describes, which takes the document's label: IC, UEM and
+    custom rules.  SMM and RMM name the baseline they compare against.
+    """
+
     rule_name: str
-    system_version_label: str
+    system_version_label: str | None
     triggering: tuple[TriggerItem, ...]
     impacted: tuple[ImpactedItem, ...]
     dedup_key: str

@@ -16,11 +16,13 @@ Rule matches are flags for the review process, not proofs of breakage.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .documents import _each, _Fault, _get, _loaded, _within
 from .errors import RuleBindingError
@@ -170,21 +172,18 @@ def _dedup_key(rule_name: str, impacted: Iterable[ImpactedItem]) -> str:
 
 def make_violation(
     rule_name: str,
-    system_version_label: str,
+    system_version_label: str | None,
     impacted: Sequence[ImpactedItem],
     triggering: Sequence[TriggerItem] = (),
 ) -> Violation:
     if not impacted:
         raise ValueError("violation must name at least one impacted element")
-    ordered_impacted = tuple(
+    ordered = tuple(
         sorted(impacted, key=lambda i: (str(i.component_id), i.kind, i.evidence))
     )
+    key = _dedup_key(rule_name, ordered)
     return Violation(
-        rule_name=rule_name,
-        system_version_label=system_version_label,
-        triggering=_ordered_triggering(triggering),
-        impacted=ordered_impacted,
-        dedup_key=_dedup_key(rule_name, ordered_impacted),
+        rule_name, system_version_label, _ordered_triggering(triggering), ordered, key
     )
 
 
@@ -216,64 +215,97 @@ def render_violations_text(violations: Sequence[Violation]) -> str:
 
 
 def _changed_ids(deltas: Sequence[Delta]) -> dict[ComponentId, ChangeKind]:
-    merged: dict[ComponentId, ChangeKind] = {}
-    for d in deltas:
-        for ch in d.changes:
-            merged[ch.component_id] = ch.kind
-    return merged
+    return {ch.component_id: ch.kind for d in deltas for ch in d.changes}
 
 
-Owner = tuple[str, str, str]
-# One IC or UEM violation of a system: its place in the detector's order, its
-# owner, the call or endpoint it flags, and the violation itself as
-# ``make_violation`` built it, with an empty label and no triggering list.
-Entry = tuple[tuple, Owner, RestCall | Endpoint, Violation]
-
-
-def _owner(cid: ComponentId) -> Owner:
-    """``cid`` as strings, which hash without running Python code."""
-    return (cid.microservice, cid.component_type.value, cid.qualified_name)
+# A call or endpoint an IC or UEM violation flags, and that violation as
+# ``make_violation`` built it, without label or triggering list.
+Entry = tuple[RestCall | Endpoint, Violation]
+_KEY = attrgetter("dedup_key")
 
 
 def _call_entries(comp: Component, index: LinkIndex) -> Iterator[Entry]:
-    owner = _owner(comp.id)
-    for call in distinct_unmatched(comp, index.unmatched):
+    for call in sorted(distinct_unmatched(comp, index.unmatched), key=call_sort_key):
         item = ImpactedItem(comp.id, "restCall", call.signature(), call.site_method)
-        yield call_sort_key(call), owner, call, make_violation("IC", "", [item])
+        yield call, make_violation("IC", None, [item])
 
 
 def _endpoint_entries(comp: Component, index: LinkIndex) -> Iterator[Entry]:
-    owner = _owner(comp.id)
-    for ep in comp.endpoints:
-        if ep in index.uncalled:
-            item = ImpactedItem(comp.id, "endpoint", ep.signature(), ep.handler_method)
-            yield endpoint_sort_key(ep), owner, ep, make_violation("UEM", "", [item])
+    uncalled = [ep for ep in comp.endpoints if ep in index.uncalled]
+    for ep in sorted(uncalled, key=endpoint_sort_key):
+        item = ImpactedItem(comp.id, "endpoint", ep.signature(), ep.handler_method)
+        yield ep, make_violation("UEM", None, [item])
 
 
-def _replaced(
-    entries: tuple[Entry, ...],
-    system: SystemIR,
-    refreshed: set[ComponentId],
-    rebuild: Callable[[Component, LinkIndex], Iterator[Entry]],
-) -> tuple[Entry, ...]:
-    """``entries`` with those of the refreshed components rebuilt."""
-    if not refreshed:
-        return entries
-    index = LinkIndex.of(system)
-    gone = {_owner(cid) for cid in refreshed}
-    merged = [entry for entry in entries if entry[1] not in gone]
-    for cid in refreshed:
-        comp = system.component(cid)
-        if comp is not None:
-            merged += rebuild(comp, index)
-    merged.sort(key=itemgetter(0))  # the kept entries are in order already
-    return tuple(merged)
+@dataclass(frozen=True)
+class CarriedRun:
+    """One rule's carried violations, in dedup-key order, and the entries
+    of each component that owns any."""
+
+    violations: tuple[Violation, ...]
+    owners: Mapping[ComponentId, tuple[Entry, ...]]
+
+    def replaced(
+        self,
+        system: SystemIR,
+        refreshed: set[ComponentId],
+        rebuild: Callable[[Component, LinkIndex], Iterator[Entry]],
+    ) -> CarriedRun:
+        """This run with the entries of the refreshed components rebuilt.
+
+        ``rebuild`` yields a component's entries in the detector's sort
+        order, and of those with one dedup key the first is kept.  Only the
+        refreshed components' entries are deleted and inserted, each where
+        bisection on the dedup key puts it; a run built from nothing is
+        sorted once.
+        """
+        if not refreshed:
+            return self
+        index = LinkIndex.of(system)
+        violations, owners = list(self.violations), dict(self.owners)
+        added: list[Violation] = []
+        for cid in refreshed:
+            for _, v in owners.pop(cid, ()):
+                del violations[bisect_left(violations, v.dedup_key, key=_KEY)]
+            comp = system.component(cid)
+            if comp is None:
+                continue
+            distinct: dict[str, Entry] = {}
+            for member, v in rebuild(comp, index):
+                distinct.setdefault(v.dedup_key, (member, v))
+            if distinct:
+                owners[cid] = tuple(distinct.values())
+                added += (v for _, v in distinct.values())
+        if violations:
+            for v in added:
+                insort(violations, v, key=_KEY)
+        else:
+            violations = sorted(added, key=_KEY)
+        return CarriedRun(tuple(violations), owners)
+
+    def triggered(
+        self,
+        touched: Iterable[ComponentId],
+        triggering: Callable[[Any], tuple[TriggerItem, ...]],
+    ) -> list[Violation]:
+        """The run, where the entries of the ``touched`` owners whose member
+        ``triggering`` gives a non-empty list are built again with it."""
+        violations = list(self.violations)
+        for cid in touched:
+            for member, v in self.owners.get(cid, ()):
+                if found := triggering(member):
+                    at = bisect_left(violations, v.dedup_key, key=_KEY)
+                    violations[at] = replace(v, triggering=found)
+        return violations
+
+
+_NO_RUN = CarriedRun((), {})
 
 
 @dataclass(frozen=True)
 class LinkViolations:
-    """A system's IC and UEM violations, in the detectors' order, without the
-    label and triggering list each step stamps on them.
+    """A system's IC and UEM violations, in their final order, without the
+    triggering list each step computes.
 
     An entry depends only on its owner component and on the link index's
     ``unmatched`` and ``uncalled`` sets.  So a system's entries are derived
@@ -282,8 +314,8 @@ class LinkViolations:
     built again.  A system is carried with its entries, like its link index.
     """
 
-    invalid_calls: tuple[Entry, ...]
-    uncalled_endpoints: tuple[Entry, ...]
+    invalid_calls: CarriedRun
+    uncalled_endpoints: CarriedRun
 
     @classmethod
     def of(cls, system: SystemIR, baseline: SystemIR | None = None) -> LinkViolations:
@@ -292,37 +324,35 @@ class LinkViolations:
         if system.link_violations is None:
             if baseline is None or baseline.link_violations is None:
                 baseline = EMPTY_SYSTEM
-            view = baseline.link_violations or cls((), ())
+            view = baseline.link_violations or cls(_NO_RUN, _NO_RUN)
             object.__setattr__(system, "link_violations", view._updated(baseline, system))
         return system.link_violations
 
     def _updated(self, baseline: SystemIR, system: SystemIR) -> LinkViolations:
-        old, new = LinkIndex.of(baseline), LinkIndex.of(system)
-        modified = _modified_components(baseline, system)
-        calling = {c.id for c in modified if any(m.rest_calls for m in c.methods)}
-        calling.update(c.owning_component for c in old.unmatched ^ new.unmatched)
-        serving = {c.id for c in modified if c.endpoints}
-        serving.update(ep.owning_component for ep in old.uncalled ^ new.uncalled)
+        calls, endpoints = LinkIndex.of(system).toggled(LinkIndex.of(baseline))
+        differing = _differing_components(baseline, system)
+        calling = {c.id for c in differing if any(m.rest_calls for m in c.methods)}
+        calling.update(call.owning_component for call in calls)
+        serving = {c.id for c in differing if c.endpoints}
+        serving.update(ep.owning_component for ep in endpoints)
         return LinkViolations(
-            _replaced(self.invalid_calls, system, calling, _call_entries),
-            _replaced(self.uncalled_endpoints, system, serving, _endpoint_entries),
+            self.invalid_calls.replaced(system, calling, _call_entries),
+            self.uncalled_endpoints.replaced(system, serving, _endpoint_entries),
         )
 
 
-def _modified_components(baseline: SystemIR, system: SystemIR) -> list[Component]:
-    """Both versions of each component the two systems hold under one id as
-    different objects.  An added or removed component needs no entry here:
-    its calls and endpoints enter or leave the index's sets."""
-    modified = []
-    for name, now in system.services.items():
-        was = baseline.services.get(name)
-        if was is None or was is now:
-            continue
-        for cid, comp in now.components.items():
-            old = was.components.get(cid)
-            if old is not None and old is not comp:
-                modified += (old, comp)
-    return modified
+def _differing_components(baseline: SystemIR, system: SystemIR) -> list[Component]:
+    """Every version of each component that is not one object in both
+    systems: modified, added or removed."""
+    differing = []
+    for name in system.services.keys() | baseline.services.keys():
+        was, now = baseline.services.get(name), system.services.get(name)
+        if was is not now:
+            old = list(was.components.values()) if was is not None else []
+            new = list(now.components.values()) if now is not None else []
+            kept = set(map(id, old)).intersection(map(id, new))
+            differing += (comp for comp in old + new if id(comp) not in kept)
+    return differing
 
 
 def detect_invalid_calls(
@@ -331,7 +361,8 @@ def detect_invalid_calls(
     baseline: SystemIR | None = None,
     deltas: Sequence[Delta] = (),
 ) -> list[Violation]:
-    """One violation per rest call with no matching endpoint in the system.
+    """One violation per rest call with no matching endpoint in the system,
+    in dedup-key order and without a label: the document's applies.
 
     When the change context is supplied, the triggering list names the delta
     entry that broke the call (the call's own component, or the component
@@ -340,31 +371,25 @@ def detect_invalid_calls(
     components and the baseline callers of their endpoints can have one.
     """
     changed = _changed_ids(deltas)
-    touched = {_owner(cid) for cid in changed}
+    touched = set(changed)
     if changed and baseline is not None:
         old = LinkIndex.of(baseline)
         touched.update(
-            _owner(call.owning_component)
+            call.owning_component
             for comp in filter(None, map(baseline.component, changed))
             for ep in comp.endpoints
             for call in old.callers.get(ep, ())
         )
-    label = increment.version_label
-    entries = LinkViolations.of(increment, baseline).invalid_calls
-    violations = []
-    for _, owner, call, template in entries:
-        triggering = ()
-        if owner in touched:
-            culprit = call.owning_component
-            if culprit not in changed and baseline is not None:
-                old_endpoint = LinkIndex.of(baseline).resolve(call)
-                culprit = old_endpoint.owning_component if old_endpoint else None
-            if culprit in changed:
-                triggering = (TriggerItem(culprit, changed[culprit]),)
-        violations.append(
-            Violation("IC", label, triggering, template.impacted, template.dedup_key)
-        )
-    return violations
+
+    def triggering(call: RestCall) -> tuple[TriggerItem, ...]:
+        culprit = call.owning_component
+        if culprit not in changed and baseline is not None:
+            old_endpoint = LinkIndex.of(baseline).resolve(call)
+            culprit = old_endpoint.owning_component if old_endpoint else None
+        return (TriggerItem(culprit, changed[culprit]),) if culprit in changed else ()
+
+    run = LinkViolations.of(increment, baseline).invalid_calls
+    return run.triggered(touched, triggering)
 
 
 def detect_uncalled_endpoints(
@@ -373,7 +398,10 @@ def detect_uncalled_endpoints(
     baseline: SystemIR | None = None,
     deltas: Sequence[Delta] = (),
 ) -> list[Violation]:
-    """One violation per endpoint no middleware rest call matches.
+    """One violation per endpoint no middleware rest call matches, in
+    dedup-key order and without a label: the document's applies.  Endpoints
+    of one component that differ only in their handler count once, as the
+    first of them.
 
     Endpoints used only by user interfaces or third-party systems surface
     here as ghost predictions; that caveat is inherent to static scope.
@@ -385,7 +413,7 @@ def detect_uncalled_endpoints(
     components and those of shapes a changed component called can have one.
     """
     changed = _changed_ids(deltas)
-    touched = {_owner(cid) for cid in changed}
+    touched = set(changed)
     old = LinkIndex.of(baseline) if changed and baseline is not None else None
     if old is not None:
         shapes = {
@@ -395,38 +423,33 @@ def detect_uncalled_endpoints(
         }
         new = LinkIndex.of(increment)
         touched.update(
-            _owner(ep.owning_component)
+            ep.owning_component
             for shape in shapes
             for ep in new.endpoints.get(shape, ())
         )
     triggering_of: dict[tuple[str, str], tuple[TriggerItem, ...]] = {}
-    label = increment.version_label
-    entries = LinkViolations.of(increment, baseline).uncalled_endpoints
-    violations = []
-    for _, owner, endpoint, template in entries:
-        triggering = ()
-        if owner in touched:
-            cid = endpoint.owning_component
-            if cid in changed:
-                triggering = (TriggerItem(cid, changed[cid]),)
-            elif old is not None:
-                # the changed components whose calls reached this shape in
-                # the baseline
-                shape = (endpoint.http_method, endpoint.path)
-                if shape not in triggering_of:
-                    culprits = {
-                        call.owning_component
-                        for ep in old.endpoints.get(shape, ())
-                        for call in old.callers.get(ep, ())
-                    }
-                    triggering_of[shape] = _ordered_triggering(
-                        TriggerItem(c, kind) for c, kind in changed.items() if c in culprits
-                    )
-                triggering = triggering_of[shape]
-        violations.append(
-            Violation("UEM", label, triggering, template.impacted, template.dedup_key)
-        )
-    return violations
+
+    def triggering(endpoint: Endpoint) -> tuple[TriggerItem, ...]:
+        cid = endpoint.owning_component
+        if cid in changed:
+            return (TriggerItem(cid, changed[cid]),)
+        if old is None:
+            return ()
+        # the changed components whose calls reached this shape in the baseline
+        shape = (endpoint.http_method, endpoint.path)
+        if shape not in triggering_of:
+            culprits = {
+                call.owning_component
+                for ep in old.endpoints.get(shape, ())
+                for call in old.callers.get(ep, ())
+            }
+            triggering_of[shape] = _ordered_triggering(
+                TriggerItem(c, kind) for c, kind in changed.items() if c in culprits
+            )
+        return triggering_of[shape]
+
+    run = LinkViolations.of(increment, baseline).uncalled_endpoints
+    return run.triggered(touched, triggering)
 
 
 def _methods_by_signature(comp: Component) -> dict[tuple[str, int], Method]:
@@ -436,31 +459,25 @@ def _methods_by_signature(comp: Component) -> dict[tuple[str, int], Method]:
 def _return_object_targets(method: Method) -> frozenset[str]:
     """Call targets invoked on a value of the method's declared return type."""
     return_names = type_name_parts(method.return_type)
-    targets = set()
-    for target in method.body_call_targets:
-        receiver, name, arity = parse_call_target(target)
-        if receiver is not None and receiver in return_names:
-            targets.add(target)
-    return frozenset(targets)
+    return frozenset(
+        target
+        for target in method.body_call_targets
+        if parse_call_target(target)[0] in return_names
+    )
 
 
 def _dependents_of(
     service: MicroserviceIR, start: ComponentId, wanted: ComponentType
 ) -> list[ComponentId]:
     """Components of the wanted type reachable against call-edge direction."""
-    seen = {start}
-    frontier = [start]
-    found = set()
+    seen, frontier = {start}, [start]
     while frontier:
-        current = frontier.pop()
-        for caller in service.callers.get(current, ()):
-            if caller in seen:
-                continue
-            seen.add(caller)
-            frontier.append(caller)
-            if caller.component_type is wanted:
-                found.add(caller)
-    return sorted(found, key=str)
+        for caller in service.callers.get(frontier.pop(), ()):
+            if caller not in seen:
+                seen.add(caller)
+                frontier.append(caller)
+    seen.discard(start)
+    return sorted((c for c in seen if c.component_type is wanted), key=str)
 
 
 def _modification_violations(
@@ -478,35 +495,23 @@ def _modification_violations(
     new_service = increment.services[d.microservice]
     violations = []
     for change in d.changes:
-        if change.kind is not ChangeKind.MODIFY:
-            continue
         cid = change.component_id
-        if cid.component_type is not component_type:
-            continue
         old_comp = old_service.components.get(cid)
-        if old_comp is None:
+        if (
+            change.kind is not ChangeKind.MODIFY
+            or cid.component_type is not component_type
+            or old_comp is None
+        ):
             continue
-        new_comp = change.new_component
-        flagged = flagger(old_comp, new_comp)
-        for evidence in flagged:
-            impacted = [
-                ImpactedItem(component_id=cid, kind="method", evidence=evidence)
-            ]
-            for dep in _dependents_of(new_service, cid, dependent_type):
-                impacted.append(
-                    ImpactedItem(
-                        component_id=dep,
-                        kind="dependent",
-                        evidence=f"depends on {cid.qualified_name}",
-                    )
-                )
+        dependents = [
+            ImpactedItem(dep, "dependent", f"depends on {cid.qualified_name}")
+            for dep in _dependents_of(new_service, cid, dependent_type)
+        ]
+        triggering = [TriggerItem(cid, change.kind)]
+        for evidence in flagger(old_comp, change.new_component):
+            impacted = [ImpactedItem(cid, "method", evidence), *dependents]
             violations.append(
-                make_violation(
-                    rule_name,
-                    baseline.version_label,
-                    impacted=impacted,
-                    triggering=[TriggerItem(cid, change.kind)],
-                )
+                make_violation(rule_name, baseline.version_label, impacted, triggering)
             )
     return violations
 
@@ -563,13 +568,8 @@ def detect_service_method_modifications(
     increment, the system ``d`` derives from ``baseline``.
     """
     return _modification_violations(
-        "SMM",
-        ComponentType.SERVICE,
-        ComponentType.CONTROLLER,
-        _service_method_flags,
-        baseline,
-        d,
-        increment,
+        "SMM", ComponentType.SERVICE, ComponentType.CONTROLLER,
+        _service_method_flags, baseline, d, increment,
     )
 
 
@@ -578,13 +578,8 @@ def detect_repository_method_modifications(
 ) -> list[Violation]:
     """Modified repository methods with changed annotations or signatures."""
     return _modification_violations(
-        "RMM",
-        ComponentType.REPOSITORY,
-        ComponentType.SERVICE,
-        _repository_method_flags,
-        baseline,
-        d,
-        increment,
+        "RMM", ComponentType.REPOSITORY, ComponentType.SERVICE,
+        _repository_method_flags, baseline, d, increment,
     )
 
 
@@ -597,13 +592,12 @@ def _component_touches_virtual(
     token: str, old_comp: Component | None, new_comp: Component | None
 ) -> bool:
     """Whether the change alters the component's endpoints or its calls."""
-
-    def members(comp: Component | None) -> frozenset:
-        if comp is None:
-            return frozenset()
-        return frozenset(comp.endpoints) if token == "Endpoint" else comp.rest_calls()
-
-    old, new = members(old_comp), members(new_comp)
+    old, new = (
+        frozenset() if comp is None
+        else frozenset(comp.endpoints) if token == "Endpoint"
+        else comp.rest_calls()
+        for comp in (old_comp, new_comp)
+    )
     return bool(old or new) and (old_comp is None or new_comp is None or old != new)
 
 
@@ -612,19 +606,15 @@ def _change_matches(
     flt: ChangedComponentFilter,
     baseline: SystemIR | None,
 ) -> bool:
-    if (
-        "All" not in flt.change_types
-        and _KIND_TO_CHANGE_TYPE[change.kind] not in flt.change_types
-    ):
+    if not flt.change_types & {"All", _KIND_TO_CHANGE_TYPE[change.kind]}:
         return False
-    concrete = change.component_id.component_type.value
-    if concrete in flt.component_types:
+    if change.component_id.component_type.value in flt.component_types:
         return True
     old_comp = baseline.component(change.component_id) if baseline else None
-    for token in flt.component_types & {"Endpoint", "Call"}:
-        if _component_touches_virtual(token, old_comp, change.new_component):
-            return True
-    return False
+    return any(
+        _component_touches_virtual(token, old_comp, change.new_component)
+        for token in flt.component_types & {"Endpoint", "Call"}
+    )
 
 
 def _neighbours(system: SystemIR, cid: ComponentId) -> set[ComponentId]:
@@ -643,10 +633,8 @@ def _impact_items_for_component(
     increment: SystemIR,
     baseline: SystemIR | None,
 ) -> list[ImpactedItem]:
-    monitored = rule.monitored_impact
-    ctype = monitored.component_type
-    impact = monitored.impact_type
-    items: list[ImpactedItem] = []
+    ctype = rule.monitored_impact.component_type
+    impact = rule.monitored_impact.impact_type
     if ctype in ("Call", "Endpoint"):
         index = LinkIndex.of(increment)
         if ctype == "Call":
@@ -667,25 +655,20 @@ def _impact_items_for_component(
             if (unlinked if impact in ("Unmatched", "Unused") else inconsistent)
         ]
     if comp.id.component_type.value != ctype:
-        return items
+        return []
     if impact == "Inconsistent":
-        if _is_inconsistent(comp, baseline):
-            items.append(ImpactedItem(comp.id, "component", "content changed"))
+        hit, evidence = _is_inconsistent(comp, baseline), "content changed"
     elif impact == "Unmatched":
-        if not _has_cross_edge(comp.id, increment):
-            items.append(ImpactedItem(comp.id, "component", "no cross-service link"))
+        hit, evidence = not _has_cross_edge(comp.id, increment), "no cross-service link"
     elif impact == "Unused":
-        if not _has_inbound(comp.id, increment):
-            items.append(ImpactedItem(comp.id, "component", "no inbound dependency"))
+        hit, evidence = not _has_inbound(comp.id, increment), "no inbound dependency"
     else:  # pragma: no cover - the rule reader keeps this unreachable
         raise RuleBindingError(f"unsupported impact type {impact!r}")
-    return items
+    return [ImpactedItem(comp.id, "component", evidence)] if hit else []
 
 
 def _is_inconsistent(comp: Component, baseline: SystemIR | None) -> bool:
-    if baseline is None:
-        return False
-    old = baseline.component(comp.id)
+    old = baseline.component(comp.id) if baseline is not None else None
     return old is not None and old.content_hash != comp.content_hash
 
 
@@ -707,7 +690,7 @@ def _generic_violations(
 ) -> list[Violation]:
     """One violation per impacted item of each of ``comps``."""
     return [
-        make_violation(rule.name, increment.version_label, [item], triggering)
+        make_violation(rule.name, None, [item], triggering)
         for comp in comps
         for item in _impact_items_for_component(rule, comp, increment, baseline)
     ]
@@ -750,7 +733,9 @@ def evaluate_many(
     """Evaluate rules for one version step (possibly several service deltas).
 
     System rules sweep the increment once; Delta rules run per delta against
-    the shared baseline.  Results are deduplicated by dedup key and sorted.
+    the shared baseline.  Results come by rule name, each rule's in
+    dedup-key order with one violation per key, the first found.  The IC and
+    UEM detectors return their runs in that form already.
     """
     # Looked up at call time, so that a detector replaced on the module runs.
     on_system = {"IC": detect_invalid_calls, "UEM": detect_uncalled_endpoints}
@@ -758,19 +743,29 @@ def evaluate_many(
         "SMM": detect_service_method_modifications,
         "RMM": detect_repository_method_modifications,
     }
-    violations: list[Violation] = []
+    found: dict[str, list[list[Violation]]] = {}
+    carried = set()  # the names whose first run is a detector's finished one
     for rule in rules:
+        runs = found.setdefault(rule.name, [])
         if "System" in rule.analysis_levels:
+            if rule.name in on_system and not runs:
+                carried.add(rule.name)
             detect = on_system.get(rule.name, partial(_evaluate_generic_system, rule))
-            violations += detect(increment, baseline=baseline, deltas=deltas)
+            runs.append(detect(increment, baseline=baseline, deltas=deltas))
         if "Delta" in rule.analysis_levels and baseline is not None:
             detect = on_delta.get(rule.name, partial(_evaluate_generic_delta, rule))
-            for d in deltas:
-                violations += detect(baseline, d, increment)
-    unique: dict[str, Violation] = {}
-    for v in violations:
-        unique.setdefault(v.dedup_key, v)
-    return sorted(unique.values(), key=attrgetter("rule_name", "dedup_key"))
+            runs += (detect(baseline, d, increment) for d in deltas)
+    violations: list[Violation] = []
+    for name in sorted(found):
+        runs = found[name]
+        if name in carried and len(runs) == 1:
+            violations += runs[0]
+        else:
+            unique: dict[str, Violation] = {}
+            for v in chain.from_iterable(runs):
+                unique.setdefault(v.dedup_key, v)
+            violations += sorted(unique.values(), key=_KEY)
+    return violations
 
 
 def evaluate(

@@ -172,10 +172,12 @@ def delta_set_to_doc(deltas, reanchored: bool, removed_services) -> dict:
     }
 
 
-def violation_to_doc(v: Violation) -> dict:
+def violation_to_doc(v: Violation, label: str) -> dict:
+    """``v``'s document in the violations document of version ``label``."""
+    own = v.system_version_label
     return {
         "ruleName": v.rule_name,
-        "systemVersionLabel": v.system_version_label,
+        "systemVersionLabel": label if own is None else own,
         "triggering": [
             {
                 "componentId": component_id_to_doc(t.component_id),
@@ -201,5 +203,5 @@ def violations_doc(violations, label: str) -> dict:
     return {
         "schema": VIOLATIONS_SCHEMA,
         "systemVersionLabel": label,
-        "violations": [violation_to_doc(v) for v in violations],
+        "violations": [violation_to_doc(v, label) for v in violations],
     }

@@ -3,12 +3,19 @@
 These are the detectors as they were before a system carried its IC and UEM
 violations: every step sweeps every unmatched call and every endpoint of the
 increment, and builds each violation with ``make_violation``, baseline
-culprits included.  Tests compare the carried detectors against them.
+culprits and label included.  ``evaluate_many`` is the dispatch as it was
+before each rule's violations came in their final order: every violation
+found, deduplicated across all rules by dedup key, the first kept, then
+sorted.  Tests compare the carried detectors and dispatch against them.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
+
+from archdelta import rules
 
 from archdelta.linker import LinkIndex, call_sort_key, endpoint_sort_key
 from archdelta.model import (
@@ -22,7 +29,7 @@ from archdelta.model import (
     TriggerItem,
     Violation,
 )
-from archdelta.rules import make_violation
+from archdelta.rules import Rule, make_violation
 
 
 def _changed_ids(deltas: Sequence[Delta]) -> dict[ComponentId, ChangeKind]:
@@ -112,3 +119,38 @@ def detect_uncalled_endpoints(
         )
         violations.append(_link_violation("UEM", increment, item, culprits, changed))
     return violations
+
+
+def in_final_order(violations: Iterable[Violation]) -> list[Violation]:
+    """One violation per dedup key, the first found, sorted by rule name and
+    dedup key."""
+    unique: dict[str, Violation] = {}
+    for v in violations:
+        unique.setdefault(v.dedup_key, v)
+    return sorted(unique.values(), key=attrgetter("rule_name", "dedup_key"))
+
+
+def evaluate_many(
+    baseline: SystemIR | None,
+    deltas: Sequence[Delta],
+    increment: SystemIR,
+    rule_list: Sequence[Rule],
+) -> list[Violation]:
+    """Every rule's violations, IC and UEM from the full sweeps above, put
+    in final order all together."""
+    on_system = {"IC": detect_invalid_calls, "UEM": detect_uncalled_endpoints}
+    on_delta = {
+        "SMM": rules.detect_service_method_modifications,
+        "RMM": rules.detect_repository_method_modifications,
+    }
+    found: list[Violation] = []
+    for rule in rule_list:
+        if "System" in rule.analysis_levels:
+            generic = partial(rules._evaluate_generic_system, rule)
+            detect = on_system.get(rule.name, generic)
+            found += detect(increment, baseline=baseline, deltas=deltas)
+        if "Delta" in rule.analysis_levels and baseline is not None:
+            generic = partial(rules._evaluate_generic_delta, rule)
+            for d in deltas:
+                found += on_delta.get(rule.name, generic)(baseline, d, increment)
+    return in_final_order(found)

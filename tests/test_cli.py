@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from corpus import HISTORY_BASE, HISTORY_GIT_STEPS, commit_versions, materialize_history
 
-from archdelta.cli import main
+from archdelta import __version__
+from archdelta.cli import build_parser, main
 from archdelta.documents import deserialize_ir, deserialize_microservice_ir
 
 
@@ -224,6 +229,30 @@ def test_non_finite_overlap_threshold_exits_with_usage_error(
     err = capsys.readouterr().err
     assert err.startswith("usage: archdelta")
     assert "--overlap-threshold: must be a finite number" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "impact"])
+@pytest.mark.parametrize("option", ["--max-hops", "--cross-service-hops"])
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_negative_hop_bound_exits_with_usage_error(
+    tmp_path, capsys, command, option, value
+):
+    # a negative bound would report no indirect impact at all
+    with pytest.raises(SystemExit) as excinfo:
+        documents = [tmp_path / "base.json", tmp_path / "delta.json"]
+        run_cli(command, *documents, f"{option}={value}")
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: archdelta")
+    assert f"{option}: must be a whole number of hops" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "impact"])
+def test_zero_hop_bounds_are_accepted(command):
+    args = build_parser().parse_args(
+        [command, "base.json", "delta.json", "--max-hops=0", "--cross-service-hops=0"]
+    )
+    assert (args.max_hops, args.cross_service_hops) == (0, 0)
 
 
 def test_replay_of_only_unreadable_versions_fails(tmp_path, capsys):
@@ -553,3 +582,14 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("--version")
     assert excinfo.value.code == 0
+
+
+def test_package_runs_as_a_module(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "archdelta", "--version"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == __version__

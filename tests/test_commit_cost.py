@@ -1,12 +1,12 @@
 """A commit's work follows the commit, not the system.
 
 These tests count work, not time: the nodes ``impact_set`` expands, the
-cross edges ``apply_delta`` validates and the violations the rules build, per
-commit, and the entity pairs whose overlap it computes, per entity-field
-commit, on synthetic systems of 24 and 96 services that receive the same
-kinds of commit.  Every service talks
-to a fixed number of others, so a commit's neighbourhood has the same size
-at both scales, and so must its work.  A build of the same systems computes
+cross edges ``apply_delta`` validates and the ``Violation`` objects the rules
+construct, per commit, and the entity pairs whose overlap it computes, per
+entity-field commit, on synthetic systems of 24 and 96 services that receive
+the same kinds of commit.  Every service talks to a fixed number of others,
+so a commit's neighbourhood has the same size at both scales, and so must
+its work.  A build of the same systems computes
 the overlap of each entity pair at most once.
 """
 
@@ -31,6 +31,7 @@ from archdelta.model import (
     MicroserviceIR,
     Parameter,
     RestCall,
+    Violation,
     component_id,
     make_component,
     method_content_hash,
@@ -111,11 +112,11 @@ _COMMITS = [
 
 
 def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float, float]:
-    """Mean nodes expanded, cross edges validated and violations built per
-    commit, and entity pairs compared per entity-field commit."""
-    counts = {"expanded": 0, "validated": 0, "built": 0, "compared": 0}
+    """Mean nodes expanded, cross edges validated and violations constructed
+    per commit, and entity pairs compared per entity-field commit."""
+    counts = {"expanded": 0, "validated": 0, "constructed": 0, "compared": 0}
     expand, validate = impact._expand, linker.validate_cross_edges
-    overlap, make_violation = linker.entity_overlap, rules.make_violation
+    overlap, construct = linker.entity_overlap, Violation.__init__
 
     def counting_expand(*args):
         counts["expanded"] += 1
@@ -130,9 +131,9 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float, float]:
         counts["compared"] += 1
         return overlap(a, b)
 
-    def counting_make_violation(*args, **kwargs):
-        counts["built"] += 1
-        return make_violation(*args, **kwargs)
+    def counting_construct(*args, **kwargs):
+        counts["constructed"] += 1
+        construct(*args, **kwargs)
 
     checks = rules.builtin_rules()
     system = build_system_ir(_service(i, n) for i in range(n))
@@ -142,7 +143,7 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float, float]:
         patch.setattr(impact, "_expand", counting_expand)
         patch.setattr(linker, "validate_cross_edges", counting_validate)
         patch.setattr(linker, "entity_overlap", counting_overlap)
-        patch.setattr(rules, "make_violation", counting_make_violation)
+        patch.setattr(Violation, "__init__", counting_construct)
         commits = entity_commits = 0
         for i in (2, 9, 17):
             for change in _COMMITS:
@@ -157,7 +158,7 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float, float]:
     return (
         counts["expanded"] / commits,
         counts["validated"] / commits,
-        counts["built"] / commits,
+        counts["constructed"] / commits,
         counts["compared"] / entity_commits,
     )
 
@@ -168,7 +169,7 @@ def test_commit_work_does_not_grow_with_the_system(monkeypatch):
     names = (
         "nodes expanded",
         "edges validated",
-        "violations built",
+        "violations constructed",
         "entity pairs compared",
     )
     for what, a, b in zip(names, small, large):

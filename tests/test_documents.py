@@ -467,7 +467,7 @@ def violations(draw):
     triggering = st.builds(TriggerItem, _COMPONENT_IDS, kinds)
     return make_violation(
         draw(_AWKWARD),
-        draw(_AWKWARD),
+        draw(st.none() | _AWKWARD),
         draw(st.lists(impacted, min_size=1, max_size=3)),
         draw(st.lists(triggering, max_size=2)),
     )

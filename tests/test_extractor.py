@@ -259,6 +259,32 @@ def test_extraction_cache_reproduces_uncached_scan(history_versions):
     )
 
 
+def test_extraction_cache_holds_one_entry_per_file_path(tmp_path):
+    # Each edit replaces the edited file's entry; the other file's result is
+    # reused as the very same object.  A file back at an earlier content is
+    # extracted again, so its notes are reported again.
+    empty = "package p;\n@Entity\npublic class E { }\n"
+    (tmp_path / "E.java").write_text(empty)
+    (tmp_path / "F.java").write_text("package p;\n@Entity\npublic class F { int a; }\n")
+    cache: dict = {}
+    first = scan_repository(tmp_path, PROFILE, "svc", "v0", cache=cache)
+    for n in range(5):
+        (tmp_path / "E.java").write_text(
+            f"package p;\n@Entity\npublic class E {{ int f{n}; }}\n"
+        )
+        ir = scan_repository(tmp_path, PROFILE, "svc", f"v{n}", cache=cache)
+        assert sorted(cache) == [("svc", "E.java"), ("svc", "F.java")]
+        [f] = [c for c in ir.components.values() if c.id.qualified_name == "p.F"]
+        assert f is cache["svc", "F.java"][1]
+    (tmp_path / "E.java").write_text(empty)
+    warnings: list[ScanWarning] = []
+    again = scan_repository(
+        tmp_path, PROFILE, "svc", "v0", warnings=warnings, cache=cache
+    )
+    assert any("no instance fields" in w.message for w in warnings)
+    assert serialize_microservice_ir(again) == serialize_microservice_ir(first)
+
+
 def test_discover_services_multi_module(history_versions):
     found = discover_services(history_versions[0])
     assert [name for name, _ in found] == ["ts-order", "ts-station", "ts-user"]

@@ -336,13 +336,12 @@ def test_tied_steps_give_the_same_impact_under_every_hash_seed(tmp_path):
     (tmp_path / "baseline.json").write_bytes(serialize_ir(system))
     (tmp_path / "delta.json").write_bytes(serialize_delta(_modify_delta(system, api)))
     src = Path(__file__).resolve().parent.parent / "src"
-    script = "import sys; from archdelta.cli import main; sys.exit(main(sys.argv[1:]))"
     outputs = set()
     for seed in ("1", "3", "6"):  # a two-key sort gave both orders among these
         out = tmp_path / f"impact-{seed}.json"
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
         subprocess.run(
-            [sys.executable, "-c", script, "impact", "baseline.json", "delta.json",
+            [sys.executable, "-m", "archdelta", "impact", "baseline.json", "delta.json",
              "--out", str(out)],
             cwd=tmp_path, env=env, check=True,
         )
