@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArchDeltaError, FileNotFoundError) as exc:
+    except (ArchDeltaError, OSError) as exc:  # OSError: a file not read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

@@ -248,8 +248,8 @@ def _fields(cls: type) -> list[tuple[str, str, str, Any]]:
             kind, of = hint.__name__, hint
         elif isinstance(hint, type) and issubclass(hint, Enum):
             kind, of = "enum", hint
-        elif dataclasses.is_dataclass(hint):
-            kind, of = "record", hint
+        elif dataclasses.is_dataclass(hint) or hasattr(hint, "_fields"):
+            kind, of = "record", hint  # a dataclass or a named tuple
         elif typing.get_origin(hint) is tuple:
             kind, of = ("strings", str) if args[0] is str else ("records", args[0])
         elif type(None) in args:
@@ -286,7 +286,7 @@ def _reader_source(cls: type) -> str:
         if name == _OWNER:
             lines.append(f"    {name} = _held({name}, owner, '{key}')")
         holder = name if name == _HOLDER else holder
-    names = ", ".join(f.name for f in dataclasses.fields(cls))
+    names = ", ".join(name for name, _, _, _ in _fields(cls))
     lines.append(f"    return {cls.__name__}({names})\n")
     return "\n".join(lines)
 

@@ -802,12 +802,11 @@ def resolve_call_graph(
     for cid, comp in components.items():
         by_class.setdefault(_simple_type(cid.qualified_name), set()).add(cid)
         for m in comp.methods:
-            by_sig.setdefault((m.name, m.arity), set()).add(cid)
+            by_sig.setdefault((m.name, len(m.parameters)), set()).add(cid)
     edges: set[tuple[ComponentId, ComponentId]] = set()
     for cid, comp in components.items():
         for m in comp.methods:
-            for target in m.body_call_targets:
-                receiver, name, arity = parse_call_target(target)
+            for receiver, name, arity in m.call_targets:
                 if receiver is not None:
                     candidates = by_class.get(receiver, set())
                 else:

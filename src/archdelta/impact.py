@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .documents import component_id_to_doc
@@ -48,40 +49,41 @@ class ImpactReport:
     affected_services: frozenset[str]
 
 
-@dataclass(frozen=True)
-class _Step:
-    neighbor: ComponentId
-    edge: PathEdge
-    crosses_service: bool
-
-
 def _expand(
     system: SystemIR,
     node: ComponentId,
     include_data_overlap: bool,
     include_entity_usage: bool,
-) -> list[_Step]:
-    """The steps leaving ``node``, sorted by neighbour, edge kind and ends."""
+) -> list[tuple]:
+    """The steps leaving ``node``, sorted by neighbour, edge kind and ends.
+
+    A step is (sort key, neighbour, (edge kind, from, to), crosses service);
+    its key holds the ``str`` of the neighbour and of the ends, made once,
+    and its path edge is built only if the step extends a path."""
     steps = []
+    here = str(node)
     service = system.services.get(node.microservice)
     if service is not None:
         # reversed: impact on the callee reaches its callers
         for caller in service.callers.get(node, ()):
-            steps.append(_Step(caller, PathEdge("call", caller, node), False))
+            name = str(caller)
+            key = (name, "call", name, here)
+            steps.append((key, caller, ("call", caller, node), False))
         if include_entity_usage:
             for user in service.entity_users.get(node, ()):
-                steps.append(_Step(user, PathEdge("entityUsage", node, user), False))
+                name = str(user)
+                key = (name, "entityUsage", here, name)
+                steps.append((key, user, ("entityUsage", node, user), False))
     for edge in Incidence.of(system).edges(node):
         if edge.kind is EdgeKind.DATA_OVERLAP and not include_data_overlap:
             continue
         kind = "remoteCall" if edge.kind is EdgeKind.REMOTE_CALL else "dataOverlap"
-        other = edge.target if edge.source == node else edge.source
-        steps.append(_Step(other, PathEdge(kind, edge.source, edge.target), True))
-    steps.sort(
-        key=lambda s: (
-            str(s.neighbor), s.edge.kind, str(s.edge.from_id), str(s.edge.to_id)
-        )
-    )
+        outgoing = edge.source == node
+        other = edge.target if outgoing else edge.source
+        name = str(other)
+        key = (name, kind, here, name) if outgoing else (name, kind, name, here)
+        steps.append((key, other, (kind, edge.source, edge.target), True))
+    steps.sort(key=itemgetter(0))
     return steps
 
 
@@ -101,7 +103,7 @@ def impact_set(
     service-boundary edges one path may use.
     """
     direct = frozenset(d.change_ids())
-    expanded: dict[ComponentId, list[_Step]] = {}
+    expanded: dict[ComponentId, list[tuple]] = {}
     paths: dict[ComponentId, tuple[PathEdge, ...]] = {}
     best_cross: dict[ComponentId, int] = {cid: 0 for cid in direct}
     queue: deque[tuple[ComponentId, int, int, tuple[PathEdge, ...]]] = deque(
@@ -116,20 +118,20 @@ def impact_set(
             steps = expanded[node] = _expand(
                 baseline, node, include_data_overlap, include_entity_usage
             )
-        for step in steps:  # sorted: deterministic shortest paths
-            next_crossings = crossings + (1 if step.crosses_service else 0)
+        for _, target, ends, crosses in steps:  # sorted: deterministic shortest paths
+            next_crossings = crossings + crosses
             if next_crossings > cross_service_hops:
                 continue
-            target = step.neighbor
             if target in direct:
                 continue
             known = best_cross.get(target)
             if known is not None and known <= next_crossings:
                 continue
             best_cross[target] = next_crossings
+            extended = path + (PathEdge(*ends),)
             if target not in paths:
-                paths[target] = path + (step.edge,)
-            queue.append((target, hops + 1, next_crossings, path + (step.edge,)))
+                paths[target] = extended
+            queue.append((target, hops + 1, next_crossings, extended))
     affected = frozenset(
         cid.microservice for cid in paths if cid.microservice != d.microservice
     )

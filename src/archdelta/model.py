@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .linker import LinkIndex, OverlapIndex
@@ -33,7 +33,11 @@ HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH")
 NON_LITERAL = "\x00"
 
 
+# Each enum hashes as its value does: ``str.__hash__`` runs in C, while
+# ``Enum.__hash__`` is a Python call (and hashes the member's name).
 class ComponentType(str, Enum):
+    __hash__ = str.__hash__
+
     CONTROLLER = "Controller"
     SERVICE = "Service"
     REPOSITORY = "Repository"
@@ -41,12 +45,16 @@ class ComponentType(str, Enum):
 
 
 class ChangeKind(str, Enum):
+    __hash__ = str.__hash__
+
     ADD = "ADD"
     MODIFY = "MODIFY"
     DELETE = "DELETE"
 
 
 class EdgeKind(str, Enum):
+    __hash__ = str.__hash__
+
     REMOTE_CALL = "RemoteCall"
     DATA_OVERLAP = "DataOverlap"
 
@@ -172,16 +180,19 @@ def normalize_path(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ComponentId:
-    """Name-based identity: (service, component type, qualified unit name)."""
+class ComponentId(NamedTuple):
+    """Name-based identity: (service, component type, qualified unit name).
+
+    A named tuple, so it hashes, compares and orders as the plain tuple of
+    its values does, in C: it equals ``(service, type value, name)``.
+    """
 
     microservice: str
     component_type: ComponentType
     qualified_name: str
 
     def __str__(self) -> str:
-        return f"{self.microservice}::{self.component_type.value}::{self.qualified_name}"
+        return f"{self.microservice}::{self.component_type._value_}::{self.qualified_name}"
 
 
 def component_id(
@@ -256,6 +267,21 @@ class Method:
     @property
     def arity(self) -> int:
         return len(self.parameters)
+
+    _call_targets = None  # set on first use of ``call_targets``; not a field
+
+    @property
+    def call_targets(self) -> tuple[tuple[str | None, str, int], ...]:
+        """Each body call target as (receiver or None, name, arity), parsed
+        once and kept with the (immutable) method.  Not ``cached_property``,
+        which would give every method an instance dictionary of its own."""
+        parsed = self._call_targets
+        if parsed is None:
+            from .extractor import parse_call_target
+
+            parsed = tuple(map(parse_call_target, self.body_call_targets))
+            object.__setattr__(self, "_call_targets", parsed)
+        return parsed
 
     def signature(self) -> str:
         params = ",".join(p.declared_type for p in self.parameters)
@@ -423,7 +449,7 @@ class MicroserviceIR:
     def entity_users(self) -> Mapping[ComponentId, tuple[ComponentId, ...]]:
         """Each entity's non-entity components that mention it by name: in a
         method's return or parameter type, or as a call receiver."""
-        from .extractor import parse_call_target, type_name_parts
+        from .extractor import type_name_parts
 
         # one entity per name: a later one of the same name shadows earlier ones
         entity_names = {comp.entity_ref.name: comp.id for comp, _ in self.entities()}
@@ -438,10 +464,7 @@ class MicroserviceIR:
                 mentioned |= type_name_parts(m.return_type)
                 for p in m.parameters:
                     mentioned |= type_name_parts(p.declared_type)
-                for target in m.body_call_targets:
-                    receiver, _, _ = parse_call_target(target)
-                    if receiver:
-                        mentioned.add(receiver)
+                mentioned.update(r for r, _, _ in m.call_targets if r)
             pairs += [(e, comp.id) for n, e in entity_names.items() if n in mentioned]
         return _grouped(pairs)
 

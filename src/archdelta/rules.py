@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .documents import _each, _Fault, _get, _loaded, _within
 from .errors import RuleBindingError
-from .extractor import parse_call_target, type_name_parts
+from .extractor import type_name_parts
 from .linker import (
     EMPTY_SYSTEM,
     LinkIndex,
@@ -461,8 +461,8 @@ def _return_object_targets(method: Method) -> frozenset[str]:
     return_names = type_name_parts(method.return_type)
     return frozenset(
         target
-        for target in method.body_call_targets
-        if parse_call_target(target)[0] in return_names
+        for target, (receiver, _, _) in zip(method.body_call_targets, method.call_targets)
+        if receiver in return_names
     )
 
 

@@ -353,6 +353,26 @@ def test_bad_input_exits_with_usage_error(tmp_path):
     assert run_cli("merge", bogus, bogus) == 2
 
 
+@pytest.mark.parametrize("role", ["baseline", "delta", "replay-config", "rules"])
+def test_a_directory_as_input_document_is_a_usage_error(
+    history_versions, tmp_path, capsys, role
+):
+    baseline, delta = _documents(history_versions, tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "baseline": ["impact", folder, delta],
+        "delta": ["impact", baseline, folder],
+        "replay-config": ["replay", folder],
+        "rules": ["analyze", baseline, delta, "--rules", folder],
+    }[role]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert "internal error" not in err and "Traceback" not in err
+
+
 def _documents(versions, tmp_path):
     """A baseline document of the first history version and the ts-order
     delta to the second, written by the CLI."""

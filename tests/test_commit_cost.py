@@ -6,24 +6,30 @@ construct, per commit, and the entity pairs whose overlap it computes, per
 entity-field commit, on synthetic systems of 24 and 96 services that receive
 the same kinds of commit.  Every service talks to a fixed number of others,
 so a commit's neighbourhood has the same size at both scales, and so must
-its work.  A build of the same systems computes
-the overlap of each entity pair at most once.
+its work.  A commit parses the call targets of the methods it changed and no
+others, and builds no more impact path edges than the traversal steps it
+accepts.  A build of the same systems computes the overlap of each entity
+pair at most once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
+from typing import Iterator
 
 import pytest
 
-from archdelta import impact, linker, rules
+from archdelta import extractor, impact, linker, rules
 from archdelta.delta import compute_delta
 from archdelta.extractor import resolve_call_graph
-from archdelta.impact import impact_set
+from archdelta.impact import PathEdge, impact_set
 from archdelta.linker import build_system_ir
 from archdelta.merge import apply_delta
 from archdelta.model import (
+    Component,
+    ComponentId,
     ComponentType,
+    Delta,
     Endpoint,
     Entity,
     EntityField,
@@ -31,6 +37,7 @@ from archdelta.model import (
     MicroserviceIR,
     Parameter,
     RestCall,
+    SystemIR,
     Violation,
     component_id,
     make_component,
@@ -38,10 +45,10 @@ from archdelta.model import (
 )
 
 
-def _service(
+def _components(
     i: int, n: int, body: str = "", post: bool = True, hop: int = 1, field: str = "c"
-) -> MicroserviceIR:
-    """Service ``i`` of a ring of ``n``.
+) -> dict[ComponentId, Component]:
+    """The components of service ``i`` of a ring of ``n``.
 
     Its controller serves GET, DELETE and, with ``post``, POST, and calls
     the service class, which calls the repository and the controllers of
@@ -95,8 +102,22 @@ def _service(
             entity_ref=Entity("Item", tuple(EntityField(f, "String") for f in fields)),
         ),
     ]
-    components = {comp.id: comp for comp in comps}
-    return MicroserviceIR(name, "v0", components, resolve_call_graph(components))
+    return {comp.id: comp for comp in comps}
+
+
+def _service(i: int, n: int, **change) -> MicroserviceIR:
+    components = _components(i, n, **change)
+    return MicroserviceIR(f"svc{i}", "v0", components, resolve_call_graph(components))
+
+
+def _scanned(current: MicroserviceIR, components: dict) -> MicroserviceIR:
+    """The service of ``components`` as a scan with an extraction cache gives
+    it: each component that did not change is ``current``'s own object."""
+    for cid, comp in components.items():
+        old = current.components.get(cid)
+        if old is not None and old.content_hash == comp.content_hash:
+            components[cid] = old
+    return MicroserviceIR(current.name, "v0", components, resolve_call_graph(components))
 
 
 # The commit kinds, applied in turn to each committed service: a method body
@@ -109,6 +130,23 @@ _COMMITS = [
     {"body": "edited", "hop": 2},
     {"body": "edited", "hop": 2, "field": "d"},
 ]
+_COMMITTED = (2, 9, 17)
+
+
+def _commits(system: SystemIR, n: int) -> Iterator[tuple[Delta, SystemIR]]:
+    """Each commit of ``_COMMITS`` to each committed service in turn: the
+    service is scanned, its delta computed and its impact found, the
+    increment made and the rules evaluated.  Yields the delta and increment."""
+    checks = rules.builtin_rules()
+    for i in _COMMITTED:
+        for change in _COMMITS:
+            current = system.services[f"svc{i}"]
+            d = compute_delta(current, _scanned(current, _components(i, n, **change)))
+            impact_set(system, d)
+            increment = apply_delta(system, d)
+            rules.evaluate_many(system, [d], increment, checks)
+            system = increment
+            yield d, system
 
 
 def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float, float]:
@@ -135,26 +173,16 @@ def _work_per_commit(n: int, monkeypatch) -> tuple[float, float, float, float]:
         counts["constructed"] += 1
         construct(*args, **kwargs)
 
-    checks = rules.builtin_rules()
     system = build_system_ir(_service(i, n) for i in range(n))
     # each service has one uncalled endpoint and one unmatched call
-    assert len(rules.evaluate_many(None, [], system, checks)) == 2 * n
+    assert len(rules.evaluate_many(None, [], system, rules.builtin_rules())) == 2 * n
     with monkeypatch.context() as patch:
         patch.setattr(impact, "_expand", counting_expand)
         patch.setattr(linker, "validate_cross_edges", counting_validate)
         patch.setattr(linker, "entity_overlap", counting_overlap)
         patch.setattr(Violation, "__init__", counting_construct)
-        commits = entity_commits = 0
-        for i in (2, 9, 17):
-            for change in _COMMITS:
-                current = system.services[f"svc{i}"]
-                d = compute_delta(current, _service(i, n, **change))
-                impact_set(system, d)
-                increment = apply_delta(system, d)
-                rules.evaluate_many(system, [d], increment, checks)
-                system = increment
-                commits += 1
-                entity_commits += "field" in change
+        commits = sum(1 for _ in _commits(system, n))
+    entity_commits = len(_COMMITTED) * sum("field" in change for change in _COMMITS)
     return (
         counts["expanded"] / commits,
         counts["validated"] / commits,
@@ -181,6 +209,36 @@ def test_commit_work_does_not_grow_with_the_system(monkeypatch):
     d = compute_delta(system.services["svc9"], _service(9, 96, body="edited"))
     affected = impact_set(system, d).affected_services
     assert {"svc6", "svc8", "svc10", "svc12"} <= affected
+
+
+@pytest.mark.parametrize("n", [24, 96])
+def test_a_commit_parses_only_changed_methods_and_accepted_path_edges(monkeypatch, n):
+    counts: Counter = Counter()
+    parse = extractor.parse_call_target
+
+    def counting_parse(target):
+        counts["parsed"] += 1
+        return parse(target)
+
+    class CountingQueue(deque):  # after the start nodes, one entry per accepted step
+        def append(self, item):
+            counts["accepted"] += 1
+            super().append(item)
+
+    def counting_path_edge(*args):
+        counts["built"] += 1
+        return PathEdge(*args)
+
+    system = build_system_ir(_service(i, n) for i in range(n))
+    monkeypatch.setattr(extractor, "parse_call_target", counting_parse)
+    monkeypatch.setattr(impact, "deque", CountingQueue)
+    monkeypatch.setattr(impact, "PathEdge", counting_path_edge)
+    for d, _ in _commits(system, n):
+        changed = [ch.new_component for ch in d.changes if ch.new_component]
+        targets = sum(len(m.body_call_targets) for c in changed for m in c.methods)
+        assert counts["parsed"] == targets
+        assert 0 < counts["built"] <= counts["accepted"]
+        counts.clear()
 
 
 @pytest.mark.parametrize("n", [24, 96])

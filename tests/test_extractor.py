@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import pickle
 import sys
 import tempfile
 import time
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import reference_call_graph
 import reference_walk
 from corpus import ACCOUNT_ENTITY, ORDER_SERVICE_V0
+from strategies import components
 
 import archdelta.extractor as extractor
 from archdelta.errors import AmbiguousMarkerError, ExtractionError
@@ -26,10 +29,17 @@ from archdelta.extractor import (
     extract_entity,
     extract_rest_calls,
     parse_unit,
+    resolve_call_graph,
     scan_repository,
 )
-from archdelta.documents import serialize_microservice_ir
-from archdelta.model import UNRESOLVED, ComponentType, component_id
+from archdelta.documents import deserialize_microservice_ir, serialize_microservice_ir
+from archdelta.model import (
+    UNRESOLVED,
+    ComponentType,
+    MicroserviceIR,
+    component_id,
+    make_component,
+)
 from archdelta.profiles import default_profile
 
 PROFILE = default_profile()
@@ -651,3 +661,45 @@ def test_the_walk_finds_what_the_pathlib_walk_found(entries, extensions):
             assert _services(discover_services, walk_root) == _services(
                 reference_walk.discover_services, walk_root
             )
+
+
+# Targets the extractor never writes, beside well-formed ones; "m/٣" has a
+# non-ASCII digit that ``\d`` matches.
+_ODD_TARGETS = ["", "/1", "a.b", "x/y", "a.b.c/1", "m/٣", "Unit9.run/0"]
+
+
+@st.composite
+def _called_components(draw) -> dict:
+    """Components whose methods also call each other's classes and methods,
+    their own class, and the odd targets."""
+    units = [
+        draw(components("svc-a", f"pkg.Unit{i}"))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    pool = [*_ODD_TARGETS, *(f"Unit{i}.work/0" for i in range(len(units)))]
+    pool += [f"{m.name}/{len(m.parameters)}" for c in units for m in c.methods]
+    comps = {}
+    for c in units:
+        methods = []
+        for m in c.methods:
+            extra = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
+            methods.append(replace(m, body_call_targets=m.body_call_targets + extra))
+        comp = make_component(c.id, methods, c.endpoints, c.entity_ref, c.source_path)
+        comps[comp.id] = comp
+    return comps
+
+
+@given(_called_components())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_call_graph_equals_the_reference(comps):
+    expected = reference_call_graph.resolve_call_graph(comps)
+    assert resolve_call_graph(comps) == expected
+    ir = MicroserviceIR("svc-a", "v0", comps, expected)
+    # a loaded or unpickled method resolves the same, parsed or not
+    loaded = deserialize_microservice_ir(serialize_microservice_ir(ir)).components
+    for again in (loaded, pickle.loads(pickle.dumps(comps))):
+        assert resolve_call_graph(again) == expected
+        for comp in again.values():
+            for m in comp.methods:
+                parsed = map(reference_call_graph.parse_call_target, m.body_call_targets)
+                assert m.call_targets == tuple(parsed)

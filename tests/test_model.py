@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 import re
 import string
@@ -12,7 +13,10 @@ import reference_lexer
 
 import archdelta.model as model
 from archdelta.model import (
+    ChangeKind,
+    ComponentId,
     ComponentType,
+    EdgeKind,
     Endpoint,
     Entity,
     EntityField,
@@ -38,6 +42,46 @@ def test_component_id_is_deterministic():
     a = component_id("ts-order", ComponentType.SERVICE, "order.OrderServiceImpl")
     b = component_id("ts-order", ComponentType.SERVICE, "order.OrderServiceImpl")
     assert a == b and hash(a) == hash(b)
+
+
+def test_component_id_hashes_and_compares_as_a_tuple_of_strings():
+    assert ComponentId.__hash__ is tuple.__hash__
+    for enum in (ComponentType, EdgeKind, ChangeKind):
+        assert enum.__hash__ is str.__hash__
+    cid = component_id("ts-order", ComponentType.CONTROLLER, "order.Api")
+    plain = ("ts-order", "Controller", "order.Api")
+    assert cid == plain and hash(cid) == hash(plain)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "a-b", "b", "a.b"]),
+            st.sampled_from(list(ComponentType)),
+            st.sampled_from(["x", "x.Y", "X", "a::b"]),
+        ),
+        max_size=8,
+    )
+)
+def test_component_ids_sort_by_service_type_value_and_name(parts):
+    ids = [ComponentId(*p) for p in parts]
+    by_parts = sorted(
+        ids, key=lambda c: (c.microservice, c.component_type.value, c.qualified_name)
+    )
+    assert sorted(ids) == by_parts
+
+
+def test_component_id_text_repr_and_pickle_are_unchanged():
+    cid = component_id("ts-order", ComponentType.REPOSITORY, "order.Repo")
+    assert str(cid) == "ts-order::Repository::order.Repo"
+    assert repr(cid) == (
+        "ComponentId(microservice='ts-order', "
+        "component_type=<ComponentType.REPOSITORY: 'Repository'>, "
+        "qualified_name='order.Repo')"
+    )
+    again = pickle.loads(pickle.dumps(cid))
+    assert type(again) is ComponentId and again == cid
+    assert again.component_type is ComponentType.REPOSITORY
 
 
 def test_component_type_participates_in_identity():
