@@ -1,22 +1,29 @@
 """Structural extraction of one microservice source tree.
 
 The parser is deliberately lightweight: it recognizes type declarations,
-annotations, method signatures and bodies as token streams, which is all the
-downstream analysis consumes.  It never executes builds and it degrades to
-warnings on files it cannot make sense of.
+annotations, method signatures and bodies, which is all the downstream
+analysis consumes.  It never executes builds and it degrades to warnings on
+files it cannot make sense of.
 
-Each file is lexed once, by ``model.source_views``: the lexemes are string
+Each file is lexed once, by ``model.lexed_views``: the lexemes are string
 and char literals, ``\"\"\"`` text blocks and comments.  Each starts at a quote
-or a slash, and the lexeme pattern is tried only there, so whitespace and
-other code cost one scan for those characters.  That pass yields two
-offset-aligned views.  ``code`` has comments blanked and is where values are
-read.  ``skel`` also blanks literal interiors, keeping the quotes, and is
-where structure is found, so braces and keywords inside literals cannot
-confuse it.  One stack pass over ``skel`` pairs every ``(`` and ``{`` with its
-closer.  Parsing then works on spans of the file: it finds structure in
-``skel``, steps over bracketed groups through that table and slices values
-out of ``code``.  Each method body is type-scanned and call-scanned once; the
-call graph and the remote calls read the same scan.
+or a slash, and the lexeme pattern is tried only there.  That pass yields
+two offset-aligned views and the spans of the literals that hold
+whitespace.  ``code`` has comments blanked and is where values are read.
+``skel`` also blanks literal interiors, keeping the quotes, and is where
+structure is found, so braces and keywords inside literals cannot confuse
+it.  One stack pass over ``skel`` pairs every ``(`` and ``{`` with its closer.
+
+The members are found in one pass over the class body, in the manner of an
+island grammar: declarations are parsed, bodies are skipped.  The pass stops
+only where a member can end (``;``, ``=``, ``{``) and steps over each
+parenthesized group and each body through the bracket table.  Each member is
+classified once, from its head: its leading annotations, one pattern for its
+modifiers, type and name, and for a method the parameter list that closes
+the head.  Method bodies and annotation arguments are hashed from ``code``
+and the whitespace-holding literals, never lexed again.  Each body is read
+once for its local declarations and once, backwards from each ``(``, for its
+calls; the call graph and the remote calls read the same calls.
 """
 
 from __future__ import annotations
@@ -26,11 +33,13 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, MutableMapping, NamedTuple
 
 from .errors import AmbiguousMarkerError, ExtractionError
 from .model import (
+    HTTP_METHODS,
     NON_LITERAL,
     UNRESOLVED,
     Component,
@@ -44,11 +53,11 @@ from .model import (
     Parameter,
     RestCall,
     component_id,
+    lexed_views,
     make_component,
     method_content_hash,
     normalize_path,
-    normalize_source_text,
-    source_views,
+    normalized_span,
     validate_microservice_ir,
 )
 from .profiles import FROM_ATTRIBUTE, MarkerProfile
@@ -56,35 +65,9 @@ from .profiles import FROM_ATTRIBUTE, MarkerProfile
 
 logger = logging.getLogger(__name__)
 
-_MODIFIERS = {
-    "public",
-    "protected",
-    "private",
-    "static",
-    "final",
-    "abstract",
-    "default",
-    "synchronized",
-    "native",
-    "strictfp",
-    "transient",
-    "volatile",
-}
-
-_CALL_KEYWORDS = {
-    "if",
-    "for",
-    "while",
-    "switch",
-    "catch",
-    "return",
-    "throw",
-    "assert",
-    "super",
-    "this",
-    "synchronized",
-    "new",
-}
+_CALL_KEYWORDS = frozenset(
+    "if for while switch catch return throw assert super this synchronized new".split()
+)
 
 _PRUNED_DIRS = {"target", "build", "out", "node_modules"}
 
@@ -103,24 +86,32 @@ class ScanWarning:
 
 
 _BRACKETS = re.compile(r"[(){}]")
+_PARENS = re.compile(r"[()]")
 _SPLIT_PUNCT = re.compile(r"[()\[\]{}<>,=+]")
 
 
 class _Source:
-    """One file's aligned views and bracket-match table; parsing uses spans."""
+    """One file's aligned views, bracket-match table and whitespace-holding
+    literals; parsing uses spans."""
 
     def __init__(self, text: str):
-        self.code, self.skel = source_views(text)
+        self.code, self.skel, self.spaced = lexed_views(text)
         self.closer: dict[int, int] = {}
-        stacks: dict[str, list[int]] = {"(": [], "{": []}
-        for m in _BRACKETS.finditer(self.skel):
-            c = m.group()
-            if c in stacks:
-                stacks[c].append(m.start())
-            else:
-                stack = stacks["(" if c == ")" else "{"]
-                if stack:  # a closer without an opener pairs with nothing
-                    self.closer[stack.pop()] = m.start()
+        skel, closer = self.skel, self.closer
+        parens: list[int] = []
+        braces: list[int] = []
+        # a closer without an opener pairs with nothing
+        for i in map(re.Match.start, _BRACKETS.finditer(skel)):
+            c = skel[i]
+            if c == "(":
+                parens.append(i)
+            elif c == "{":
+                braces.append(i)
+            elif c == ")":
+                if parens:
+                    closer[parens.pop()] = i
+            elif braces:
+                closer[braces.pop()] = i
 
     def close(self, open_idx: int, end: int) -> int:
         """Offset of the bracket closing ``open_idx``; it must lie before ``end``."""
@@ -139,6 +130,8 @@ class _Source:
 
     def split(self, start: int, end: int, sep: str) -> list[tuple[int, int]]:
         """Split a span on ``sep`` outside brackets, braces and generics."""
+        if self.skel.find(sep, start, end) < 0:
+            return [(start, end)]
         parts: list[tuple[int, int]] = []
         depth = angle = 0
         for m in _SPLIT_PUNCT.finditer(self.skel, start, end):
@@ -157,13 +150,14 @@ class _Source:
         parts.append((start, end))
         return parts
 
+    @cached_property
+    def back(self) -> str:
+        """``skel`` reversed, for reading backwards from an offset."""
+        return self.skel[::-1]
+
 
 _WHITESPACE = re.compile(r"\s+")
 _NAME = re.compile(r"[A-Za-z_][\w]*")
-
-
-def _collapse_type(text: str) -> str:
-    return _WHITESPACE.sub("", text.strip())
 
 
 def _simple_type(declared: str) -> str:
@@ -178,30 +172,15 @@ def type_name_parts(declared: str) -> frozenset[str]:
     return frozenset(n.rsplit(".", 1)[-1] for n in names)
 
 
-def _split_modifiers(decl: str) -> tuple[list[str], str]:
-    """Leading modifier keywords of a declaration, and the text after them."""
-    modifiers: list[str] = []
-    head = decl.split(None, 1)
-    while head and head[0] in _MODIFIERS:
-        modifiers.append(head[0])
-        decl = head[1] if len(head) == 2 else ""
-        head = decl.split(None, 1)
-    return modifiers, decl
-
-
 # ---------------------------------------------------------------------------
 # Annotations
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedAnnotation:
+class ParsedAnnotation(NamedTuple):
     name: str
     args: str  # raw text inside parens, "" when absent
-
-    def as_string(self) -> str:
-        body = normalize_source_text(self.args)
-        return f"{self.name}({body})" if body else self.name
+    text: str  # the annotation as a method or entity records it
 
 
 _ANNOTATION = re.compile(r"@\s*([\w.]+)\s*(\()?")
@@ -212,9 +191,12 @@ def _annotation(src: _Source, m: re.Match, end: int) -> tuple[ParsedAnnotation, 
     """The annotation ``m`` found in a span ending at ``end``; offset after it."""
     name = m.group(1).rsplit(".", 1)[-1]
     if not m.group(2):
-        return ParsedAnnotation(name, ""), m.end()
-    close = src.close(m.end() - 1, end)
-    return ParsedAnnotation(name, src.code[m.end() : close]), close + 1
+        return ParsedAnnotation(name, "", name), m.end()
+    start = m.end()
+    close = src.close(start - 1, end)
+    body = normalized_span(src.code, src.spaced, start, close)
+    text = f"{name}({body})" if body else name
+    return ParsedAnnotation(name, src.code[start:close], text), close + 1
 
 
 def _annotations_in(src: _Source, start: int, end: int) -> list[ParsedAnnotation]:
@@ -250,23 +232,13 @@ _METHOD_STRING = re.compile(r"\bmethod\s*=\s*\{?\s*\"([A-Z]+)\"")
 
 
 def _annotation_path_value(args: str) -> str:
-    m = _NAMED_PATH.search(args)
-    if m:
-        return m.group(1)
-    m = _LEADING_PATH.match(args)
-    if m:
-        return m.group(1)
-    return ""
+    m = _NAMED_PATH.search(args) or _LEADING_PATH.match(args)
+    return m.group(1) if m else ""
 
 
 def _annotation_method_attr(args: str) -> str | None:
-    m = _METHOD_CONSTANT.search(args)
-    if m:
-        return m.group(1)
-    m = _METHOD_STRING.search(args)
-    if m:
-        return m.group(1)
-    return None
+    m = _METHOD_CONSTANT.search(args) or _METHOD_STRING.search(args)
+    return m.group(1) if m else None
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +246,7 @@ def _annotation_method_attr(args: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedMethod:
+class ParsedMethod(NamedTuple):
     name: str
     parameters: tuple[Parameter, ...]
     return_type: str
@@ -283,22 +254,11 @@ class ParsedMethod:
     body_span: tuple[int, int] | None  # None for abstract/interface methods
 
 
-@dataclass(frozen=True)
-class ParsedField:
+class ParsedField(NamedTuple):
     name: str
     declared_type: str
     annotations: tuple[ParsedAnnotation, ...]
     modifiers: tuple[str, ...]
-
-
-class _BodyCall(NamedTuple):
-    receiver: str | None  # None for bare calls
-    method: str
-    args: tuple[tuple[int, int], ...]  # stripped argument spans in the file
-
-    @property
-    def arity(self) -> int:
-        return len(self.args)
 
 
 @dataclass(frozen=True)
@@ -319,8 +279,17 @@ class ParsedUnit:
 _PACKAGE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
 _TYPE_DECL = re.compile(r"\b(class|interface|enum)\s+(\w+)")
 _WORD = re.compile(r"\w+")
-_TRAILING_NAME = re.compile(r"(\w+)\s*$")
-_THROWS = re.compile(r"\bthrows\b[\w.,<>\s]*$")
+# A declaration head: modifier keywords (each a whole whitespace-separated
+# word), the type, then the trailing name.  The type runs to the last
+# non-word character before the name, found backwards from the end.
+_HEAD = re.compile(
+    r"\s*((?:(?:public|protected|private|static|final|abstract|default"
+    r"|synchronized|native|strictfp|transient|volatile)(?:\s+|$))*)"
+    r"((?:.*\W)?)(\w+)\s*$",
+    re.DOTALL,
+)
+# What may follow a method's parameter list: nothing, or a throws clause.
+_AFTER_PARAMS = re.compile(r"\s*(?:throws\b[\w.,<>\s]*)?$")
 _MEMBER_PUNCT = re.compile(r"[(){;=]")
 _NESTING = re.compile(r"[(\[{)\]};]")
 
@@ -329,77 +298,64 @@ def _parse_params(src: _Source, start: int, end: int) -> tuple[Parameter, ...]:
     params: list[Parameter] = []
     for part_start, part_end in src.split(start, end, ","):
         _, rest = _leading_annotations(src, part_start, part_end)
-        _, part = _split_modifiers(src.code[rest:part_end].strip())
-        m = _TRAILING_NAME.search(part)
-        if not m:
-            continue
-        declared = _collapse_type(part[: m.start()])
-        if declared:
-            params.append(Parameter(name=m.group(1), declared_type=declared))
+        head = _HEAD.match(src.code, rest, part_end)
+        if head is not None:
+            declared = _WHITESPACE.sub("", head.group(2))
+            if declared:
+                params.append(Parameter(head.group(3), declared))
     return tuple(params)
 
 
-def _try_parse_method(
-    src: _Source, start: int, end: int, body_span: tuple[int, int] | None
+def _method(
+    src: _Source,
+    anns: list[ParsedAnnotation],
+    start: int,
+    end: int,
+    body_span: tuple[int, int] | None,
 ) -> ParsedMethod | None:
-    anns, rest = _leading_annotations(src, start, end)
-    start, end = src.strip(rest, end)
-    throws = _THROWS.search(src.code, start, end)
-    if throws:
-        start, end = src.strip(start, throws.start())
-    if not src.code.endswith(")", start, end):
+    """The method declared by ``[start, end)`` after its annotations: a
+    head with a non-empty type, then one parenthesized parameter list,
+    closed last but for a throws clause."""
+    skel = src.skel
+    close_idx = skel.rfind(")", start, end)
+    if close_idx < 0 or not _AFTER_PARAMS.match(skel, close_idx + 1, end):
         return None
-    open_idx = src.skel.find("(", start, end)
-    if open_idx < 0:
+    open_idx = skel.find("(", start, close_idx)
+    if open_idx < 0 or src.close(open_idx, close_idx + 1) != close_idx:
         return None
-    close_idx = src.close(open_idx, end)
-    if src.code[close_idx + 1 : end].strip():
+    head = _HEAD.match(src.code, start, open_idx)
+    if head is None:
         return None
-    before = src.code[start:open_idx].strip()
-    m = _TRAILING_NAME.search(before)
-    if not m:
-        return None
-    _, prefix = _split_modifiers(before[: m.start()].strip())
-    return_type = _collapse_type(prefix)
+    return_type = _WHITESPACE.sub("", head.group(2))
     if not return_type:
         return None  # constructor; outside the structural model
-    return ParsedMethod(
-        name=m.group(1),
-        parameters=_parse_params(src, open_idx + 1, close_idx),
-        return_type=return_type,
-        annotations=tuple(anns),
-        body_span=body_span,
-    )
+    params = _parse_params(src, open_idx + 1, close_idx)
+    return ParsedMethod(head.group(3), params, return_type, tuple(anns), body_span)
 
 
-def _try_parse_fields(src: _Source, start: int, end: int) -> list[ParsedField]:
-    anns, rest = _leading_annotations(src, start, end)
-    decl_start, decl_end = src.strip(*src.split(rest, end, "=")[0])
-    if decl_start == decl_end or "(" in src.skel[decl_start:decl_end]:
+def _fields(
+    src: _Source, anns: list[ParsedAnnotation], start: int, end: int
+) -> list[ParsedField]:
+    """The fields declared by ``[start, end)`` after its annotations: one
+    head, then more names after commas; an initializer is skipped."""
+    code = src.code
+    end = src.split(start, end, "=")[0][1]
+    if src.skel.find("(", start, end) >= 0:
         return []
-    modifiers, decl = _split_modifiers(src.code[decl_start:decl_end])
-    parts = src.split(decl_end - len(decl), decl_end, ",")
-    first = src.code[parts[0][0] : parts[0][1]].strip()
-    m = _TRAILING_NAME.search(first)
-    if not m:
+    parts = src.split(start, end, ",")
+    head = _HEAD.match(code, *parts[0])
+    if head is None:
         return []
-    declared = _collapse_type(first[: m.start()])
+    declared = _WHITESPACE.sub("", head.group(2))
     if not declared:
         return []
-    names = [m.group(1)]
+    names = [head.group(3)]
     for extra_start, extra_end in parts[1:]:
-        extra_name = src.code[extra_start:extra_end].strip()
+        extra_name = code[extra_start:extra_end].strip()
         if _WORD.fullmatch(extra_name):
             names.append(extra_name)
-    return [
-        ParsedField(
-            name=name,
-            declared_type=declared,
-            annotations=tuple(anns),
-            modifiers=tuple(modifiers),
-        )
-        for name in names
-    ]
+    annotations, modifiers = tuple(anns), tuple(head.group(1).split())
+    return [ParsedField(name, declared, annotations, modifiers) for name in names]
 
 
 def _statement_end(skel: str, start: int, end: int) -> int:
@@ -417,9 +373,17 @@ def _statement_end(skel: str, start: int, end: int) -> int:
 
 
 def parse_unit(text: str) -> ParsedUnit | None:
-    """Parse one source unit; None when no type declaration is found."""
+    """Parse one source unit; None when no type declaration is found.
+
+    One pass over the class body finds its members: it stops at ``;``,
+    ``=``, ``{`` and parentheses, and steps over each parenthesized group
+    and each body through the bracket table.  A member ending at ``{`` is a
+    method with that body (or a nested type, skipped); one ending at ``;``
+    is an abstract method or fields; one ending at ``=`` is fields, its
+    initializer running to the next ``;`` outside brackets.
+    """
     src = _Source(text)
-    skel = src.skel
+    skel, closer = src.skel, src.closer
 
     pkg_match = _PACKAGE.search(skel)
     package = pkg_match.group(1) if pkg_match else ""
@@ -429,11 +393,9 @@ def parse_unit(text: str) -> ParsedUnit | None:
         return None
     kind, type_name = decl.group(1), decl.group(2)
 
-    header_start = 0
-    boundary = max(skel.rfind(";", 0, decl.start()), skel.rfind("}", 0, decl.start()))
-    if boundary >= 0:
-        header_start = boundary + 1
-    class_annotations = _annotations_in(src, header_start, decl.start())
+    # the class's annotations follow the last statement or block before it
+    header_start = max(skel.rfind(";", 0, decl.start()), skel.rfind("}", 0, decl.start()))
+    class_annotations = _annotations_in(src, header_start + 1, decl.start())
 
     open_idx = skel.find("{", decl.end())
     if open_idx < 0:
@@ -444,31 +406,45 @@ def parse_unit(text: str) -> ParsedUnit | None:
     methods: list[ParsedMethod] = []
 
     i = seg_start = open_idx + 1
-    paren_depth = 0
-    while m := _MEMBER_PUNCT.search(skel, i, close_idx):
+    stray = 0  # ")" that closed nothing in the body, less "(" seen since
+    while i < close_idx:
+        if stray:  # no member ends until as many "(" have followed
+            m = _PARENS.search(skel, i, close_idx)
+            if m is None:
+                break
+            i = m.start()
+            stray += 1 if skel[i] == ")" else -1
+            i += 1
+            continue
+        m = _MEMBER_PUNCT.search(skel, i, close_idx)
+        if m is None:
+            break
         c, i = m.group(), m.start()
-        if c == "(":
-            paren_depth += 1
+        if c == "(":  # a group, skipped whole
+            i = closer.get(i, close_idx)
+            if i >= close_idx:
+                break  # unclosed in the body: nothing ends a member again
         elif c == ")":
-            paren_depth -= 1
-        elif paren_depth:
-            pass  # inside an unclosed parenthesis nothing ends a member
+            stray = 1
+        elif c == "=":
+            i = _statement_end(skel, i, close_idx)
+            anns, rest = _leading_annotations(src, seg_start, i)
+            fields += _fields(src, anns, rest, i)
+            seg_start = i + 1
         elif c == ";":
-            method = _try_parse_method(src, seg_start, i, None)
+            anns, rest = _leading_annotations(src, seg_start, i)
+            method = _method(src, anns, rest, i, None)
             if method is not None:
                 methods.append(method)
             else:
-                fields.extend(_try_parse_fields(src, seg_start, i))
-            seg_start = i + 1
-        elif c == "=":
-            i = _statement_end(skel, i, close_idx)
-            fields.extend(_try_parse_fields(src, seg_start, i))
+                fields += _fields(src, anns, rest, i)
             seg_start = i + 1
         else:  # "{": a method body or a nested type, skipped whole
             block_close = src.close(i, close_idx)
             # nested type declarations are outside the model
             if not _TYPE_DECL.search(skel, seg_start, i):
-                method = _try_parse_method(src, seg_start, i, (i + 1, block_close))
+                anns, rest = _leading_annotations(src, seg_start, i)
+                method = _method(src, anns, rest, i, (i + 1, block_close))
                 if method is not None:
                     methods.append(method)
             seg_start = block_close + 1
@@ -476,13 +452,7 @@ def parse_unit(text: str) -> ParsedUnit | None:
         i += 1
 
     return ParsedUnit(
-        package=package,
-        type_name=type_name,
-        kind=kind,
-        annotations=tuple(class_annotations),
-        fields=tuple(fields),
-        methods=tuple(methods),
-        source=src,
+        package, type_name, kind, tuple(class_annotations), tuple(fields), tuple(methods), src
     )
 
 
@@ -493,10 +463,7 @@ def parse_unit(text: str) -> ParsedUnit | None:
 
 def _classify(unit: ParsedUnit, profile: MarkerProfile) -> ComponentType | None:
     names = {a.name for a in unit.annotations}
-    matched: list[ComponentType] = []
-    for ctype, markers in profile.classification_sets():
-        if names & markers:
-            matched.append(ctype)
+    matched = [ctype for ctype, markers in profile.classification_sets() if names & markers]
     if len(matched) > 1:
         raise AmbiguousMarkerError(
             f"{unit.qualified_name}: markers match both "
@@ -510,9 +477,7 @@ def classify_source_unit(
 ) -> ComponentType | None:
     """Classify one source unit by its type-level markers; None if unmarked."""
     unit = parse_unit(unit_text)
-    if unit is None:
-        return None
-    return _classify(unit, profile)
+    return None if unit is None else _classify(unit, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +506,7 @@ def extract_endpoints(
             else:
                 verb = semantics
             path = normalize_path(f"{base}/{_annotation_path_value(ann.args)}")
-            endpoints.append(
-                Endpoint(
-                    http_method=verb,
-                    path=path,
-                    handler_method=method.name,
-                    owning_component=owning,
-                )
-            )
+            endpoints.append(Endpoint(verb, path, method.name, owning))
     return endpoints
 
 
@@ -560,40 +518,54 @@ _FOREACH_DECL = re.compile(r"\(\s*([A-Z]\w*(?:\s*<[^<>;={}]*>)?)\s+(\w+)\s*:")
 
 def _local_types(skel: str, start: int, end: int) -> dict[str, str]:
     env: dict[str, str] = {}
-    for decl in (_LOCAL_DECL, _FOREACH_DECL):
-        for m in decl.finditer(skel, start, end):
-            env[m.group(2)] = _simple_type(m.group(1))
+    for decl, mark in ((_LOCAL_DECL, "="), (_FOREACH_DECL, ":")):
+        if skel.find(mark, start, end) >= 0:  # each declaration has its mark
+            for m in decl.finditer(skel, start, end):
+                env[m.group(2)] = _simple_type(m.group(1))
     return env
 
 
-_RECEIVER_CALL = re.compile(r"(\w+)\s*\.\s*(\w+)\s*\(")
-# A bare call, with a preceding ``new`` matched along so that constructor
-# calls are told apart without looking back over the body.
-_BARE_CALL = re.compile(r"(new\s*)?(?<![.\w])(\w+)\s*\(")
+# A call read backwards from its "(" in the reversed skeleton: the method
+# name whole, then a receiver and its dot, the ``new`` of a constructor, or
+# neither (but no dot).
+_CALL_BACK = re.compile(r"\s*(\w+)(?!\w)(?:(\s*)\.\s*(\w+)|(\s+wen)|(?!\.))")
+_BLANK = re.compile(r"\s*$")
 
 
-def _scan_calls(src: _Source, start: int, end: int) -> tuple[_BodyCall, ...]:
-    """Receiver and bare calls in a body span, in source order."""
-    found = [
-        (m.start(), m.group(1), m.group(2), m.end() - 1)
-        for m in _RECEIVER_CALL.finditer(src.skel, start, end)
-    ]
-    found += [
-        (m.start(2), None, m.group(2), m.end() - 1)
-        for m in _BARE_CALL.finditer(src.skel, start, end)
-        if not m.group(1) and m.group(2) not in _CALL_KEYWORDS
-    ]
-    found.sort(key=lambda f: f[0])
-    calls: list[_BodyCall] = []
-    for _, receiver, method, open_idx in found:
-        close = src.closer.get(open_idx, end)
-        if close >= end:
-            continue  # unbalanced inside the body: not a call
-        args: tuple[tuple[int, int], ...] = ()
-        if src.code[open_idx + 1 : close].strip():
-            args = tuple(src.strip(*a) for a in src.split(open_idx + 1, close, ","))
-        calls.append(_BodyCall(receiver, method, args))
-    return tuple(calls)
+def _scan_calls(
+    src: _Source, start: int, end: int
+) -> list[tuple[str | None, str, int, int, int]]:
+    """Receiver and bare calls in a body span, in source order, each as
+    (receiver or None, method, offsets of its parentheses, arity).
+
+    Each "(" is read backwards: the word before it is the method name, and
+    before that come a receiver and its dot, ``new`` (a constructor call,
+    not recorded), or neither; a name right after a dot alone is no call.
+    A receiver call whose name follows whitespace (``a. b(``) is also a
+    bare call: call targets, and the content hashes over them, count it.
+    """
+    skel, closer, back = src.skel, src.closer, src.back
+    last = len(skel)
+    calls = []
+    open_idx = skel.find("(", start, end)
+    while open_idx >= 0:
+        m = _CALL_BACK.match(back, last - open_idx, last - start)
+        close = closer.get(open_idx, end)
+        if m is not None and close < end:
+            if skel.find(",", open_idx, close) >= 0:
+                arity = len(src.split(open_idx + 1, close, ","))
+            else:
+                arity = 0 if _BLANK.match(skel, open_idx + 1, close) else 1
+            name, gap, receiver, new = m.groups()
+            name = name[::-1]
+            if receiver is not None:
+                calls.append((receiver[::-1], name, open_idx, close, arity))
+                if gap and name not in _CALL_KEYWORDS:
+                    calls.append((None, name, open_idx, close, arity))
+            elif new is None and name not in _CALL_KEYWORDS:
+                calls.append((None, name, open_idx, close, arity))
+        open_idx = skel.find("(", open_idx + 1, end)
+    return calls
 
 
 _SCHEME = re.compile(r"https?://")
@@ -638,12 +610,10 @@ def _resolve_verb(pattern_verb: str | int, args: list[str]) -> str | None:
         return None
     text = args[pattern_verb]
     m = _VERB_CONSTANT.search(text)
-    if m and m.group(1) in ("GET", "POST", "PUT", "DELETE", "PATCH"):
+    if m and m.group(1) in HTTP_METHODS:
         return m.group(1)
     m = _VERB_STRING.search(text)
-    if m:
-        return m.group(1)
-    return None
+    return m.group(1) if m else None
 
 
 def _receiver_matches(
@@ -655,20 +625,27 @@ def _receiver_matches(
 
 
 def _match_rest_call(
-    src: _Source, call: _BodyCall, rtype: str | None, profile: MarkerProfile
+    src: _Source,
+    call: tuple[str | None, str, int, int, int],
+    rtype: str | None,
+    profile: MarkerProfile,
 ) -> tuple[str, str, str] | None:
     """(verb, target service, path) by the first profile pattern a receiver
     call matches; None when it matches none."""
+    receiver, method, open_idx, close, arity = call
+    args: list[tuple[int, int]] = []
+    if arity:
+        args = [src.strip(*a) for a in src.split(open_idx + 1, close, ",")]
     for pattern in profile.remote_call_patterns:
-        if call.method != pattern.method_name:
+        if method != pattern.method_name:
             continue
-        if not _receiver_matches(call.receiver, rtype, pattern.receiver_type):
+        if not _receiver_matches(receiver, rtype, pattern.receiver_type):
             continue
-        if pattern.url_arg >= call.arity:
+        if pattern.url_arg >= arity:
             continue
-        verb = _resolve_verb(pattern.verb, [src.code[s:e] for s, e in call.args])
+        verb = _resolve_verb(pattern.verb, [src.code[s:e] for s, e in args])
         if verb is not None:
-            return verb, *_parse_url_expression(src, *call.args[pattern.url_arg])
+            return verb, *_parse_url_expression(src, *args[pattern.url_arg])
     return None
 
 
@@ -688,50 +665,55 @@ def extract_entity(unit: ParsedUnit) -> Entity:
         if any(a.name == "Transient" for a in f.annotations):
             continue
         fields.append(EntityField(field_name=f.name, declared_type=f.declared_type))
-    return Entity(
-        name=unit.type_name,
-        fields=tuple(fields),
-        annotations=tuple(a.as_string() for a in unit.annotations),
-    )
+    return Entity(unit.type_name, tuple(fields), tuple(a.text for a in unit.annotations))
+
+
+_NO_BODY_HASH = method_content_hash(None)
 
 
 def _build_methods(
     unit: ParsedUnit, profile: MarkerProfile, owning: ComponentId
 ) -> list[Method]:
     """The unit's methods.  One scan of each body gives its call targets and
-    its rest calls, so each rest call is recorded on the method making it."""
+    its rest calls, so each rest call is recorded on the method making it.
+    A body is hashed from the file's views, not lexed again."""
     src = unit.source
     class_fields = {f.name: _simple_type(f.declared_type) for f in unit.fields}
+    remote = {p.method_name for p in profile.remote_call_patterns}
     methods = []
     for pm in unit.methods:
         targets: list[str] = []
         rest_calls: list[RestCall] = []
-        body = None
+        content_hash = _NO_BODY_HASH
         if pm.body_span is not None:
-            body = src.code[pm.body_span[0] : pm.body_span[1]]
+            start, end = pm.body_span
+            body = normalized_span(src.code, src.spaced, start, end)
+            content_hash = hashlib.sha256(body.encode("utf-8")).hexdigest()
             types = dict(class_fields)
-            types.update({p.name: _simple_type(p.declared_type) for p in pm.parameters})
-            types.update(_local_types(src.skel, *pm.body_span))
-            site = f"{unit.qualified_name}.{pm.name}"
-            for call in _scan_calls(src, *pm.body_span):
-                if call.receiver is None:
-                    targets.append(f"{call.method}/{call.arity}")
+            types.update((p.name, _simple_type(p.declared_type)) for p in pm.parameters)
+            types.update(_local_types(src.skel, start, end))
+            for call in _scan_calls(src, start, end):
+                receiver, method, _, _, arity = call
+                if receiver is None:
+                    targets.append(f"{method}/{arity}")
                     continue
-                rtype = types.get(call.receiver)
-                receiver = call.receiver if rtype is None else rtype
-                targets.append(f"{receiver}.{call.method}/{call.arity}")
+                rtype = types.get(receiver)
+                targets.append(f"{receiver if rtype is None else rtype}.{method}/{arity}")
+                if method not in remote:
+                    continue
                 matched = _match_rest_call(src, call, rtype, profile)
                 if matched is not None:
+                    site = f"{unit.qualified_name}.{pm.name}"
                     rest_calls.append(RestCall(*matched, site, owning))
         methods.append(
             Method(
                 name=pm.name,
                 parameters=pm.parameters,
                 return_type=pm.return_type,
-                annotations=tuple(a.as_string() for a in pm.annotations),
+                annotations=tuple([a.text for a in pm.annotations]),
                 body_call_targets=tuple(targets),
                 rest_calls=tuple(rest_calls),
-                content_hash=method_content_hash(body),
+                content_hash=content_hash,
             )
         )
     return methods
@@ -762,14 +744,7 @@ def extract_component(
         if not entity.fields:
             notes.append(f"entity {unit.qualified_name} declares no instance fields")
     methods = _build_methods(unit, profile, cid)
-    component = make_component(
-        cid,
-        methods=methods,
-        endpoints=endpoints,
-        entity_ref=entity,
-        source_path=source_path,
-    )
-    return component, notes
+    return make_component(cid, methods, endpoints, entity, source_path), notes
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +857,10 @@ def scan_repository(
 ) -> MicroserviceIR:
     """Scan one microservice source tree into its per-service representation.
 
-    Per-file failures never abort the scan; they are logged and, when a
-    ``warnings`` list is supplied, collected there.  Passing a ``cache``
+    Per-file failures, a file that cannot be read among them, never abort
+    the scan; they are logged and, when a ``warnings`` list is supplied,
+    collected there.  Nothing is cached for a file that cannot be read.
+    Passing a ``cache``
     makes repeated scans over evolving checkouts re-parse only changed
     files.  It holds one entry per file path, the result for the content
     read last, so it grows with the tree and not with its history; a file
@@ -896,8 +873,13 @@ def scan_repository(
     sink = warnings if warnings is not None else []
     components: dict[ComponentId, Component] = {}
     for rel, path in _source_files(root, profile):
-        with open(path, "rb") as f:
-            data = f.read()
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError as exc:  # gone or unreadable since it was listed
+            sink.append(ScanWarning(rel, f"unreadable: {exc}"))
+            logger.warning("skipping %s: %s", rel, exc)
+            continue
         digest = hashlib.sha256(data).hexdigest()
         cached = cache.get((service_name, rel)) if cache is not None else None
         if cached is not None and cached[0] == digest:

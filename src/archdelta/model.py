@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -97,8 +98,9 @@ def _lexemes(text: str) -> Iterator[re.Match]:
             pos = m.end()
 
 
-def source_views(text: str) -> tuple[str, str]:
-    """The two offset-aligned views of a source text, from one lexeme pass.
+def lexed_views(text: str) -> tuple[str, str, list[tuple[int, int]]]:
+    """The two offset-aligned views of a source text, from one lexeme pass,
+    and the spans of its literals that hold whitespace, in order.
 
     ``code`` has every comment character blanked except newlines, so
     ``"http://x"`` stays intact.  ``skel`` additionally blanks the interior
@@ -107,6 +109,7 @@ def source_views(text: str) -> tuple[str, str]:
     """
     code: list[str] = []
     skel: list[str] = []
+    spaced: list[tuple[int, int]] = []
     pos = 0
     for m in _lexemes(text):
         start, end = m.span()
@@ -118,38 +121,54 @@ def source_views(text: str) -> tuple[str, str]:
             code.append(blank)
             skel.append(blank)
         else:
-            quote, close = m.group("quote"), m.group("close") or ""
-            code.append(m.group())
+            literal, quote, close = m.group(), m.group("quote"), m.group("close") or ""
+            code.append(literal)
             skel.append(quote + " " * (end - start - len(quote) - len(close)) + close)
+            if _SPACES.search(literal):
+                spaced.append((start, end))
     code.append(text[pos:])
     skel.append(text[pos:])
-    return "".join(code), "".join(skel)
+    return "".join(code), "".join(skel), spaced
 
 
-def normalize_source_text(text: str) -> str:
-    """Canonical form of a source fragment for hashing.
+def source_views(text: str) -> tuple[str, str]:
+    """``code`` and ``skel`` of ``lexed_views``."""
+    code, skel, _ = lexed_views(text)
+    return code, skel
 
-    Comments are dropped and whitespace runs collapse to a single space, but
-    only outside literals: whitespace inside a literal is content.  A comment
-    counts as whitespace, and none is kept at either end of the text.
+
+def normalized_span(
+    code: str, spaced: list[tuple[int, int]], start: int, end: int
+) -> str:
+    """Canonical form of the fragment ``code[start:end]`` for hashing, read
+    from a ``code`` view and its whitespace-holding literals, not lexed again.
+
+    Comments are blanked in ``code``, so they are whitespace already.
+    Whitespace runs collapse to a single space, but only outside literals:
+    whitespace inside a literal is content.  None is kept at either end.
+    The fragment must not cut a literal.
     """
     parts: list[str] = []
-    gap: list[str] = []  # code and comments since the last literal
-    pos = 0
-    for m in _lexemes(text):
-        gap.append(text[pos : m.start()])
-        pos = m.end()
-        if m.lastgroup == "comment":
-            gap.append(" ")
-        else:
-            parts.append(_SPACES.sub(" ", "".join(gap)))
-            parts.append(m.group())
-            gap = []
-    gap.append(text[pos:])
-    parts.append(_SPACES.sub(" ", "".join(gap)))
+    pos = start
+    i = bisect_left(spaced, (start,)) if spaced else 0
+    while i < len(spaced) and spaced[i][0] < end:
+        lit_start, lit_end = spaced[i]
+        parts.append(_SPACES.sub(" ", code[pos:lit_start]))
+        parts.append(code[lit_start:lit_end])
+        pos = lit_end
+        i += 1
+    parts.append(_SPACES.sub(" ", code[pos:end]))
     parts[0] = parts[0].lstrip(" ")
     parts[-1] = parts[-1].rstrip(" ")
     return "".join(parts)
+
+
+def normalize_source_text(text: str) -> str:
+    """Canonical form of a source fragment for hashing: ``normalized_span``
+    of the whole text.  Comments are dropped, and a comment counts as
+    whitespace."""
+    code, _, spaced = lexed_views(text)
+    return normalized_span(code, spaced, 0, len(code))
 
 
 def method_content_hash(body_text: str | None) -> str:
@@ -329,6 +348,35 @@ def _endpoint_sort_key(e: Endpoint) -> tuple:
     return (e.http_method, e.path, e.handler_method)
 
 
+def _field_sort_key(f: EntityField) -> tuple:
+    return (f.field_name, f.declared_type)
+
+
+def _sorted(items: tuple, key) -> tuple:
+    return items if len(items) < 2 else tuple(sorted(items, key=key))
+
+
+def _content_hash(
+    methods: tuple[Method, ...], endpoints: tuple[Endpoint, ...], entity: Entity | None
+) -> str:
+    """Digest of methods and endpoints already in canonical order."""
+    parts: list[str] = []
+    for m in methods:
+        params = ",".join([f"{p.name}:{p.declared_type}" for p in m.parameters])
+        calls = ";".join([r.signature() for r in m.rest_calls])
+        parts.append(
+            f"m|{m.name}|{params}|{m.return_type}|{';'.join(m.annotations)}"
+            f"|{m.content_hash}|{';'.join(m.body_call_targets)}|{calls}"
+        )
+    for e in endpoints:
+        parts.append(f"e|{e.http_method}|{e.path}|{e.handler_method}")
+    if entity is not None:
+        fields = _sorted(entity.fields, _field_sort_key)
+        text = ",".join([f"{f.field_name}:{f.declared_type}" for f in fields])
+        parts.append(f"d|{entity.name}|{text}|{';'.join(entity.annotations)}")
+    return _sha256("\n".join(parts))
+
+
 def hash_component(c: Component) -> str:
     """Digest over canonically ordered member content.
 
@@ -337,30 +385,8 @@ def hash_component(c: Component) -> str:
     is deliberately not hashed: a file move that preserves the qualified name
     is not a change.
     """
-    parts: list[str] = []
-    for m in sorted(c.methods, key=_method_sort_key):
-        calls = ";".join(r.signature() for r in m.rest_calls)
-        parts.append(
-            "m|{name}|{params}|{ret}|{anns}|{body}|{targets}|{calls}".format(
-                name=m.name,
-                params=",".join(f"{p.name}:{p.declared_type}" for p in m.parameters),
-                ret=m.return_type,
-                anns=";".join(m.annotations),
-                body=m.content_hash,
-                targets=";".join(m.body_call_targets),
-                calls=calls,
-            )
-        )
-    for e in sorted(c.endpoints, key=_endpoint_sort_key):
-        parts.append(f"e|{e.http_method}|{e.path}|{e.handler_method}")
-    if c.entity_ref is not None:
-        ent = c.entity_ref
-        fields = ",".join(
-            f"{f.field_name}:{f.declared_type}"
-            for f in sorted(ent.fields, key=lambda f: (f.field_name, f.declared_type))
-        )
-        parts.append(f"d|{ent.name}|{fields}|{';'.join(ent.annotations)}")
-    return _sha256("\n".join(parts))
+    methods = _sorted(c.methods, _method_sort_key)
+    return _content_hash(methods, _sorted(c.endpoints, _endpoint_sort_key), c.entity_ref)
 
 
 def make_component(
@@ -378,28 +404,11 @@ def make_component(
     if (entity_ref is not None) != (cid.component_type is ComponentType.ENTITY):
         raise ValueError(f"{cid}: entity payload must be present iff type is Entity")
     if entity_ref is not None:
-        entity_ref = Entity(
-            name=entity_ref.name,
-            fields=tuple(
-                sorted(entity_ref.fields, key=lambda f: (f.field_name, f.declared_type))
-            ),
-            annotations=tuple(entity_ref.annotations),
-        )
-    base = Component(
-        id=cid,
-        methods=methods,
-        endpoints=endpoints,
-        entity_ref=entity_ref,
-        source_path=source_path,
-    )
-    return Component(
-        id=cid,
-        methods=methods,
-        endpoints=endpoints,
-        entity_ref=entity_ref,
-        source_path=source_path,
-        content_hash=hash_component(base),
-    )
+        fields = tuple(sorted(entity_ref.fields, key=_field_sort_key))
+        if fields != entity_ref.fields or type(entity_ref.annotations) is not tuple:
+            entity_ref = Entity(entity_ref.name, fields, tuple(entity_ref.annotations))
+    content_hash = _content_hash(methods, endpoints, entity_ref)
+    return Component(cid, methods, endpoints, entity_ref, source_path, content_hash)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from corpus import ACCOUNT_ENTITY, ORDER_SERVICE_V0
 from strategies import components
 
 import archdelta.extractor as extractor
+import archdelta.model as model
 from archdelta.errors import AmbiguousMarkerError, ExtractionError
 from archdelta.extractor import (
     BUILD_DESCRIPTORS,
@@ -239,6 +240,23 @@ def test_entity_excludes_static_and_transient():
     assert sorted(f.field_name for f in entity.fields) == ["id", "name"]
 
 
+def test_unreadable_file_degrades_to_warning(tmp_path, monkeypatch):
+    (tmp_path / "A.java").write_text(ACCOUNT_ENTITY)
+    listed = extractor._source_files
+
+    def listing(root, profile):  # names a file that is gone when it is read
+        return [("Gone.java", str(tmp_path / "Gone.java")), *listed(root, profile)]
+
+    monkeypatch.setattr(extractor, "_source_files", listing)
+    warnings: list[ScanWarning] = []
+    cache: dict = {}
+    ir = scan_repository(tmp_path, PROFILE, "svc", "v0", warnings=warnings, cache=cache)
+    assert [c.source_path for c in ir.components.values()] == ["A.java"]
+    assert [w.path for w in warnings] == ["Gone.java"]
+    assert warnings[0].message.startswith("unreadable: ")
+    assert list(cache) == [("svc", "A.java")]
+
+
 def test_entity_without_fields_warns(tmp_path):
     (tmp_path / "E.java").write_text(
         "package p;\n@Entity\npublic class E { }\n"
@@ -375,22 +393,24 @@ def test_each_file_is_tokenized_once_and_each_body_scanned_once(
         unit = parse_unit(path.read_text())
         if classify_source_unit(path.read_text(), PROFILE) is not None:
             bodies += sum(m.body_span is not None for m in unit.methods)
-    counts = {"views": 0, "scans": 0}
+    counts = {"views": 0, "lexes": 0, "scans": 0}
 
-    def counted(name, key):
-        original = getattr(extractor, name)
+    def counted(module, name, key):
+        original = getattr(module, name)
 
         def wrapper(*args):
             counts[key] += 1
             return original(*args)
 
-        monkeypatch.setattr(extractor, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("source_views", "views")
-    counted("_scan_calls", "scans")
+    counted(extractor, "lexed_views", "views")
+    counted(model, "_lexemes", "lexes")
+    counted(extractor, "_scan_calls", "scans")
     ir = scan_repository(root, PROFILE, "ts-order", "v0")
     assert ir.components and bodies
-    assert counts == {"views": len(files), "scans": bodies}
+    # bodies and annotation arguments are hashed from the views, not lexed again
+    assert counts == {"views": len(files), "lexes": len(files), "scans": bodies}
 
 
 def test_constructor_calls_are_not_call_targets():
@@ -403,6 +423,24 @@ def test_constructor_calls_are_not_call_targets():
     assert component.methods[0].body_call_targets == ("helper/1", "renew/1")
 
 
+def _calls_made(text: str) -> int:
+    """Python and C function calls made while extracting ``text``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        extract_component(text, PROFILE, "svc", "S.java")
+    except ExtractionError:
+        pass
+    finally:
+        sys.setprofile(None)
+    return count
+
+
 def test_call_scan_is_linear_in_the_number_of_calls():
     def unit(calls: int) -> str:
         return (
@@ -411,24 +449,9 @@ def test_call_scan_is_linear_in_the_number_of_calls():
             + "    }\n}\n"
         )
 
-    def calls_made(text: str) -> int:
-        """Python and C function calls made while extracting ``text``."""
-        count = 0
-
-        def profile(frame, event, arg):
-            nonlocal count
-            count += event in ("call", "c_call")
-
-        sys.setprofile(profile)
-        try:
-            extract_component(text, PROFILE, "svc", "S.java")
-        finally:
-            sys.setprofile(None)
-        return count
-
     # Deterministic: four times the calls in the body, at most four times
     # the function calls (plus the fixed part's share).
-    assert calls_made(unit(8_000)) <= 4.5 * calls_made(unit(2_000))
+    assert _calls_made(unit(8_000)) <= 4.5 * _calls_made(unit(2_000))
 
     # Timed: catches work done inside C calls, such as slicing.  Garbage
     # collection is off inside the timed region, so a collection triggered
@@ -447,6 +470,33 @@ def test_call_scan_is_linear_in_the_number_of_calls():
     finally:
         gc.enable()
     assert best[1] < 6 * best[0]
+
+
+# Class bodies of ``n`` repeated parts, each part hard on one step of the
+# member pass: many members, annotations with nested arguments, one
+# annotation nested ``n`` deep, long unclosed "(" and "{" (at member level and
+# in a body), and long "=" initializers.
+_ADVERSARIAL = {
+    "members": lambda n: (
+        "    @Autowired\n    private Foo f, g;\n"
+        "    public Foo h(@PathVariable String a, int b) throws E { return f.h(a, b); }\n"
+    ) * n,
+    "annotations": lambda n: '    @A(b = @B(c = {1, 2}), d = "x  y")\n    void m() {}\n' * n,
+    "nested annotation": lambda n: "    @A(" + "@B(" * n + ")" * n + ")\n    void m() {}\n",
+    "unclosed paren": lambda n: "    void f(" + "int a; " * n + "\n",
+    "unclosed brace": lambda n: "    void f() {" + " int a;" * n + "\n",
+    "unclosed paren in body": lambda n: "    void f() { g(" + " a," * n + " }\n",
+    "initializer": lambda n: "    int x = " + "a + (b) + " * n + "1;\n",
+    "initializers": lambda n: "    int x = a + b, y;\n" * n,
+}
+
+
+@pytest.mark.parametrize("part", sorted(_ADVERSARIAL))
+def test_extraction_cost_is_linear_on_adversarial_input(part):
+    def unit(n: int) -> str:
+        return f"package p;\n@Service\npublic class S {{\n{_ADVERSARIAL[part](n)}}}\n"
+
+    assert _calls_made(unit(2_000)) <= 2.2 * _calls_made(unit(1_000))
 
 
 _FRAGMENTS = [

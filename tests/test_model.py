@@ -9,11 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_extractor
+import reference_hash
 import reference_lexer
+from strategies import components
 
 import archdelta.model as model
 from archdelta.model import (
     ChangeKind,
+    Component,
     ComponentId,
     ComponentType,
     EdgeKind,
@@ -23,6 +27,7 @@ from archdelta.model import (
     Method,
     Parameter,
     component_id,
+    hash_component,
     make_component,
     method_content_hash,
     normalize_path,
@@ -138,6 +143,20 @@ def test_token_pass_equals_the_reference_loops(text):
     assert normalize_source_text(text) == reference_lexer.normalize_source_text(text)
 
 
+# Text with text blocks and unusual whitespace, for the normalization the
+# extractor used, which lexed each fragment on its own.
+_BLOCK_TEXTS = st.lists(
+    st.sampled_from(['"""', '"', "'", "\\", "/", "*", "{", " ", "\n", "\x1c", "a"]),
+    max_size=30,
+).map("".join)
+
+
+@given(_BLOCK_TEXTS)
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_normalization_from_the_views_equals_lexing_again(text):
+    assert normalize_source_text(text) == reference_extractor.normalize_source_text(text)
+
+
 def test_text_block_is_one_literal():
     block = 'x = """\n a " b { ( // c\n """; y'
     code, skel = source_views(block)
@@ -209,6 +228,47 @@ def test_hash_is_insensitive_to_member_order():
     forward = make_component(cid, methods=[m1, m2])
     reverse = make_component(cid, methods=[m2, m1])
     assert forward.content_hash == reverse.content_hash
+
+
+_SIGNATURE_TYPES = st.sampled_from(["a", "a!", "a,b", "ab", "b", ""])
+
+
+@st.composite
+def _shuffled_components(draw) -> Component:
+    """A component built directly, its members in any order, with methods
+    whose sort keys tie and types whose joined signatures sort unlike them."""
+    base = draw(components("svc", "pkg.Unit"))
+    methods = list(base.methods)
+    for _ in range(draw(st.integers(0, 3))):
+        params = tuple(
+            Parameter(f"p{i}", draw(_SIGNATURE_TYPES)) for i in range(draw(st.integers(0, 2)))
+        )
+        methods.append(
+            Method(
+                name=draw(st.sampled_from(["m", "n"])),
+                parameters=params,
+                content_hash=method_content_hash(draw(st.sampled_from(["x();", "y();"]))),
+            )
+        )
+    entity = base.entity_ref
+    if entity is not None:
+        entity = Entity(entity.name, tuple(draw(st.permutations(entity.fields))), entity.annotations)
+    return Component(
+        base.id,
+        tuple(draw(st.permutations(methods))),
+        tuple(draw(st.permutations(base.endpoints))),
+        entity,
+        base.source_path,
+    )
+
+
+@given(_shuffled_components())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_component_digest_equals_the_reference(comp):
+    expected = reference_hash.hash_component(comp)
+    assert hash_component(comp) == expected
+    built = make_component(comp.id, comp.methods, comp.endpoints, comp.entity_ref, comp.source_path)
+    assert built.content_hash == reference_hash.hash_component(built) == expected
 
 
 def _oracle_normalize(text: str) -> str:
