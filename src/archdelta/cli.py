@@ -13,10 +13,17 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Any
 
 from . import __version__
 from .delta import compute_delta
 from .documents import (
+    _Fault,
+    _get,
+    _loaded,
+    _number,
+    _strings_of,
+    _within,
     canonical_json,
     deserialize_delta,
     deserialize_ir,
@@ -26,7 +33,7 @@ from .documents import (
     serialize_microservice_ir,
     serialize_violations,
 )
-from .errors import ArchDeltaError
+from .errors import ArchDeltaError, DocumentError
 from .extractor import ScanWarning, scan_repository
 from .history import git_revisions, render_summary_table, replay, stream_revisions
 from .impact import (
@@ -95,8 +102,7 @@ def cmd_link(args) -> int:
     services = [deserialize_microservice_ir(Path(p).read_bytes()) for p in args.irs]
     system = build_system_ir(services, args.overlap_threshold, args.label)
     _write_or_print(serialize_ir(system), args.out)
-    report = link_report(system)
-    print(json.dumps(report.to_doc(), indent=2, sort_keys=True))
+    print(json.dumps(link_report(system), indent=2, sort_keys=True))
     return 0
 
 
@@ -176,55 +182,40 @@ def cmd_impact(args) -> int:
     return 0
 
 
-def _is_path(value) -> bool:
-    return isinstance(value, str)
+def _name_map(names: dict) -> dict:
+    """``names``, each of whose values must be a string."""
+    for key, name in names.items():
+        if type(name) is not str:
+            raise _Fault(f"expected str, got {type(name).__name__}", "." + key)
+    return names
 
 
-def _is_paths(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_flag(value) -> bool:
-    return isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def _is_name_map(value) -> bool:
-    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
-
-
-# The JSON type each replay config key must have when it is present.
-_REPLAY_CONFIG_TYPES = {
-    "versions": ("a list of paths", _is_paths),
-    "repository": ("a path", _is_path),
-    "revisions": ("a list of names", _is_paths),
-    "firstParent": ("true or false", _is_flag),
-    "serviceNames": ("an object of names", _is_name_map),
-    "profile": ("a path", _is_path),
-    "rules": ("a list of paths", _is_paths),
-    "overlapThreshold": ("a finite number", _is_finite_number),
-    "out": ("a path", _is_path),
-    "verifyEachStep": ("true or false", _is_flag),
-}
+def _read_replay_config(doc: Any) -> dict:
+    """The replay config ``doc``, each key that is present of its type."""
+    if type(doc) is not dict:
+        raise _Fault("expected an object")
+    for key in ("versions", "revisions", "rules"):
+        if key in doc:
+            _within(doc, key, list, _strings_of)
+    for key in ("repository", "profile", "out"):
+        if key in doc:
+            _get(doc, key, str)
+    for key in ("firstParent", "verifyEachStep"):
+        if key in doc:
+            _get(doc, key, bool)
+    if "serviceNames" in doc:
+        _within(doc, "serviceNames", dict, _name_map)
+    if "overlapThreshold" in doc:
+        if not math.isfinite(_number(doc, "overlapThreshold")):
+            raise _Fault("expected a finite number", ".overlapThreshold")
+    return doc
 
 
 def cmd_replay(args) -> int:
     try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ArchDeltaError(f"invalid replay config {args.config}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ArchDeltaError(f"replay config {args.config} is not a JSON object")
-    for key, (kind, valid) in _REPLAY_CONFIG_TYPES.items():
-        if key in config and not valid(config[key]):
-            raise ArchDeltaError(f"replay config '{key}' must be {kind}")
+        config = _loaded(Path(args.config).read_bytes(), None, _read_replay_config)
+    except DocumentError as exc:
+        raise ArchDeltaError(f"replay config {args.config}: {exc}") from None
     base = Path(args.config).resolve().parent
 
     def resolve(path: str) -> Path:

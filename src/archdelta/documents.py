@@ -333,7 +333,7 @@ def _read_component(doc: Any) -> Component:
 def _loaded(data: bytes | str, schema: str | None, read: Callable[[Any], Any]) -> Any:
     """``read`` of the JSON document ``data``, tagged ``schema`` unless that
     is None; a fault is raised as a ``DocumentError`` at its path.  Rule
-    files and marker profiles are read through here too.
+    files, marker profiles and replay configs are read through here too.
 
     The cyclic collector is paused meanwhile, then left as it was found: a
     load makes many objects but no cycle, so a collection would find nothing."""

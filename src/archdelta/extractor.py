@@ -649,13 +649,6 @@ def _match_rest_call(
     return None
 
 
-def extract_rest_calls(
-    unit: ParsedUnit, profile: MarkerProfile, owning: ComponentId
-) -> list[RestCall]:
-    """Remote calls in all method bodies, matched by profile patterns."""
-    return [c for m in _build_methods(unit, profile, owning) for c in m.rest_calls]
-
-
 def extract_entity(unit: ParsedUnit) -> Entity:
     """Entity payload: instance fields, excluding static/transient members."""
     fields = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -238,10 +239,7 @@ def _put(mapping: dict, key, value) -> None:
         mapping.pop(key, None)
 
 
-def match_call_to_endpoint(
-    call: RestCall,
-    system: Mapping[str, MicroserviceIR] | Iterable[MicroserviceIR] | SystemIR,
-) -> Endpoint | None:
+def match_call_to_endpoint(call: RestCall, system: SystemIR) -> Endpoint | None:
     """Match one remote call against the system's endpoints.
 
     A resolved call only considers its named service.  An unresolved call
@@ -249,10 +247,7 @@ def match_call_to_endpoint(
     candidates are ambiguous and match nothing.  No match is a legitimate
     outcome consumed by the rules.
     """
-    if isinstance(system, SystemIR):
-        return LinkIndex.of(system).resolve(call)
-    services = system if isinstance(system, Mapping) else {ir.name: ir for ir in system}
-    return LinkIndex.build(services).resolve(call)
+    return LinkIndex.of(system).resolve(call)
 
 
 def entity_overlap(a: Entity, b: Entity) -> float:
@@ -572,39 +567,20 @@ def uncalled_endpoints(system: SystemIR) -> list[Endpoint]:
     return out
 
 
-@dataclass
-class LinkReport:
-    matched_call_count: int
-    unmatched_call_count: int
-    uncalled_endpoint_count: int
-    remote_call_edge_count: int
-    data_overlap_edge_count: int
-
-    def to_doc(self) -> dict:
-        return {
-            "matchedCalls": self.matched_call_count,
-            "unmatchedCalls": self.unmatched_call_count,
-            "uncalledEndpoints": self.uncalled_endpoint_count,
-            "remoteCallEdges": self.remote_call_edge_count,
-            "dataOverlapEdges": self.data_overlap_edge_count,
-        }
-
-
-def link_report(system: SystemIR) -> LinkReport:
+def link_report(system: SystemIR) -> dict:
+    """The counts ``archdelta link`` prints: matched and unmatched calls,
+    uncalled endpoints, and cross edges of each kind."""
     matched = {
         _call_key(call): endpoint is not None
         for part in LinkIndex.of(system).resolved.values()
         for call, endpoint in part.items()
     }
     matched_count = sum(matched.values())
-    return LinkReport(
-        matched_call_count=matched_count,
-        unmatched_call_count=len(matched) - matched_count,
-        uncalled_endpoint_count=len(uncalled_endpoints(system)),
-        remote_call_edge_count=sum(
-            1 for e in system.cross_edges if e.kind is EdgeKind.REMOTE_CALL
-        ),
-        data_overlap_edge_count=sum(
-            1 for e in system.cross_edges if e.kind is EdgeKind.DATA_OVERLAP
-        ),
-    )
+    kinds = Counter(e.kind for e in system.cross_edges)
+    return {
+        "matchedCalls": matched_count,
+        "unmatchedCalls": len(matched) - matched_count,
+        "uncalledEndpoints": len(uncalled_endpoints(system)),
+        "remoteCallEdges": kinds[EdgeKind.REMOTE_CALL],
+        "dataOverlapEdges": kinds[EdgeKind.DATA_OVERLAP],
+    }

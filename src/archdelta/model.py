@@ -131,12 +131,6 @@ def lexed_views(text: str) -> tuple[str, str, list[tuple[int, int]]]:
     return "".join(code), "".join(skel), spaced
 
 
-def source_views(text: str) -> tuple[str, str]:
-    """``code`` and ``skel`` of ``lexed_views``."""
-    code, skel, _ = lexed_views(text)
-    return code, skel
-
-
 def normalized_span(
     code: str, spaced: list[tuple[int, int]], start: int, end: int
 ) -> str:

@@ -31,9 +31,9 @@ from archdelta.model import (
     _lexemes,
     _sha256,
     component_id,
+    lexed_views,
     make_component,
     normalize_path,
-    source_views,
 )
 from archdelta.profiles import FROM_ATTRIBUTE, MarkerProfile
 
@@ -118,7 +118,7 @@ class _Source:
     """One file's aligned views and bracket-match table; parsing uses spans."""
 
     def __init__(self, text: str):
-        self.code, self.skel = source_views(text)
+        self.code, self.skel = lexed_views(text)[:2]
         self.closer: dict[int, int] = {}
         stacks: dict[str, list[int]] = {"(": [], "{": []}
         for m in _BRACKETS.finditer(self.skel):

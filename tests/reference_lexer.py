@@ -1,7 +1,7 @@
 """Character-loop reference for the source tokenizer in ``archdelta.model``.
 
 These are the loops the extractor used before it tokenized each file in one
-pass.  Tests compare ``source_views`` and ``normalize_source_text`` against
+pass.  Tests compare ``lexed_views`` and ``normalize_source_text`` against
 them on text without ``\"\"\"`` text blocks, which the loops did not know.
 """
 

@@ -252,8 +252,10 @@ def test_c5_linker_properties():
         caller_ir = MicroserviceIR(
             "svc-c", "v0", {caller_id: caller}, frozenset()
         )
-        two = [endpoint_service("svc-a"), endpoint_service("svc-b"), caller_ir]
-        one = [endpoint_service("svc-a"), caller_ir]
+        two = build_system_ir(
+            [endpoint_service("svc-a"), endpoint_service("svc-b"), caller_ir]
+        )
+        one = build_system_ir([endpoint_service("svc-a"), caller_ir])
         assert match_call_to_endpoint(call, two) is None
         assert match_call_to_endpoint(call, one) is not None
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import filecmp
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -12,9 +14,10 @@ import pytest
 
 from corpus import HISTORY_BASE, HISTORY_GIT_STEPS, commit_versions, materialize_history
 
-from archdelta import __version__
+from archdelta import __version__, cli
 from archdelta.cli import build_parser, main
-from archdelta.documents import deserialize_ir, deserialize_microservice_ir
+from archdelta.documents import _loaded, deserialize_ir, deserialize_microservice_ir
+from archdelta.errors import DocumentError
 
 
 def run_cli(*argv) -> int:
@@ -164,39 +167,120 @@ def test_replay_relative_out_resolves_against_the_config(
     assert not (config_dir / "cli-artifacts").exists()
 
 
-@pytest.mark.parametrize("text", ['{"versions": [', "[1]"])
-def test_malformed_replay_config_exits_with_usage_error(tmp_path, capsys, text):
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ('{"versions": [', "$: invalid JSON: "),
+        ("[1]", "$: expected an object"),
+        (b"\xff{}", "$: invalid JSON: "),
+    ],
+    ids=["truncated", "array", "not-utf8"],
+)
+def test_malformed_replay_config_exits_with_usage_error(
+    tmp_path, capsys, text, fault
+):
     config = tmp_path / "replay.json"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert run_cli("replay", config) == 2
-    assert "replay config" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: replay config {config}: {fault}")
+    assert "Commits" not in captured.out
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, fault",
     [
-        ("versions", [5]),
-        ("repository", ["repo"]),
-        ("out", 5),
-        ("profile", 7),
-        ("rules", "r.json"),
-        ("overlapThreshold", "x"),
-        ("serviceNames", ["ts-order"]),
-        ("verifyEachStep", "yes"),
-        ("firstParent", 1),
+        ("versions", [5], "$.versions[0]: expected str, got int"),
+        ("versions", "v1", "$.versions: key 'versions' should be list, got str"),
+        (
+            "repository",
+            ["repo"],
+            "$.repository: key 'repository' should be str, got list",
+        ),
+        ("out", 5, "$.out: key 'out' should be str, got int"),
+        ("profile", 7, "$.profile: key 'profile' should be str, got int"),
+        ("profile", None, "$.profile: key 'profile' should be str, got NoneType"),
+        ("rules", "r.json", "$.rules: key 'rules' should be list, got str"),
+        ("revisions", ["HEAD", 2], "$.revisions[1]: expected str, got int"),
+        (
+            "overlapThreshold",
+            "x",
+            "$.overlapThreshold: key 'overlapThreshold' should be float, got str",
+        ),
+        (
+            "overlapThreshold",
+            True,
+            "$.overlapThreshold: key 'overlapThreshold' should be float, got bool",
+        ),
+        (
+            "serviceNames",
+            ["ts-order"],
+            "$.serviceNames: key 'serviceNames' should be dict, got list",
+        ),
+        (
+            "serviceNames",
+            {"ts-order": 1},
+            "$.serviceNames.ts-order: expected str, got int",
+        ),
+        (
+            "verifyEachStep",
+            "yes",
+            "$.verifyEachStep: key 'verifyEachStep' should be bool, got str",
+        ),
+        ("firstParent", 1, "$.firstParent: key 'firstParent' should be bool, got int"),
+    ],
+    ids=[
+        "versions-item",
+        "versions",
+        "repository",
+        "out",
+        "profile",
+        "profile-null",
+        "rules",
+        "revisions-item",
+        "overlapThreshold",
+        "overlapThreshold-bool",
+        "serviceNames",
+        "serviceNames-value",
+        "verifyEachStep",
+        "firstParent",
     ],
 )
 def test_replay_config_value_of_the_wrong_type_exits_with_usage_error(
-    summary_versions, tmp_path, capsys, key, value
+    summary_versions, tmp_path, capsys, key, value, fault
 ):
     config = tmp_path / "replay.json"
     doc = {"versions": [str(v) for v in summary_versions], "out": str(tmp_path / "run")}
     config.write_text(json.dumps({**doc, key: value}))
     assert run_cli("replay", config) == 2
     captured = capsys.readouterr()
-    assert f"replay config '{key}' must be" in captured.err
+    assert captured.err == f"error: replay config {config}: {fault}\n"
     assert "Commits" not in captured.out
     assert not list(tmp_path.rglob("timeseries.csv"))
+
+
+def _documented_replay_config() -> dict:
+    """The JSON example under README's "Replay configuration"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Replay configuration", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_the_documented_replay_config_is_what_replay_reads():
+    """The README example passes the config reader, the reader checks each of
+    its keys, and they are the keys ``cmd_replay`` reads."""
+    doc = _documented_replay_config()
+
+    def read(doc):
+        return _loaded(json.dumps(doc), None, cli._read_replay_config)
+
+    assert read(doc) == doc
+    for key in doc:
+        with pytest.raises(DocumentError) as excinfo:
+            read({**doc, key: [1]})
+        assert excinfo.value.location.startswith(f"$.{key}")
+    source = inspect.getsource(cli.cmd_replay)
+    assert set(re.findall(r'config(?:\.get\(|\[)"(\w+)"', source)) == set(doc)
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -212,7 +296,10 @@ def test_replay_config_non_finite_threshold_exits_with_usage_error(
     )
     assert run_cli("replay", config) == 2
     captured = capsys.readouterr()
-    assert "replay config 'overlapThreshold' must be a finite number" in captured.err
+    assert captured.err == (
+        f"error: replay config {config}: "
+        "$.overlapThreshold: expected a finite number\n"
+    )
     assert not (tmp_path / "run").exists()
 
 

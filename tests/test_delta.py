@@ -14,6 +14,7 @@ from archdelta.model import (
     MicroserviceIR,
     component_id,
     make_component,
+    make_delta,
     method_content_hash,
 )
 from archdelta.profiles import default_profile
@@ -211,3 +212,73 @@ def test_compose_rejects_broken_version_chain():
     d2 = compute_delta(_ir("svc", "v5", {comp.id: comp}), _ir("svc", "v6", {}))
     with pytest.raises(DeltaError):
         compose_deltas(d1, d2)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (
+            lambda first: empty_delta("svc-b", "v1"),
+            "cannot compose deltas of different services: 'svc' vs 'svc-b'",
+        ),
+        (
+            lambda first: Delta("svc", "v1", "v2", first.changes),
+            "invalid change sequence ADD then ADD for svc::Service::p.A",
+        ),
+    ],
+    ids=["two-services", "add-then-add"],
+)
+def test_compose_rejects_deltas_that_do_not_follow_each_other(second, message):
+    comp = _component("svc", "p.A", "a();")
+    first = compute_delta(_ir("svc", "v0", {}), _ir("svc", "v1", {comp.id: comp}))
+    with pytest.raises(DeltaError) as excinfo:
+        compose_deltas(first, second(first))
+    assert str(excinfo.value) == message
+
+
+def test_apply_rejects_another_services_delta():
+    d = empty_delta("svc-b", "v0")
+    with pytest.raises(DeltaError) as excinfo:
+        apply_to_service(_ir("svc-a", "v0", {}), d)
+    assert str(excinfo.value) == "delta for 'svc-b' applied to service 'svc-a'"
+
+
+def test_apply_rejects_an_add_of_a_present_component():
+    comp = _component("svc", "p.A", "a();")
+    base = _ir("svc", "v0", {comp.id: comp})
+    d = compute_delta(_ir("svc", "v0", {}), base)
+    with pytest.raises(MergeError) as excinfo:
+        apply_to_service(base, d)
+    assert type(excinfo.value) is MergeError
+    assert str(excinfo.value) == "ADD of already-present component svc::Service::p.A"
+
+
+def _change(kind, comp, old_hash=None):
+    """A change of ``kind`` that carries ``comp``."""
+    return ComponentChange(kind, comp.id, new_component=comp, old_content_hash=old_hash)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            lambda a: [_change(ChangeKind.ADD, a), _change(ChangeKind.ADD, a)],
+            "component svc::Service::p.A appears twice in delta",
+        ),
+        (
+            lambda a: [_change(ChangeKind.DELETE, a, a.content_hash)],
+            "DELETE entry must not carry a component",
+        ),
+        (
+            lambda a: [_change(ChangeKind.ADD, a, a.content_hash)],
+            "ADD entry must not carry an old hash",
+        ),
+    ],
+    ids=["repeated-id", "delete-with-component", "add-with-old-hash"],
+)
+def test_make_delta_rejects_a_malformed_change(changes, message):
+    comp = _component("svc", "p.A", "a();")
+    with pytest.raises(ValueError) as excinfo:
+        make_delta("svc", "v0", "v1", changes(comp))
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message

@@ -792,3 +792,62 @@ def test_data_overlap_edge_other_than_the_linkers_is_rejected(
     capsys.readouterr()
     assert main(["merge", str(baseline), str(delta)]) == 2
     assert location in capsys.readouterr().err
+
+
+_A_F = component_id("svc-a", ComponentType.ENTITY, "a.F")
+_B_S = component_id("svc-b", ComponentType.SERVICE, "b.S")
+
+
+def _with_components(service: MicroserviceIR, *comps) -> MicroserviceIR:
+    components = {**service.components, **{c.id: c for c in comps}}
+    return replace(service, components=components)
+
+
+def _moved_within_a_service(kind: str, move) -> tuple[str, int]:
+    """The small system's document, with an entity ``a.F`` added to svc-a and
+    a service ``b.S`` calling its own service's endpoint added to svc-b, and
+    with ``move`` applied to its ``kind`` edge; returns the text and the
+    edge's index."""
+    a, b = _small_services()
+    call = RestCall("GET", "svc-b", "/items/{*}", "fetch", _B_S)
+    entity = Entity("F", (EntityField("code", "int"),))
+    a = _with_components(a, make_component(_A_F, entity_ref=entity))
+    b = _with_components(
+        b, make_component(_B_S, methods=[Method("fetch", rest_calls=(call,))])
+    )
+    doc = json.loads(serialize_ir(build_system_ir([a, b])))
+    [i] = [i for i, e in enumerate(doc["crossEdges"]) if e["kind"] == kind]
+    move(doc["crossEdges"][i])
+    return json.dumps(doc), i
+
+
+def _overlap_to_a_f(edge):
+    edge["target"] = documents.component_id_to_doc(_A_F)
+
+
+def _call_from_b_s(edge):
+    edge["source"] = documents.component_id_to_doc(_B_S)
+    edge["evidence"]["restCall"]["owningComponent"] = edge["source"]
+
+
+@pytest.mark.parametrize(
+    "kind, move, end",
+    [
+        ("DataOverlap", _overlap_to_a_f, "svc-a::Entity::a.E"),
+        ("RemoteCall", _call_from_b_s, "svc-b::Service::b.S"),
+    ],
+    ids=["DataOverlap", "RemoteCall"],
+)
+def test_cross_edge_within_one_service_is_rejected(kind, move, end, tmp_path, capsys):
+    data, i = _moved_within_a_service(kind, move)
+    with pytest.raises(DocumentError) as excinfo:
+        deserialize_ir(data)
+    location = f"$.crossEdges[{i}]"
+    message = f"cross edge endpoints are in the same service: {end}"
+    assert str(excinfo.value) == f"{location}: {message}"
+    baseline, delta = tmp_path / "baseline.json", tmp_path / "delta.json"
+    baseline.write_text(data)
+    delta.write_bytes(serialize_delta(_small_delta(_small_services()[0])))
+    capsys.readouterr()
+    assert main(["merge", str(baseline), str(delta)]) == 2
+    assert capsys.readouterr().err == f"error: {location}: {message}\n"

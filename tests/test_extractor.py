@@ -28,7 +28,6 @@ from archdelta.extractor import (
     extract_component,
     extract_endpoints,
     extract_entity,
-    extract_rest_calls,
     parse_unit,
     resolve_call_graph,
     scan_repository,
@@ -103,6 +102,27 @@ def test_unparseable_file_degrades_to_warning(tmp_path):
     assert "Broken" in warnings[0].path
 
 
+def test_duplicate_endpoint_in_a_service_is_a_warning_and_both_are_kept(tmp_path):
+    for name in ("A", "B"):
+        (tmp_path / f"{name}.java").write_text(
+            f"package p;\n@RestController\npublic class {name} {{\n"
+            '    @GetMapping("/x") public String get() { return ""; }\n}\n'
+        )
+    warnings: list[ScanWarning] = []
+    ir = scan_repository(tmp_path, PROFILE, "svc", "v0", warnings=warnings)
+    assert [ep.owning_component.qualified_name for ep in ir.iter_endpoints()] == [
+        "p.A",
+        "p.B",
+    ]
+    assert warnings == [
+        ScanWarning(
+            "",
+            "svc: duplicate endpoint GET /x "
+            "(svc::Controller::p.A vs svc::Controller::p.B)",
+        )
+    ]
+
+
 def test_classify_controller_marker():
     text = "package p;\n@RestController\npublic class C { }\n"
     assert classify_source_unit(text, PROFILE) is ComponentType.CONTROLLER
@@ -160,10 +180,13 @@ def test_controller_without_annotated_methods_has_no_endpoints():
     assert extract_endpoints(unit, PROFILE, cid) == []
 
 
+def _rest_calls(text: str) -> list:
+    component, _ = extract_component(text, PROFILE, "svc", "S.java")
+    return [call for method in component.methods for call in method.rest_calls]
+
+
 def test_rest_call_with_literal_host():
-    unit = parse_unit(ORDER_SERVICE_V0)
-    cid = component_id("ts-order", ComponentType.SERVICE, unit.qualified_name)
-    calls = extract_rest_calls(unit, PROFILE, cid)
+    calls = _rest_calls(ORDER_SERVICE_V0)
     assert [(c.http_method, c.target_service, c.path) for c in calls] == [
         ("GET", "ts-station", "/api/v1/stations/{*}")
     ]
@@ -179,9 +202,7 @@ def test_rest_call_with_variable_host_is_unresolved():
         "    }\n"
         "}\n"
     )
-    unit = parse_unit(text)
-    cid = component_id("svc", ComponentType.SERVICE, unit.qualified_name)
-    calls = extract_rest_calls(unit, PROFILE, cid)
+    calls = _rest_calls(text)
     assert [(c.http_method, c.target_service, c.path) for c in calls] == [
         ("GET", UNRESOLVED, "/api/v1/price")
     ]
@@ -193,9 +214,7 @@ def test_unit_without_remote_calls_yields_none():
         "    public int add(int a, int b) { return a + b; }\n"
         "}\n"
     )
-    unit = parse_unit(text)
-    cid = component_id("svc", ComponentType.SERVICE, unit.qualified_name)
-    assert extract_rest_calls(unit, PROFILE, cid) == []
+    assert _rest_calls(text) == []
 
 
 def test_overloads_keep_their_own_rest_calls():

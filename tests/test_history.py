@@ -254,6 +254,27 @@ def test_replay_rescans_only_services_holding_changed_paths(tmp_path, monkeypatc
     assert record.versions[-1].system == record.versions[-2].system
 
 
+def test_git_replay_of_a_repository_that_is_one_service(tmp_path, monkeypatch):
+    """With the service at the root, every changed path is the service's, and
+    a commit that changes nothing rescans nothing."""
+    service = "src/main/java/order/OrderService.java"
+    base = {"pom.xml": POM.format(name="ts-order"), service: ORDER_SERVICE_V0}
+    roots = materialize_history(
+        base, [{}, {service: ORDER_SERVICE_V1}, {}], tmp_path / "trees"
+    )
+    revisions = commit_versions(tmp_path / "repo", roots)
+    per_version, drawn = _counting_scans(monkeypatch)
+    stream = stream_revisions(tmp_path / "repo", revisions, tmp_path / "scratch")
+    names = {".": "ts-order"}
+    record = replay(drawn(stream), service_names=names)
+    assert per_version == [["ts-order"], ["ts-order"], []]
+    systems = [e.system for e in record.versions]
+    assert systems[0] != systems[1] == systems[2]
+    assert list(systems[2].services) == ["ts-order"]
+    [rescanned] = replay(roots[2:], service_names=names).versions
+    assert rescanned.system == systems[2]
+
+
 def test_checkpoint_rescans_every_service(tmp_path, monkeypatch):
     repo, revisions = _history_repo(
         tmp_path,

@@ -80,7 +80,7 @@ def test_match_requires_verb_path_and_service():
     provider = _service_with_endpoint("ts-order", "GET", "/api/v1/orders/{*}")
     caller = _service_with_call("ts-user", "GET", "ts-order", "/api/v1/orders/{*}")
     call = next(caller.iter_rest_calls())
-    matched = match_call_to_endpoint(call, [provider, caller])
+    matched = match_call_to_endpoint(call, build_system_ir([provider, caller]))
     assert matched is not None
     assert matched.owning_component.microservice == "ts-order"
 
@@ -89,7 +89,7 @@ def test_match_rejects_wrong_verb():
     provider = _service_with_endpoint("ts-order", "POST", "/api/v1/orders/{*}")
     caller = _service_with_call("ts-user", "GET", "ts-order", "/api/v1/orders/{*}")
     call = next(caller.iter_rest_calls())
-    assert match_call_to_endpoint(call, [provider, caller]) is None
+    assert match_call_to_endpoint(call, build_system_ir([provider, caller])) is None
 
 
 def test_unresolved_match_is_ambiguous_with_two_candidates():
@@ -97,9 +97,9 @@ def test_unresolved_match_is_ambiguous_with_two_candidates():
     b = _service_with_endpoint("svc-b", "GET", "/shared/{*}")
     caller = _service_with_call("svc-c", "GET", UNRESOLVED, "/shared/{*}")
     call = next(caller.iter_rest_calls())
-    assert match_call_to_endpoint(call, [a, b, caller]) is None
+    assert match_call_to_endpoint(call, build_system_ir([a, b, caller])) is None
     # with a single candidate the unresolved call matches
-    assert match_call_to_endpoint(call, [a, caller]) is not None
+    assert match_call_to_endpoint(call, build_system_ir([a, caller])) is not None
 
 
 def test_entity_overlap_examples():
@@ -292,8 +292,8 @@ def test_link_report_counts(history_versions):
     ]
     system = build_system_ir(services)
     report = link_report(system)
-    assert report.unmatched_call_count == len(unmatched_calls(system)) == 1
-    assert report.uncalled_endpoint_count == len(uncalled_endpoints(system)) == 4
-    assert report.matched_call_count == 1
-    assert report.remote_call_edge_count == 1
-    assert report.data_overlap_edge_count == 1
+    assert report["unmatchedCalls"] == len(unmatched_calls(system)) == 1
+    assert report["uncalledEndpoints"] == len(uncalled_endpoints(system)) == 4
+    assert report["matchedCalls"] == 1
+    assert report["remoteCallEdges"] == 1
+    assert report["dataOverlapEdges"] == 1

@@ -474,3 +474,11 @@ def test_corrupted_step_is_rejected(corrupted, message):
     baseline, d = corrupted()
     with pytest.raises(ValueError, match=message):
         apply_delta(baseline, d)
+
+
+def test_remove_service_rejects_an_unknown_service(history_versions):
+    base = _system(history_versions[0])
+    with pytest.raises(MergeError) as excinfo:
+        remove_service(base, "ts-ghost")
+    assert type(excinfo.value) is MergeError
+    assert str(excinfo.value) == "cannot remove unknown service 'ts-ghost'"

@@ -28,11 +28,11 @@ from archdelta.model import (
     Parameter,
     component_id,
     hash_component,
+    lexed_views,
     make_component,
     method_content_hash,
     normalize_path,
     normalize_source_text,
-    source_views,
 )
 
 
@@ -111,7 +111,7 @@ def test_normalize_path_variables_and_queries():
 
 def test_blank_comments_respects_string_literals():
     src = 'a = "http://x"; // trailing\n/* block */ b = 2;'
-    blanked, _ = source_views(src)
+    blanked, _, _ = lexed_views(src)
     assert '"http://x"' in blanked
     assert "trailing" not in blanked
     assert "block" not in blanked
@@ -137,7 +137,7 @@ _LEXER_TEXTS = st.text(
     derandomize=True,
 )
 def test_token_pass_equals_the_reference_loops(text):
-    code, skel = source_views(text)
+    code, skel = lexed_views(text)[:2]
     assert code == reference_lexer.blank_comments(text)
     assert skel == reference_lexer.blank_strings(code)
     assert normalize_source_text(text) == reference_lexer.normalize_source_text(text)
@@ -159,7 +159,7 @@ def test_normalization_from_the_views_equals_lexing_again(text):
 
 def test_text_block_is_one_literal():
     block = 'x = """\n a " b { ( // c\n """; y'
-    code, skel = source_views(block)
+    code, skel = lexed_views(block)[:2]
     assert code == block
     interior = len(block) - len('x = """') - len('"""; y')
     assert skel == 'x = """' + " " * interior + '"""; y'
@@ -198,7 +198,7 @@ _STARTERS = [
 
 
 @pytest.mark.parametrize("text", _STARTERS, ids=range(len(_STARTERS)))
-@pytest.mark.parametrize("read", [source_views, normalize_source_text])
+@pytest.mark.parametrize("read", [lexed_views, normalize_source_text])
 def test_the_lexeme_pattern_is_tried_only_at_quotes_and_slashes(text, read, monkeypatch):
     """At most one attempt per quote or slash, each from where the last lexeme
     ended: the lexer's work is linear in the text, whatever the text."""

@@ -27,6 +27,7 @@ from archdelta.model import (
     ImpactedItem,
     Method,
     MicroserviceIR,
+    Parameter,
     RestCall,
     component_id,
     ir_content_digest,
@@ -499,6 +500,40 @@ def test_added_repository_component_is_not_flagged(systems, deltas):
     ) == []
 
 
+def _repository(methods: list[Method]) -> MicroserviceIR:
+    repo = component_id("svc", ComponentType.REPOSITORY, "pkg.Repo")
+    comps = {repo: make_component(repo, methods=methods)}
+    return MicroserviceIR("svc", "v0", comps, frozenset())
+
+
+def test_repository_signature_and_annotated_method_changes_are_flagged():
+    long_id, text_id = (Parameter("id", "Long"),), (Parameter("id", "String"),)
+    old = _repository(
+        [
+            Method("byId", long_id, "Order"),
+            Method("gone", (), "Order", ("Query",)),
+            Method("plainGone", (), "Order"),
+        ]
+    )
+    new = _repository(
+        [
+            Method("byId", text_id, "Order"),
+            Method("added", (), "Order", ("Query",)),
+            Method("plainAdded", (), "Order"),
+        ]
+    )
+    baseline = build_system_ir([old])
+    d = compute_delta(old, new)
+    violations = detect_repository_method_modifications(
+        baseline, d, apply_delta(baseline, d)
+    )
+    assert [v.impacted[0].evidence for v in violations] == [
+        "byId/1 signature changed",
+        "added/0 annotated method added",
+        "gone/0 annotated method removed",
+    ]
+
+
 # -- evaluate ----------------------------------------------------------------
 
 
@@ -519,8 +554,8 @@ def test_ic_uem_counts_match_link_report(systems):
         report = link_report(system)
         ic = detect_invalid_calls(system)
         uem = detect_uncalled_endpoints(system)
-        assert len(ic) == report.unmatched_call_count
-        assert len(uem) == report.uncalled_endpoint_count
+        assert len(ic) == report["unmatchedCalls"]
+        assert len(uem) == report["uncalledEndpoints"]
 
 
 def test_generic_rule_equivalent_to_ic_detector(systems):
@@ -537,6 +572,37 @@ def test_generic_rule_equivalent_to_ic_detector(systems):
     builtin = detect_invalid_calls(systems[2])
     assert len(generic) == len(builtin) == 1
     assert generic[0].impacted[0].evidence == builtin[0].impacted[0].evidence
+
+
+def test_generic_endpoint_rule_equivalent_to_uem_detector(systems):
+    doc = {
+        "name": "CustomUncalled",
+        "AnalysisLevels": ["System"],
+        "ChangedComponents": [{"ComponentType": ["Endpoint"], "ChangeType": ["All"]}],
+        "MonitoredImpact": {"ComponentType": "Endpoint", "ImpactType": "Unused"},
+    }
+    [rule] = load_rules(json.dumps(doc))
+    generic = evaluate(None, None, systems[0], [rule])
+    builtin = detect_uncalled_endpoints(systems[0])
+    assert len(generic) == len(builtin) == 4
+    assert {v.impacted for v in generic} == {v.impacted for v in builtin}
+
+
+def test_generic_endpoint_rule_flags_the_endpoints_of_a_changed_controller():
+    before, after = _serving("svc", "GET", "/x"), _serving("svc", "POST", "/x")
+    doc = {
+        "name": "ChangedEndpoints",
+        "AnalysisLevels": ["Delta"],
+        "ChangedComponents": [{"ComponentType": ["Endpoint"], "ChangeType": ["All"]}],
+        "MonitoredImpact": {"ComponentType": "Endpoint", "ImpactType": "Inconsistent"},
+    }
+    [rule] = load_rules(json.dumps(doc))
+    baseline = build_system_ir([before])
+    d = compute_delta(before, after)
+    [violation] = evaluate(baseline, d, apply_delta(baseline, d), [rule])
+    [item] = violation.impacted
+    assert (item.kind, item.evidence, item.site) == ("endpoint", "POST /x", "handle")
+    assert [t.change_kind for t in violation.triggering] == [ChangeKind.MODIFY]
 
 
 @pytest.mark.parametrize("level", ["System", "Delta"])
