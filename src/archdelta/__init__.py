@@ -24,7 +24,6 @@ from .errors import (
 )
 from .extractor import (
     ScanWarning,
-    classify_source_unit,
     discover_services,
     extract_component,
     resolve_call_graph,

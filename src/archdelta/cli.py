@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -48,11 +47,8 @@ from .model import with_content_version
 from .profiles import default_profile, load_profile
 from .rules import builtin_rules, evaluate, load_rules, render_violations_text
 
-PROFILE_ENV_VAR = "ARCHDELTA_PROFILE"
-
-
 def _profile_from_args(args) -> object:
-    path = getattr(args, "profile", None) or os.environ.get(PROFILE_ENV_VAR)
+    path = getattr(args, "profile", None)
     if path:
         return load_profile(path)
     return default_profile()

@@ -472,14 +472,6 @@ def _classify(unit: ParsedUnit, profile: MarkerProfile) -> ComponentType | None:
     return matched[0] if matched else None
 
 
-def classify_source_unit(
-    unit_text: str, profile: MarkerProfile
-) -> ComponentType | None:
-    """Classify one source unit by its type-level markers; None if unmarked."""
-    unit = parse_unit(unit_text)
-    return None if unit is None else _classify(unit, profile)
-
-
 # ---------------------------------------------------------------------------
 # Member extraction
 # ---------------------------------------------------------------------------

@@ -202,7 +202,6 @@ def replay(
     *,
     service_names: Mapping[str, str] | None = None,
     verify_each_step: bool = True,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     out_dir: str | Path | None = None,
 ) -> EvolutionRecord:
     """Replay an oldest-first version history and evaluate rules per step.
@@ -222,7 +221,7 @@ def replay(
     representations, or the replay fails with "chain integrity" before any
     artifact is written.  With ``verify_each_step`` each step is compared;
     without it, each checkpoint and the last version are.  A checkpoint runs
-    after every ``checkpoint_every`` increments: it rescans every service
+    after every ``DEFAULT_CHECKPOINT_EVERY`` increments: it rescans every service
     and compares the chain, but keeps the step's deltas and violations, so
     the record does not depend on the cadence.
     """
@@ -242,7 +241,7 @@ def replay(
 
     for label, root, changed in _normalize_versions(versions):
         anchor = prev_system is None or need_reanchor
-        checkpoint = not anchor and since_checkpoint >= checkpoint_every
+        checkpoint = not anchor and since_checkpoint >= DEFAULT_CHECKPOINT_EVERY
         previous = None if anchor or checkpoint else (prev_services, prev_irs)
         try:
             services, irs = _extract(

@@ -59,38 +59,29 @@ def _shape(item: Endpoint | RestCall) -> Shape:
     return (item.http_method, item.path)
 
 
-def _groups(endpoints: Iterable[Endpoint]) -> dict[Shape, tuple[Endpoint, ...]]:
-    groups: dict[Shape, list[Endpoint]] = {}
-    for ep in endpoints:
-        groups.setdefault(_shape(ep), []).append(ep)
-    return {s: tuple(sorted(g, key=endpoint_sort_key)) for s, g in groups.items()}
-
-
 @dataclass(frozen=True)
 class LinkIndex:
     """Where every rest call of a system resolves.
 
-    Endpoint groups are keyed by shape and sorted by ``endpoint_sort_key``,
-    system-wide in ``endpoints`` and per service in ``service_endpoints``.
-    ``resolved`` maps each service's distinct calls to their endpoint (or
-    None), ``callers`` each called endpoint to the distinct calls resolving
-    to it (same-service calls included), ``unmatched`` holds the calls that
-    resolve to nothing and ``uncalled`` the endpoints no call resolves to.
+    ``endpoints`` groups the system's endpoints by shape, each group sorted
+    by ``endpoint_sort_key`` and so by service first.  ``resolved`` maps each
+    service's distinct calls to their endpoint (or None), ``callers`` each
+    called endpoint to the distinct calls resolving to it (same-service calls
+    included), and ``unmatched`` holds the calls that resolve to nothing; an
+    endpoint of the system is uncalled exactly when ``callers`` lacks it.
     Per-service mappings are never mutated, so an increment's index shares
     those of every service its delta left alone.
     """
 
     endpoints: Mapping[Shape, tuple[Endpoint, ...]]
-    service_endpoints: Mapping[str, Mapping[Shape, tuple[Endpoint, ...]]]
     resolved: Mapping[str, Mapping[RestCall, Endpoint | None]]
     callers: Mapping[Endpoint, frozenset[RestCall]]
     unmatched: frozenset[RestCall]
-    uncalled: frozenset[Endpoint]
 
     @classmethod
     def build(cls, services: Mapping[str, MicroserviceIR]) -> LinkIndex:
         """Index a system from scratch."""
-        empty = cls({}, {}, {}, {}, frozenset(), frozenset())
+        empty = cls({}, {}, {}, frozenset())
         added = [comp for ir in services.values() for comp in ir.components.values()]
         return empty.updated(services, (), added)[0]
 
@@ -103,21 +94,21 @@ class LinkIndex:
 
     def resolve(self, call: RestCall) -> Endpoint | None:
         """The endpoint ``call`` matches in this index's system, if any."""
+        candidates = self.endpoints.get(_shape(call), ())
         if call.target_service == UNRESOLVED:
-            candidates = self.endpoints.get(_shape(call), ())
             return candidates[0] if len(candidates) == 1 else None
         # Duplicate (verb, path) pairs within a service violate an invariant
         # the scanner already warned about; the sorted group resolves them
         # deterministically.
-        own = self.service_endpoints.get(call.target_service, {})
-        candidates = own.get(_shape(call))
-        return candidates[0] if candidates else None
+        for ep in candidates:
+            if ep.owning_component.microservice == call.target_service:
+                return ep
+        return None
 
     def toggled(self, old: LinkIndex) -> tuple[set[RestCall], set[Endpoint]]:
         """The calls that entered or left ``unmatched`` from ``old`` to this
-        index, and the endpoints that entered or left ``uncalled`` as calls
-        started or stopped resolving to them; an endpoint that came or went
-        is not looked for.
+        index, and the endpoints that lost their last caller or gained a
+        first one; an endpoint that went may be among them.
 
         Only a service whose resolutions the two indexes do not share can
         hold such a call, or a call that resolved to such an endpoint.  So
@@ -131,8 +122,9 @@ class LinkIndex:
             if was is not now:
                 calls ^= {call for call, ep in was.items() if ep is None}
                 calls ^= {call for call, ep in now.items() if ep is None}
-                endpoints.update(ep for ep in was.values() if ep in self.uncalled)
-                endpoints.update(ep for ep in now.values() if ep in old.uncalled)
+                endpoints.update(ep for ep in was.values() if ep not in self.callers)
+                endpoints.update(ep for ep in now.values() if ep not in old.callers)
+        endpoints.discard(None)  # an unmatched call's resolution
         return calls, endpoints
 
     def updated(
@@ -145,33 +137,28 @@ class LinkIndex:
         ``before`` replaced by ``after`` (either side may lack an id).  A
         service of ``before`` that ``services`` lacks is removed.
 
-        Only two groups of calls are resolved again: those of the replaced
-        components, and those whose shape gained or lost an endpoint, which
+        Only the groups of the shapes the replaced components serve are
+        rebuilt, and only two groups of calls are resolved again: those of
+        the replaced components, and those whose shape's group changed, which
         covers ambiguity both appearing and resolving.  Returns the new index
         and those calls; every other call keeps its resolution.
         """
         changed = {comp.id for comp in (*before, *after)}
-        names = {cid.microservice for cid in changed}
-        service_endpoints = {n: self.service_endpoints.get(n, {}) for n in services}
-        moved: set[Shape] = set()
-        changed_groups: dict[Shape, list[Endpoint]] = {}
-        for n in names:
-            was = self.service_endpoints.get(n, {})
-            if n in services:
-                service_endpoints[n] = _groups(services[n].iter_endpoints())
-            now = service_endpoints.get(n, {})
-            moved.update(s for s in was.keys() | now.keys() if was.get(s) != now.get(s))
-            for shape, group in now.items():
-                changed_groups.setdefault(shape, []).extend(group)
+        regrouped: dict[Shape, list[Endpoint]] = {
+            _shape(ep): [] for comp in before for ep in comp.endpoints
+        }
+        for comp in after:
+            for ep in comp.endpoints:
+                regrouped.setdefault(_shape(ep), []).append(ep)
         endpoints = dict(self.endpoints)
-        for shape in moved:
-            group = changed_groups.get(shape, [])
-            group += (
-                ep
-                for ep in endpoints.get(shape, ())
-                if ep.owning_component.microservice not in names
-            )
-            _put(endpoints, shape, tuple(sorted(group, key=endpoint_sort_key)))
+        moved: set[Shape] = set()
+        for shape, group in regrouped.items():
+            was = self.endpoints.get(shape, ())
+            group += (ep for ep in was if ep.owning_component not in changed)
+            now = tuple(sorted(group, key=endpoint_sort_key))
+            if now != was:
+                moved.add(shape)
+                _put(endpoints, shape, now)
 
         # A moved shape's matched calls are the callers of its old endpoints.
         affected = {
@@ -186,9 +173,7 @@ class LinkIndex:
             call: self.resolved[call.owning_component.microservice][call]
             for call in affected.union(*(comp.rest_calls() for comp in before))
         }
-        lookup = replace(
-            self, endpoints=endpoints, service_endpoints=service_endpoints
-        )
+        lookup = replace(self, endpoints=endpoints)
         new = {
             call: lookup.resolve(call)
             for call in affected.union(*(comp.rest_calls() for comp in after))
@@ -206,28 +191,11 @@ class LinkIndex:
             resolved[call.owning_component.microservice][call] = ep
             joined.setdefault(ep, set()).add(call)
         callers = dict(self.callers)
-        recalled = {*old.values(), *joined} - {None}
-        for ep in recalled:
+        for ep in {*old.values(), *joined} - {None}:
             calls = callers.get(ep, frozenset()).difference(old)
             _put(callers, ep, calls | joined.get(ep, set()))
         unmatched = self.unmatched.difference(old) | joined.get(None, set())
-        # Only an endpoint whose callers changed or whose component was
-        # replaced can enter or leave the uncalled set.
-        gone = {ep for comp in before for ep in comp.endpoints}
-        present = {ep for comp in after for ep in comp.endpoints}
-        candidates = recalled | gone | present
-        uncalled = self.uncalled.difference(candidates) | {
-            ep
-            for ep in candidates
-            if ep not in callers and (ep in present or ep not in gone)
-        }
-        index = replace(
-            lookup,
-            resolved=resolved,
-            callers=callers,
-            unmatched=unmatched,
-            uncalled=uncalled,
-        )
+        index = replace(lookup, resolved=resolved, callers=callers, unmatched=unmatched)
         return index, old.keys() | new.keys()
 
 
@@ -556,13 +524,8 @@ def unmatched_calls(system: SystemIR) -> list[RestCall]:
 
 def uncalled_endpoints(system: SystemIR) -> list[Endpoint]:
     """Endpoints matched by zero rest calls system-wide."""
-    uncalled = LinkIndex.of(system).uncalled
-    out = [
-        ep
-        for cid in {ep.owning_component for ep in uncalled}
-        for ep in system.component(cid).endpoints
-        if ep in uncalled
-    ]
+    callers = LinkIndex.of(system).callers
+    out = [ep for ep in system.iter_endpoints() if ep not in callers]
     out.sort(key=endpoint_sort_key)
     return out
 

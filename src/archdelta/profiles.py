@@ -2,7 +2,7 @@
 
 A profile is data, not code; stacks other than the bundled Java Spring
 vocabulary are added by writing a new profile document and passing it via
-``--profile`` (or the ``ARCHDELTA_PROFILE`` environment variable).
+``--profile`` (or the replay config's ``profile`` key).
 """
 
 from __future__ import annotations
@@ -102,12 +102,7 @@ def _markers(doc: dict, key: str) -> frozenset[str]:
     return frozenset(_within(doc, key, list, _strings_of))
 
 
-def _read_profile(doc: Any) -> MarkerProfile:
-    if type(doc) is not dict:
-        raise _Fault("profile document must be an object")
-    tag = doc.get("schema")
-    if tag != PROFILE_SCHEMA:
-        raise _Fault(f"expected schema {PROFILE_SCHEMA}, got {tag!r}", ".schema")
+def _read_profile(doc: dict) -> MarkerProfile:
     endpoint_markers = doc.get("endpointMarkers")
     if type(endpoint_markers) is not dict:
         raise _Fault("missing or non-object key 'endpointMarkers'")
@@ -136,10 +131,10 @@ def _read_profile(doc: Any) -> MarkerProfile:
 
 
 def load_profile(path: str | Path) -> MarkerProfile:
-    return _loaded(Path(path).read_bytes(), None, _read_profile)
+    return _loaded(Path(path).read_bytes(), PROFILE_SCHEMA, _read_profile)
 
 
 def default_profile() -> MarkerProfile:
     """The bundled Java Spring profile."""
     raw = resources.files("archdelta.data.profiles").joinpath("spring.json").read_bytes()
-    return _loaded(raw, None, _read_profile)
+    return _loaded(raw, PROFILE_SCHEMA, _read_profile)

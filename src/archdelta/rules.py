@@ -231,7 +231,7 @@ def _call_entries(comp: Component, index: LinkIndex) -> Iterator[Entry]:
 
 
 def _endpoint_entries(comp: Component, index: LinkIndex) -> Iterator[Entry]:
-    uncalled = [ep for ep in comp.endpoints if ep in index.uncalled]
+    uncalled = [ep for ep in comp.endpoints if ep not in index.callers]
     for ep in sorted(uncalled, key=endpoint_sort_key):
         item = ImpactedItem(comp.id, "endpoint", ep.signature(), ep.handler_method)
         yield ep, make_violation("UEM", None, [item])
@@ -308,9 +308,9 @@ class LinkViolations:
     triggering list each step computes.
 
     An entry depends only on its owner component and on the link index's
-    ``unmatched`` and ``uncalled`` sets.  So a system's entries are derived
-    from a baseline's: only the entries of components that differ between
-    the two, or whose calls or endpoints entered or left those sets, are
+    ``unmatched`` set and ``callers`` keys.  So a system's entries are
+    derived from a baseline's: only the entries of components that differ
+    between the two, or whose calls or endpoints entered or left those, are
     built again.  A system is carried with its entries, like its link index.
     """
 
@@ -645,7 +645,7 @@ def _impact_items_for_component(
             ]
         else:
             members = [
-                (ep in index.uncalled, "endpoint", ep.signature(), ep.handler_method)
+                (ep not in index.callers, "endpoint", ep.signature(), ep.handler_method)
                 for ep in comp.endpoints
             ]
         inconsistent = _is_inconsistent(comp, baseline)

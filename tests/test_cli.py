@@ -606,7 +606,7 @@ def _extract_with_profile(edit):
             _merge_edited_delta(lambda doc: doc["changes"][0].update(oldContentHash=5)),
             "$.changes[0].oldContentHash: key 'oldContentHash' should be str, got int",
         ),
-        (_extract_with_profile(lambda doc: []), "$: profile document must be an object"),
+        (_extract_with_profile(lambda doc: []), "$: expected an object"),
         (
             _extract_with_profile(lambda doc: {**doc, "fileExtensions": 5}),
             "$.fileExtensions: key 'fileExtensions' should be list, got int",
@@ -654,6 +654,10 @@ def _extract_with_profile(edit):
             ),
             "$.remoteCallPatterns[0].verb.argIndex: pattern verb argIndex must be",
         ),
+        (
+            _extract_with_profile(lambda doc: {**doc, "schema": "other@1"}),
+            "$.schema: expected schema marker-profile@1, got other@1",
+        ),
     ],
     ids=[
         "non-utf8-baseline",
@@ -672,6 +676,7 @@ def _extract_with_profile(edit):
         "profile-url-arg-negative",
         "profile-verb-list",
         "profile-verb-arg-index-negative",
+        "profile-other-schema",
     ],
 )
 def test_malformed_input_is_a_usage_error(

@@ -23,7 +23,6 @@ from archdelta.errors import AmbiguousMarkerError, ExtractionError
 from archdelta.extractor import (
     BUILD_DESCRIPTORS,
     ScanWarning,
-    classify_source_unit,
     discover_services,
     extract_component,
     extract_endpoints,
@@ -123,20 +122,26 @@ def test_duplicate_endpoint_in_a_service_is_a_warning_and_both_are_kept(tmp_path
     ]
 
 
+def _component_type(text: str) -> ComponentType | None:
+    """The type a unit's type-level markers give it; None if unmarked."""
+    component, _ = extract_component(text, PROFILE, "svc", "A.java")
+    return None if component is None else component.id.component_type
+
+
 def test_classify_controller_marker():
     text = "package p;\n@RestController\npublic class C { }\n"
-    assert classify_source_unit(text, PROFILE) is ComponentType.CONTROLLER
+    assert _component_type(text) is ComponentType.CONTROLLER
 
 
 def test_classify_unmarked_unit_is_none():
     text = "package p;\npublic class Plain { private int x; }\n"
-    assert classify_source_unit(text, PROFILE) is None
+    assert _component_type(text) is None
 
 
 def test_classify_conflicting_markers_raises():
     text = "package p;\n@Service\n@Repository\npublic class Confused { }\n"
     with pytest.raises(AmbiguousMarkerError):
-        classify_source_unit(text, PROFILE)
+        _component_type(text)
 
 
 def test_endpoint_base_path_concatenation_and_variables():
@@ -410,7 +415,7 @@ def test_each_file_is_tokenized_once_and_each_body_scanned_once(
     bodies = 0
     for path in files:
         unit = parse_unit(path.read_text())
-        if classify_source_unit(path.read_text(), PROFILE) is not None:
+        if _component_type(path.read_text()) is not None:
             bodies += sum(m.body_span is not None for m in unit.methods)
     counts = {"views": 0, "lexes": 0, "scans": 0}
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reference_extractor
 from corpus import _EXTRA_SERVICE, HISTORY_BASE, HISTORY_STEPS, SUMMARY_BASE, SUMMARY_STEPS
 
-from archdelta.extractor import classify_source_unit, extract_component
+from archdelta.extractor import extract_component
 from archdelta.profiles import default_profile
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -37,9 +37,6 @@ def _outcome(extract, text: str):
 def _assert_same(text: str) -> None:
     assert _outcome(extract_component, text) == _outcome(
         reference_extractor.extract_component, text
-    )
-    assert _outcome(lambda t, p, *_: classify_source_unit(t, p), text) == _outcome(
-        lambda t, p, *_: reference_extractor.classify_source_unit(t, p), text
     )
 
 

@@ -282,7 +282,8 @@ def test_checkpoint_rescans_every_service(tmp_path, monkeypatch):
     )
     per_version, drawn = _counting_scans(monkeypatch)
     stream = stream_revisions(repo, revisions, tmp_path / "scratch")
-    replay(drawn(stream), checkpoint_every=1)
+    monkeypatch.setattr(history, "DEFAULT_CHECKPOINT_EVERY", 1)
+    replay(drawn(stream))
     assert per_version == [ALL_SERVICES, ["ts-order"], ALL_SERVICES]
 
 
@@ -425,7 +426,7 @@ def _artifact_bytes(record, out: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("source", ["directories", "git"])
 def test_artifacts_do_not_depend_on_the_checkpoint_cadence(
-    history_versions, tmp_path, source
+    history_versions, tmp_path, source, monkeypatch
 ):
     """A checkpoint rescans and checks the chain but stays an increment: its
     deltas and violations, and so every artifact, are the same whatever the
@@ -438,12 +439,10 @@ def test_artifacts_do_not_depend_on_the_checkpoint_cadence(
             return history_versions
         return stream_revisions(repo, revisions, tmp_path / f"scratch-{run}")
 
-    runs = {
-        every: _artifact_bytes(
-            replay(versions(every), checkpoint_every=every), tmp_path / f"out-{every}"
-        )
-        for every in (1, 2, 3, 50)
-    }
+    runs = {}
+    for every in (1, 2, 3, 50):
+        monkeypatch.setattr(history, "DEFAULT_CHECKPOINT_EVERY", every)
+        runs[every] = _artifact_bytes(replay(versions(every)), tmp_path / f"out-{every}")
     want = runs[50]
     assert {"ir/1.json", "deltas/1.json", "summary.json"} <= want.keys()
     differing = {
@@ -535,20 +534,16 @@ def test_unverified_steps_are_checked_at_each_checkpoint(
     monkeypatch.setattr(
         history, "apply_delta", lambda *args: _relabel(original(*args), None)
     )
+    monkeypatch.setattr(history, "DEFAULT_CHECKPOINT_EVERY", 1)
     versions = history_versions[:3]
     checkpoint = versions[2].name
     with pytest.raises(
         ArchDeltaError, match=f"chain integrity: increment at {checkpoint} "
     ):
-        replay(
-            versions,
-            verify_each_step=False,
-            checkpoint_every=1,
-            out_dir=tmp_path / "artifacts",
-        )
+        replay(versions, verify_each_step=False, out_dir=tmp_path / "artifacts")
     assert not (tmp_path / "artifacts").exists()
     monkeypatch.setattr(history, "apply_delta", original)
-    record = replay(versions, verify_each_step=False, checkpoint_every=1)
+    record = replay(versions, verify_each_step=False)
     assert [entry.reanchored for entry in record.versions] == [False, False, False]
 
 

@@ -18,6 +18,7 @@ from archdelta.linker import (
     OverlapIndex,
     build_system_ir,
     match_call_to_endpoint,
+    uncalled_endpoints,
     unmatched_calls,
 )
 from archdelta.merge import apply_delta, remove_service
@@ -101,14 +102,24 @@ def test_locality_of_untouched_services(history_versions):
         base.services["ts-order"], _extract(history_versions[1], "ts-order")
     )
     increment = apply_delta(base, d)
+    old_index, new_index = LinkIndex.of(base), LinkIndex.of(increment)
     for name in ("ts-station", "ts-user"):
         assert serialize_microservice_ir(increment.services[name]) == (
             serialize_microservice_ir(base.services[name])
         )
         # their parts of the link index are shared, not copied
-        old_index, new_index = LinkIndex.of(base), LinkIndex.of(increment)
-        assert new_index.service_endpoints[name] is old_index.service_endpoints[name]
         assert new_index.resolved[name] is old_index.resolved[name]
+    # so is the endpoint group of every shape no changed component serves
+    served = {
+        (ep.http_method, ep.path)
+        for system in (base, increment)
+        for comp in filter(None, map(system.component, d.change_ids()))
+        for ep in comp.endpoints
+    }
+    kept = new_index.endpoints.keys() - served
+    assert kept
+    for shape in kept:
+        assert new_index.endpoints[shape] is old_index.endpoints[shape]
 
 
 def test_added_endpoint_satisfies_dangling_call(history_versions):
@@ -304,6 +315,16 @@ def test_remove_service_drops_its_edges(history_versions):
     assert [c.target_service for c in unmatched_calls(trimmed)] == ["ts-station"]
 
 
+def _endpoint_order(ep):
+    return (
+        ep.owning_component.microservice,
+        str(ep.owning_component),
+        ep.handler_method,
+        ep.http_method,
+        ep.path,
+    )
+
+
 def _linear_match(call, services):
     """Reference matcher: a linear scan over the endpoints of the system.
 
@@ -322,17 +343,7 @@ def _linear_match(call, services):
     if call.target_service != UNRESOLVED:
         service = services.get(call.target_service)
         candidates = same_shape(service) if service is not None else []
-        return min(
-            candidates,
-            key=lambda ep: (
-                ep.owning_component.microservice,
-                str(ep.owning_component),
-                ep.handler_method,
-                ep.http_method,
-                ep.path,
-            ),
-            default=None,
-        )
+        return min(candidates, key=_endpoint_order, default=None)
     candidates = [ep for name in sorted(services) for ep in same_shape(services[name])]
     return candidates[0] if len(candidates) == 1 else None
 
@@ -361,10 +372,15 @@ def test_increment_link_index_equals_rebuild(data):
         assert serialize_ir(system) == serialize_ir(rebuilt)
         assert LinkIndex.of(system) == LinkIndex.build(system.services)
         assert system.incidence == Incidence.of(replace(system, incidence=None))
+        matched = set()
         for call in system.iter_rest_calls():
-            assert match_call_to_endpoint(call, system) == _linear_match(
-                call, system.services
-            )
+            endpoint = _linear_match(call, system.services)
+            assert match_call_to_endpoint(call, system) == endpoint
+            matched.add(endpoint)
+        assert uncalled_endpoints(system) == sorted(
+            (ep for ep in system.iter_endpoints() if ep not in matched),
+            key=_endpoint_order,
+        )
 
 
 @given(st.data())
