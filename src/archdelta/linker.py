@@ -7,8 +7,9 @@ rather than guessed so that downstream impact traversal never follows an
 invented edge.  Every system carries one ``LinkIndex`` holding where each call
 resolves, which rules and reports read, and one ``OverlapIndex`` from field
 names to entities, from which entity overlaps are found without comparing
-every pair.  ``relink`` derives both, and the cross edges, from a baseline's
-for a change of components; a full build is ``relink`` from the empty system.
+every pair.  ``relink`` derives both, the cross edges and, once a rule has
+read them, the IC and UEM runs from a baseline's for a change of components;
+a full build is ``relink`` from the empty system.
 """
 
 from __future__ import annotations
@@ -105,34 +106,12 @@ class LinkIndex:
                 return ep
         return None
 
-    def toggled(self, old: LinkIndex) -> tuple[set[RestCall], set[Endpoint]]:
-        """The calls that entered or left ``unmatched`` from ``old`` to this
-        index, and the endpoints that lost their last caller or gained a
-        first one; an endpoint that went may be among them.
-
-        Only a service whose resolutions the two indexes do not share can
-        hold such a call, or a call that resolved to such an endpoint.  So
-        for an index derived from ``old`` the work follows the change, not
-        the system.
-        """
-        calls: set[RestCall] = set()
-        endpoints: set[Endpoint] = set()
-        for name in self.resolved.keys() | old.resolved.keys():
-            was, now = old.resolved.get(name, {}), self.resolved.get(name, {})
-            if was is not now:
-                calls ^= {call for call, ep in was.items() if ep is None}
-                calls ^= {call for call, ep in now.items() if ep is None}
-                endpoints.update(ep for ep in was.values() if ep not in self.callers)
-                endpoints.update(ep for ep in now.values() if ep not in old.callers)
-        endpoints.discard(None)  # an unmatched call's resolution
-        return calls, endpoints
-
     def updated(
         self,
         services: Mapping[str, MicroserviceIR],
         before: Sequence[Component],
         after: Sequence[Component],
-    ) -> tuple[LinkIndex, set[RestCall]]:
+    ) -> tuple[LinkIndex, set[RestCall], set[RestCall], set[Endpoint]]:
         """The index of ``services``: this index's system with the components
         ``before`` replaced by ``after`` (either side may lack an id).  A
         service of ``before`` that ``services`` lacks is removed.
@@ -140,8 +119,10 @@ class LinkIndex:
         Only the groups of the shapes the replaced components serve are
         rebuilt, and only two groups of calls are resolved again: those of
         the replaced components, and those whose shape's group changed, which
-        covers ambiguity both appearing and resolving.  Returns the new index
-        and those calls; every other call keeps its resolution.
+        covers ambiguity both appearing and resolving.  Returns the new index,
+        those calls (every other call keeps its resolution), the calls among
+        them that entered or left ``unmatched``, and the endpoints that
+        gained a first caller or lost the last one.
         """
         changed = {comp.id for comp in (*before, *after)}
         regrouped: dict[Shape, list[Endpoint]] = {
@@ -191,12 +172,16 @@ class LinkIndex:
             resolved[call.owning_component.microservice][call] = ep
             joined.setdefault(ep, set()).add(call)
         callers = dict(self.callers)
+        flipped: set[Endpoint] = set()
         for ep in {*old.values(), *joined} - {None}:
             calls = callers.get(ep, frozenset()).difference(old)
             _put(callers, ep, calls | joined.get(ep, set()))
+            if (ep in callers) != (ep in self.callers):
+                flipped.add(ep)
+        toggled = {c for c, ep in old.items() if ep is None} ^ joined.get(None, set())
         unmatched = self.unmatched.difference(old) | joined.get(None, set())
         index = replace(lookup, resolved=resolved, callers=callers, unmatched=unmatched)
-        return index, old.keys() | new.keys()
+        return index, old.keys() | new.keys(), toggled, flipped
 
 
 def _put(mapping: dict, key, value) -> None:
@@ -411,7 +396,9 @@ def relink(
     Only the calls ``LinkIndex.updated`` resolves again and the changed
     entities have their edges replaced; the incidence map follows from the
     dropped and added edges.  Untouched services share their parts of every
-    map with the baseline.
+    map with the baseline.  A baseline that carries IC and UEM runs hands
+    them on, refreshed for the changed components and for the owners of the
+    calls and endpoints whose link the change toggled.
 
     Validation is scoped to what the change can break.  Untouched services
     are the baseline's objects and surviving edges are the baseline's, so for
@@ -422,7 +409,7 @@ def relink(
     """
     check_overlap_threshold(overlap_threshold)
     old_index = LinkIndex.of(baseline)
-    index, rematched = old_index.updated(services, before, after)
+    index, rematched, calls, endpoints = old_index.updated(services, before, after)
     dropped = remote_call_edges(old_index, rematched)
     added = remote_call_edges(index, rematched)
     overlap, overlap_edges = data_overlap_edges(
@@ -451,6 +438,9 @@ def relink(
     if incidence is not None:  # a build validates the whole system itself
         gone = {comp.id for comp in before}.difference(comp.id for comp in after)
         validate_cross_edges(increment, added.union(*map(incidence.edges, gone)))
+    if baseline.link_violations is not None:
+        runs = baseline.link_violations.carried(increment, before, after, calls, endpoints)
+        object.__setattr__(increment, "link_violations", runs)
     return increment
 
 

@@ -594,7 +594,9 @@ class SystemIR:
     cross edges by component, ``overlap_index`` the entities by field name
     and ``link_violations`` the IC and UEM violations; ``LinkIndex.of``,
     ``Incidence.of``, ``OverlapIndex.of`` and ``LinkViolations.of`` build
-    them on first use.  They are derived data: they take no part in
+    them on first use.  ``linker.relink`` derives an increment's from the
+    baseline's, the violations only when the baseline has them, so a build
+    leaves those unbuilt.  They are derived data: they take no part in
     equality, ``repr`` or documents.
     """
 

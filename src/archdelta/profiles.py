@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .documents import _bad, _each, _Fault, _get, _loaded, _strings_of, _within
+from .model import HTTP_METHODS
 
 PROFILE_SCHEMA = "marker-profile@1"
 
@@ -20,8 +21,7 @@ PROFILE_SCHEMA = "marker-profile@1"
 # explicit attribute on the annotation (e.g. method = RequestMethod.POST).
 FROM_ATTRIBUTE = "FROM_ATTRIBUTE"
 
-_HTTP_VERBS = ("GET", "POST", "PUT", "DELETE", "PATCH")
-_VERB_VALUES = {*_HTTP_VERBS, FROM_ATTRIBUTE}
+_VERB_VALUES = {*HTTP_METHODS, FROM_ATTRIBUTE}
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ def _read_pattern(doc: Any) -> RemoteCallPattern:
     verb = doc.get("verb")
     if type(verb) is dict:
         verb = _within(doc, "verb", dict, _index, "argIndex", "verb argIndex")
-    elif verb not in _HTTP_VERBS:
+    elif verb not in HTTP_METHODS:
         raise _Fault(
-            f"pattern verb must be one of {', '.join(_HTTP_VERBS)} "
+            f"pattern verb must be one of {', '.join(HTTP_METHODS)} "
             "or {\"argIndex\": n}",
             ".verb",
         )

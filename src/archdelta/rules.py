@@ -27,13 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from .documents import _each, _Fault, _get, _loaded, _within
 from .errors import RuleBindingError
 from .extractor import type_name_parts
-from .linker import (
-    EMPTY_SYSTEM,
-    LinkIndex,
-    call_sort_key,
-    distinct_unmatched,
-    endpoint_sort_key,
-)
+from .linker import LinkIndex, call_sort_key, distinct_unmatched, endpoint_sort_key
 from .model import (
     ChangeKind,
     Component,
@@ -308,51 +302,46 @@ class LinkViolations:
     triggering list each step computes.
 
     An entry depends only on its owner component and on the link index's
-    ``unmatched`` set and ``callers`` keys.  So a system's entries are
-    derived from a baseline's: only the entries of components that differ
-    between the two, or whose calls or endpoints entered or left those, are
-    built again.  A system is carried with its entries, like its link index.
+    ``unmatched`` set and ``callers`` keys.  So ``linker.relink`` carries a
+    system's entries to the increment of a change through ``carried``: only
+    the entries of the replaced components, and of the owners of the calls
+    and endpoints whose link the change toggled, are built again.
     """
 
     invalid_calls: CarriedRun
     uncalled_endpoints: CarriedRun
 
     @classmethod
-    def of(cls, system: SystemIR, baseline: SystemIR | None = None) -> LinkViolations:
-        """The system's entries, derived on first use from the baseline's if
-        it has them, else from the empty system's, and kept with the system."""
+    def of(cls, system: SystemIR) -> LinkViolations:
+        """The system's entries, built on first use and kept with the system,
+        which then hands them on to the increments derived from it."""
         if system.link_violations is None:
-            if baseline is None or baseline.link_violations is None:
-                baseline = EMPTY_SYSTEM
-            view = baseline.link_violations or cls(_NO_RUN, _NO_RUN)
-            object.__setattr__(system, "link_violations", view._updated(baseline, system))
+            every = list(system.iter_components())
+            view = cls(_NO_RUN, _NO_RUN).carried(system, (), every, (), ())
+            object.__setattr__(system, "link_violations", view)
         return system.link_violations
 
-    def _updated(self, baseline: SystemIR, system: SystemIR) -> LinkViolations:
-        calls, endpoints = LinkIndex.of(system).toggled(LinkIndex.of(baseline))
-        differing = _differing_components(baseline, system)
-        calling = {c.id for c in differing if any(m.rest_calls for m in c.methods)}
+    def carried(
+        self,
+        system: SystemIR,
+        before: Sequence[Component],
+        after: Sequence[Component],
+        calls: Iterable[RestCall],
+        endpoints: Iterable[Endpoint],
+    ) -> LinkViolations:
+        """The entries of ``system``: this view's system with the components
+        ``before`` replaced by ``after``, where ``calls`` entered or left
+        ``unmatched`` and ``endpoints`` gained a first caller or lost the
+        last one."""
+        changed = (*before, *after)
+        calling = {c.id for c in changed if any(m.rest_calls for m in c.methods)}
         calling.update(call.owning_component for call in calls)
-        serving = {c.id for c in differing if c.endpoints}
+        serving = {c.id for c in changed if c.endpoints}
         serving.update(ep.owning_component for ep in endpoints)
         return LinkViolations(
             self.invalid_calls.replaced(system, calling, _call_entries),
             self.uncalled_endpoints.replaced(system, serving, _endpoint_entries),
         )
-
-
-def _differing_components(baseline: SystemIR, system: SystemIR) -> list[Component]:
-    """Every version of each component that is not one object in both
-    systems: modified, added or removed."""
-    differing = []
-    for name in system.services.keys() | baseline.services.keys():
-        was, now = baseline.services.get(name), system.services.get(name)
-        if was is not now:
-            old = list(was.components.values()) if was is not None else []
-            new = list(now.components.values()) if now is not None else []
-            kept = set(map(id, old)).intersection(map(id, new))
-            differing += (comp for comp in old + new if id(comp) not in kept)
-    return differing
 
 
 def detect_invalid_calls(
@@ -388,7 +377,7 @@ def detect_invalid_calls(
             culprit = old_endpoint.owning_component if old_endpoint else None
         return (TriggerItem(culprit, changed[culprit]),) if culprit in changed else ()
 
-    run = LinkViolations.of(increment, baseline).invalid_calls
+    run = LinkViolations.of(increment).invalid_calls
     return run.triggered(touched, triggering)
 
 
@@ -448,7 +437,7 @@ def detect_uncalled_endpoints(
             )
         return triggering_of[shape]
 
-    run = LinkViolations.of(increment, baseline).uncalled_endpoints
+    run = LinkViolations.of(increment).uncalled_endpoints
     return run.triggered(touched, triggering)
 
 

@@ -17,7 +17,7 @@ from archdelta.delta import compute_delta
 from archdelta.documents import serialize_violations
 from archdelta.errors import DocumentError
 from archdelta.extractor import resolve_call_graph, scan_repository
-from archdelta.linker import build_system_ir, link_report
+from archdelta.linker import EMPTY_SYSTEM, build_system_ir, link_report
 from archdelta.merge import apply_delta, remove_service
 from archdelta.model import (
     ChangeKind,
@@ -35,6 +35,7 @@ from archdelta.model import (
 )
 from archdelta.profiles import default_profile
 from archdelta.rules import (
+    LinkViolations,
     builtin_rules,
     detect_invalid_calls,
     detect_repository_method_modifications,
@@ -356,6 +357,32 @@ def test_uem_names_the_changed_caller_of_every_endpoint_of_the_shape():
     assert _matches_reference(
         got, "detect_uncalled_endpoints", increment, baseline=baseline, deltas=[d]
     )
+
+
+def test_runs_are_carried_only_from_a_baseline_a_rule_has_read():
+    # A build, and an increment of a baseline no rule has read, leave the IC
+    # and UEM runs unbuilt.  Once the baseline is evaluated, applying a delta
+    # and removing a service both carry them, equal to a fresh build's: the
+    # delta moves svc-c's call from svc-a's endpoint to svc-b's, and removing
+    # svc-a leaves the unchanged svc-c with an unmatched call.
+    baseline = build_system_ir(
+        [
+            _serving("svc-a", "GET", "/x"),
+            _serving("svc-b", "GET", "/y"),
+            _calling("svc-c", [("GET", "svc-a", "/x"), ("GET", "svc-b", "/z")]),
+        ]
+    )
+    moved = _calling("svc-c", [("GET", "svc-b", "/y"), ("GET", "svc-b", "/z")])
+    d = compute_delta(baseline.services["svc-c"], moved)
+    assert baseline.link_violations is None
+    assert apply_delta(baseline, d).link_violations is None
+    evaluate_many(None, [], baseline, builtin_rules())
+    assert baseline.link_violations is not None
+    for increment in (apply_delta(baseline, d), remove_service(baseline, "svc-a")):
+        assert increment.link_violations is not None
+        fresh = build_system_ir(increment.services.values())
+        assert increment.link_violations == LinkViolations.of(fresh)
+    assert EMPTY_SYSTEM.link_violations is None
 
 
 def test_uem_flags_equal_endpoints_of_a_component_once():
@@ -794,10 +821,23 @@ def test_carried_link_rules_equal_the_full_sweep(data):
     the violations document ``evaluate_many`` gives is the reference's, byte
     for byte: triggering lists, order and labels included.  A step applies
     the deltas of one or two services, as a replay step does, and may remove
-    a service.  Some chains start from the empty system."""
+    a service.  Some chains start from the empty system.  Each system is
+    evaluated as soon as it is built, so the next step's relinks carry its
+    runs."""
+    rules = builtin_rules()
+
+    def check(baseline, deltas, increment):
+        got = evaluate_many(baseline, deltas, increment, rules)
+        want = reference_rules.evaluate_many(baseline, deltas, increment, rules)
+        assert _as_written(got, increment) == _as_written(want, increment)
+        for context in ({"baseline": baseline, "deltas": deltas}, {"deltas": deltas}):
+            for name in ("detect_invalid_calls", "detect_uncalled_endpoints"):
+                got = getattr(rules_module, name)(increment, **context)
+                assert _matches_reference(got, name, increment, **context)
+
     start = data.draw(st.sampled_from([LINK_SERVICES, ()]))
     system = build_system_ir([data.draw(linked_irs(name)) for name in start])
-    steps = [(None, [], system)]
+    check(None, [], system)
     for step in range(1, data.draw(st.integers(1, 5)) + 1):
         baseline, deltas = system, []
         names = data.draw(
@@ -813,13 +853,4 @@ def test_carried_link_rules_equal_the_full_sweep(data):
         others = sorted(set(system.services) - set(names))
         if others and data.draw(st.booleans()):
             system = remove_service(system, data.draw(st.sampled_from(others)))
-        steps.append((baseline, deltas, system))
-    rules = builtin_rules()
-    for baseline, deltas, increment in steps:
-        got = evaluate_many(baseline, deltas, increment, rules)
-        want = reference_rules.evaluate_many(baseline, deltas, increment, rules)
-        assert _as_written(got, increment) == _as_written(want, increment)
-        for context in ({"baseline": baseline, "deltas": deltas}, {"deltas": deltas}):
-            for name in ("detect_invalid_calls", "detect_uncalled_endpoints"):
-                got = getattr(rules_module, name)(increment, **context)
-                assert _matches_reference(got, name, increment, **context)
+        check(baseline, deltas, system)
