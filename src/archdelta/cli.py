@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -193,6 +192,9 @@ def _read_replay_config(doc: Any) -> dict:
     for key in ("versions", "revisions", "rules"):
         if key in doc:
             _within(doc, key, list, _strings_of)
+    for key in ("versions", "revisions"):
+        if doc.get(key) == []:
+            raise _Fault("expected at least one item", "." + key)
     for key in ("repository", "profile", "out"):
         if key in doc:
             _get(doc, key, str)
@@ -204,6 +206,8 @@ def _read_replay_config(doc: Any) -> dict:
     if "overlapThreshold" in doc:
         if not math.isfinite(_number(doc, "overlapThreshold")):
             raise _Fault("expected a finite number", ".overlapThreshold")
+    if ("versions" in doc) == ("repository" in doc):
+        raise _Fault("expected either key 'versions' or key 'repository'")
     return doc
 
 
@@ -227,26 +231,24 @@ def cmd_replay(args) -> int:
     out_dir = args.out or (resolve(config["out"]) if config.get("out") else None)
     threshold = float(config.get("overlapThreshold", DEFAULT_OVERLAP_THRESHOLD))
 
-    with tempfile.TemporaryDirectory(prefix="archdelta-replay-") as scratch:
-        if config.get("versions"):
-            versions = [resolve(v) for v in config["versions"]]
-        elif config.get("repository"):
-            repo = resolve(config["repository"])
-            revisions = config.get("revisions") or git_revisions(
-                repo, first_parent=config.get("firstParent", True)
-            )
-            versions = stream_revisions(repo, revisions, scratch)
-        else:
-            raise ArchDeltaError("replay config needs 'versions' or 'repository'")
-        record = replay(
-            versions,
-            profile=profile,
-            rules=rules,
-            overlap_threshold=threshold,
-            service_names=config.get("serviceNames"),
-            verify_each_step=config.get("verifyEachStep", True),
-            out_dir=out_dir,
-        )
+    if "versions" in config:
+        versions = [resolve(v) for v in config["versions"]]
+    else:
+        repo = resolve(config["repository"])
+        revisions = config.get("revisions")
+        if revisions is None:
+            first_parent = config.get("firstParent", True)
+            revisions = git_revisions(repo, first_parent=first_parent)
+        versions = stream_revisions(repo, revisions)
+    record = replay(
+        versions,
+        profile=profile,
+        rules=rules,
+        overlap_threshold=threshold,
+        service_names=config.get("serviceNames"),
+        verify_each_step=config.get("verifyEachStep", True),
+        out_dir=out_dir,
+    )
     sys.stdout.write(render_summary_table(record))
     for notice in record.skipped:
         print(f"skipped {notice.label}: {notice.reason}", file=sys.stderr)

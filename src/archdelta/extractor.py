@@ -34,8 +34,17 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
-from typing import Iterator, Mapping, MutableMapping, NamedTuple
+from pathlib import Path, PurePosixPath
+from types import MappingProxyType
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    MutableMapping,
+    NamedTuple,
+    Sequence,
+)
 
 from .errors import AmbiguousMarkerError, ExtractionError
 from .model import (
@@ -70,6 +79,8 @@ _CALL_KEYWORDS = frozenset(
 )
 
 _PRUNED_DIRS = {"target", "build", "out", "node_modules"}
+# Under a directory of this name, the walk leaves out the entry of that name.
+_LEFT_OUT = {"src": "test"}
 
 BUILD_DESCRIPTORS = ("pom.xml", "build.gradle", "build.gradle.kts")
 
@@ -804,12 +815,22 @@ def _walk(root: Path) -> Iterator[tuple[str, os.DirEntry]]:
         rel, entry = pending.pop()
         yield rel, entry
         name = entry.name
-        if (
-            entry.is_dir(follow_symlinks=False)
-            and not name.startswith(".")
-            and name not in _PRUNED_DIRS
-        ):
-            pending += _entries(entry.path, rel + "/", "test" if name == "src" else "")
+        if entry.is_dir(follow_symlinks=False) and _enters(name):
+            pending += _entries(entry.path, rel + "/", _LEFT_OUT.get(name, ""))
+
+
+def _enters(name: str) -> bool:
+    """Whether the walk enters a directory of this name."""
+    return not name.startswith(".") and name not in _PRUNED_DIRS
+
+
+def _walks(parts: Sequence[str]) -> bool:
+    """Whether the walk reaches the entry at ``parts`` from its root: it
+    enters each directory on the way, and none of them leaves the next out."""
+    for parent, name in zip(parts, parts[1:]):
+        if not _enters(parent) or _LEFT_OUT.get(parent) == name:
+            return False
+    return True
 
 
 def _suffix(name: str) -> str:
@@ -827,12 +848,147 @@ def _source_files(root: Path, profile: MarkerProfile) -> list[tuple[str, str]]:
     ]
 
 
-# (service, relative path) -> (content digest, extraction result)
+class SourceListing:
+    """The regular files of one version of a source tree, without the tree.
+
+    ``files`` maps each file's ``/``-separated path to its content key, which
+    changes exactly when the content does (a git blob id).  ``held`` has the
+    bytes of some keys, and ``read`` returns the bytes of a list of others,
+    in order, in one batch.  ``path`` names the tree: the name of the
+    directory it came from, then, for a listing of a directory within it,
+    that directory's path.
+
+    Discovery and scanning take a listing where they take a directory, and
+    apply the same walk rules to its paths, counted from its root, so a
+    listing offers the few ``Path`` operations they use: ``name``,
+    ``joinpath`` and ``/`` for the listing of a directory within it, with
+    paths relative to that directory, and ``relative_to``.
+    """
+
+    __slots__ = ("path", "files", "_held", "_read")
+
+    def __init__(
+        self,
+        path: str,
+        files: Mapping[str, str],
+        held: Mapping[str, bytes],
+        read: Callable[[list[str]], Sequence[bytes]],
+    ):
+        self.path = path
+        self.files = MappingProxyType(files)
+        self._held = held
+        self._read = read
+
+    @property
+    def name(self) -> str:
+        return self.path.rsplit("/", 1)[-1]
+
+    def joinpath(self, *parts: str) -> SourceListing:
+        if not parts:
+            return self
+        sub = "/".join(parts)
+        prefix = sub + "/"
+        start = len(prefix)
+        files = {p[start:]: k for p, k in self.files.items() if p.startswith(prefix)}
+        return SourceListing(f"{self.path}/{sub}", files, self._held, self._read)
+
+    def __truediv__(self, rel: str) -> SourceListing:
+        return self if rel == "." else self.joinpath(*rel.split("/"))
+
+    def relative_to(self, other: SourceListing) -> PurePosixPath:
+        return PurePosixPath(self.path).relative_to(other.path)
+
+    def contents(self, keys: Iterable[str]) -> dict[str, bytes]:
+        """The bytes of each of ``keys``: held ones as held, the others from
+        one ``read``."""
+        found: dict[str, bytes] = {}
+        missing = []
+        for key in keys:
+            data = self._held.get(key)
+            if data is None:
+                missing.append(key)
+            else:
+                found[key] = data
+        if missing:
+            found.update(zip(missing, self._read(missing)))
+        return found
+
+    def __str__(self) -> str:
+        return self.path
+
+
+def _listed_source_files(
+    listing: SourceListing, profile: MarkerProfile
+) -> list[tuple[str, str]]:
+    """(path, key) of each source file of ``listing`` the walk reaches, in
+    walk order: sorted by path components, so ``a/x`` precedes ``a-b``."""
+    found = []
+    for path, key in listing.files.items():
+        parts = path.split("/")
+        if _suffix(parts[-1]) in profile.file_extensions and _walks(parts):
+            found.append((parts, path, key))
+    found.sort()  # paths differ, so keys are never compared
+    return [(path, key) for _, path, key in found]
+
+
+def _listed_descriptor_dirs(listing: SourceListing) -> set[tuple[str, ...]]:
+    """Each directory of ``listing`` holding a build descriptor the walk
+    reaches, as the names of its path; a directory so named counts."""
+    found = set()
+    for path in listing.files:
+        parts = path.split("/")
+        for k, part in enumerate(parts):
+            if part in BUILD_DESCRIPTORS and _walks(parts[: k + 1]):
+                found.add(tuple(parts[:k]))
+    return found
+
+
+# (service, relative path) -> (content key, extraction result)
 ExtractionCache = MutableMapping[tuple[str, str], "tuple[str, Component | None]"]
+
+_NOT_CACHED = ("", None)
+
+
+def _read_files(
+    root: Path, profile: MarkerProfile, sink: list[ScanWarning]
+) -> Iterator[tuple[str, str, bytes]]:
+    """(path, SHA-256 digest, bytes) of each source file under ``root``, in
+    walk order; a file that cannot be read is a warning."""
+    for rel, path in _source_files(root, profile):
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError as exc:  # gone or unreadable since it was listed
+            sink.append(ScanWarning(rel, f"unreadable: {exc}"))
+            logger.warning("skipping %s: %s", rel, exc)
+            continue
+        yield rel, hashlib.sha256(data).hexdigest(), data
+
+
+def _listed_files(
+    listing: SourceListing,
+    profile: MarkerProfile,
+    service_name: str,
+    cache: ExtractionCache | None,
+) -> list[tuple[str, str, bytes | None]]:
+    """(path, key, bytes) of each source file of ``listing``, in walk order.
+    Only the files whose key the cache lacks are read, all in one batch; the
+    bytes of the others are None."""
+    files = _listed_source_files(listing, profile)
+    if cache is None:
+        misses = {key for _, key in files}
+    else:
+        misses = {
+            key
+            for rel, key in files
+            if cache.get((service_name, rel), _NOT_CACHED)[0] != key
+        }
+    data = listing.contents(sorted(misses))
+    return [(rel, key, data.get(key)) for rel, key in files]
 
 
 def scan_repository(
-    root_path: str | Path,
+    root_path: str | Path | SourceListing,
     profile: MarkerProfile,
     service_name: str,
     version_id: str,
@@ -842,32 +998,32 @@ def scan_repository(
 ) -> MicroserviceIR:
     """Scan one microservice source tree into its per-service representation.
 
-    Per-file failures, a file that cannot be read among them, never abort
-    the scan; they are logged and, when a ``warnings`` list is supplied,
-    collected there.  Nothing is cached for a file that cannot be read.
-    Passing a ``cache``
-    makes repeated scans over evolving checkouts re-parse only changed
-    files.  It holds one entry per file path, the result for the content
-    read last, so it grows with the tree and not with its history; a file
-    that returns to an earlier content is extracted again, and its notes
-    are reported again.
+    The tree is a directory or a :class:`SourceListing`.  Per-file failures,
+    a file that cannot be read among them, never abort the scan; they are
+    logged and, when a ``warnings`` list is supplied, collected there.
+    Nothing is cached for a file that cannot be read.  Passing a ``cache``
+    makes repeated scans over evolving trees re-parse only changed files.
+    It holds one entry per file path, the result for the content read last,
+    so it grows with the tree and not with its history; a file that returns
+    to an earlier content is extracted again, and its notes are reported
+    again.  A directory's files are each read and keyed by the SHA-256 of
+    their bytes.  A listing's files are keyed by their content keys, and
+    only those whose key the cache lacks are read.
     """
-    root = Path(root_path)
-    if not root.is_dir():
-        raise ExtractionError(f"not a readable directory: {root}")
     sink = warnings if warnings is not None else []
+    if isinstance(root_path, SourceListing):
+        files: Iterable[tuple[str, str, bytes | None]] = _listed_files(
+            root_path, profile, service_name, cache
+        )
+    else:
+        root = Path(root_path)
+        if not root.is_dir():
+            raise ExtractionError(f"not a readable directory: {root}")
+        files = _read_files(root, profile, sink)
     components: dict[ComponentId, Component] = {}
-    for rel, path in _source_files(root, profile):
-        try:
-            with open(path, "rb") as f:
-                data = f.read()
-        except OSError as exc:  # gone or unreadable since it was listed
-            sink.append(ScanWarning(rel, f"unreadable: {exc}"))
-            logger.warning("skipping %s: %s", rel, exc)
-            continue
-        digest = hashlib.sha256(data).hexdigest()
+    for rel, key, data in files:
         cached = cache.get((service_name, rel)) if cache is not None else None
-        if cached is not None and cached[0] == digest:
+        if cached is not None and cached[0] == key:
             comp = cached[1]
         else:
             comp = None
@@ -882,7 +1038,7 @@ def scan_repository(
                 sink.append(ScanWarning(rel, str(exc)))
                 logger.warning("skipping %s: %s", rel, exc)
             if cache is not None:
-                cache[service_name, rel] = (digest, comp)
+                cache[service_name, rel] = (key, comp)
         if comp is None:
             continue
         if comp.id in components:
@@ -904,36 +1060,43 @@ def scan_repository(
 
 
 def discover_services(
-    root_path: str | Path, name_overrides: Mapping[str, str] | None = None
-) -> list[tuple[str, Path]]:
-    """Find microservice roots under a checkout.
+    root_path: str | Path | SourceListing,
+    name_overrides: Mapping[str, str] | None = None,
+) -> list[tuple[str, Path | SourceListing]]:
+    """Find microservice roots under a checkout or in a :class:`SourceListing`.
 
     Every innermost build-descriptor directory is one candidate; a tree with
     no descriptors is a single service named after its directory.  Names can
-    be overridden by relative path or directory name.
+    be overridden by relative path or directory name.  Each root is returned
+    as the checkout's directory, or as the listing of that directory.
     """
-    root = Path(root_path)
-    if not root.is_dir():
-        raise ExtractionError(f"not a readable directory: {root}")
-    overrides = dict(name_overrides or {})
     # each descriptor's directory, as the names of its path from ``root``
-    candidates = sorted(
-        {
-            tuple(rel.split("/")[:-1])
-            for rel, entry in _walk(root)
-            if entry.name in BUILD_DESCRIPTORS and os.path.exists(entry.path)
-        }
-    )
+    if isinstance(root_path, SourceListing):
+        root: Path | SourceListing = root_path
+        candidates = sorted(_listed_descriptor_dirs(root_path))
+    else:
+        root = Path(root_path)
+        if not root.is_dir():
+            raise ExtractionError(f"not a readable directory: {root}")
+        candidates = sorted(
+            {
+                tuple(rel.split("/")[:-1])
+                for rel, entry in _walk(root)
+                if entry.name in BUILD_DESCRIPTORS and os.path.exists(entry.path)
+            }
+        )
+    overrides = dict(name_overrides or {})
     # sorted, a directory's descendants follow it directly
     leaves = [
-        root.joinpath(*c)
+        c
         for c, after in zip(candidates, candidates[1:] + [None])
         if after is None or after[: len(c)] != c
-    ] or [root]
-    services: list[tuple[str, Path]] = []
-    seen: dict[str, Path] = {}
-    for path in leaves:
-        rel = path.relative_to(root).as_posix() if path != root else "."
+    ] or [()]
+    services: list[tuple[str, Path | SourceListing]] = []
+    seen: dict[str, Path | SourceListing] = {}
+    for parts in leaves:
+        path = root.joinpath(*parts)
+        rel = "/".join(parts) or "."
         name = overrides.get(rel) or overrides.get(path.name) or path.name
         if name in seen:
             raise ExtractionError(

@@ -2,9 +2,12 @@
 
 Each step extracts the changed services (a content-addressed cache makes
 unchanged files free), computes per-service deltas, applies them to the
-moving baseline, evaluates the rules and records everything.  A version that
-names the paths changed since the previous one, as the git revisions read by
-:func:`stream_revisions` do, rescans only the services holding them.
+moving baseline, evaluates the rules and records everything.  A version's
+tree is a checkout directory or a :class:`SourceListing`.  The git
+revisions read by :func:`stream_revisions` are listings keyed by blob id,
+read straight from git objects with no checkout, so an unchanged file is
+never read.  They name the paths changed since the previous revision, and a
+version that does rescans only the services holding them.
 Per-service version ids are content digests, so an increment and a
 from-scratch reconstruction of the same sources are label-identical, which
 is what the chain-integrity check compares.
@@ -13,11 +16,10 @@ is what the chain-integrity check compares.
 from __future__ import annotations
 
 import logging
-import shutil
 import subprocess
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from functools import partial
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .delta import compute_delta
@@ -33,6 +35,7 @@ from .extractor import (
     BUILD_DESCRIPTORS,
     ExtractionCache,
     ScanWarning,
+    SourceListing,
     discover_services,
     scan_repository,
 )
@@ -78,33 +81,35 @@ class EvolutionRecord:
     scan_warnings: list[ScanWarning] = field(default_factory=list)
 
 
-# A checkout root, optionally labeled, optionally with the repository-relative
-# POSIX paths that differ from the previous version's tree (None: unknown).
-Version = (
-    str
-    | Path
-    | tuple[str, str | Path]
-    | tuple[str, str | Path, Collection[str] | None]
-)
+# A checkout root or a listing of the tree, optionally labeled, optionally
+# with the repository-relative POSIX paths that differ from the previous
+# version's tree (None: unknown).
+Tree = str | Path | SourceListing
+Version = Tree | tuple[str, Tree] | tuple[str, Tree, Collection[str] | None]
+
+
+def _tree(root: Tree) -> Path | SourceListing:
+    return root if isinstance(root, SourceListing) else Path(root)
 
 
 def _normalize_versions(
     versions: Iterable[Version],
-) -> Iterator[tuple[str, Path, frozenset[str] | None]]:
+) -> Iterator[tuple[str, Path | SourceListing, frozenset[str] | None]]:
     for item in versions:
         if isinstance(item, tuple):
             label, root, *rest = item
             changed = rest[0] if rest else None
             yield (
                 str(label),
-                Path(root),
+                _tree(root),
                 None if changed is None else frozenset(changed),
             )
         else:
-            yield Path(item).name, Path(item), None
+            root = _tree(item)
+            yield root.name, root, None
 
 
-# Discovered services of a version: (name, root relative to the checkout).
+# Discovered services of a version: (name, root relative to the tree's).
 Services = list[tuple[str, str]]
 
 
@@ -116,7 +121,7 @@ def _holds_changed_path(service_root: str, changed: frozenset[str]) -> bool:
 
 
 def _extract(
-    root: Path,
+    root: Path | SourceListing,
     changed: frozenset[str] | None,
     previous: tuple[Services, dict[str, MicroserviceIR]] | None,
     profile: MarkerProfile,
@@ -124,7 +129,7 @@ def _extract(
     cache: ExtractionCache,
     warnings: list[ScanWarning],
 ) -> tuple[Services, dict[str, MicroserviceIR]]:
-    """Per-service representations of the version checked out at ``root``.
+    """Per-service representations of the version whose tree is ``root``.
 
     ``previous`` is the prior version's result when ``changed`` names every
     path that differs from it.  Then, unless a path component is a build
@@ -206,16 +211,16 @@ def replay(
 ) -> EvolutionRecord:
     """Replay an oldest-first version history and evaluate rules per step.
 
-    Versions are checkout roots, optionally labeled as ``(label, root)``, or
-    ``(label, root, changed_paths)`` triples such as :func:`stream_revisions`
-    yields; a triple's root is read before the next version is drawn, so one
-    tree may be advanced in place.  Changed paths let a step rescan only the
-    services holding them.  The first version is built from scratch.  Every
-    later version is an increment: its deltas are applied to the previous
-    system and the rules are evaluated against it.  A version whose tree
-    cannot be read is skipped with a notice, and only the next readable
-    version is re-anchored, built from scratch with ``reanchored`` set; when
-    no version can be read the replay fails.
+    Versions are trees, each a checkout root or a :class:`SourceListing`,
+    optionally labeled as ``(label, root)``, or ``(label, root,
+    changed_paths)`` triples such as :func:`stream_revisions` yields.
+    Changed paths let a step rescan only the services holding them.  The
+    first version is built from scratch.  Every later version is an
+    increment: its deltas are applied to the previous system and the rules
+    are evaluated against it.  A version whose tree cannot be read is
+    skipped with a notice, and only the next readable version is
+    re-anchored, built from scratch with ``reanchored`` set; when no version
+    can be read the replay fails.
 
     Every increment must equal a full reconstruction from the same service
     representations, or the replay fails with "chain integrity" before any
@@ -388,12 +393,12 @@ def write_artifacts(record: EvolutionRecord, out_dir: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Version-control ingestion (the library itself only reads local trees)
+# Version-control ingestion (read with the git executable; nothing is written)
 # ---------------------------------------------------------------------------
 
 
-# Tree entry modes written to the checkout: regular and executable files.
-# Symlinks (120000) and submodules (160000) are never written.
+# Tree entry modes listed: regular and executable files.  Symlinks (120000)
+# and submodules (160000) are never listed.
 _REGULAR_MODES = frozenset({"100644", "100755"})
 
 
@@ -442,11 +447,10 @@ def _tree_changes(
     return changes
 
 
-def _read_blobs(repo: str | Path, oids: Sequence[str]) -> list[memoryview]:
+def _read_blobs(repo: str | Path, oids: Sequence[str]) -> list[bytes]:
     """Contents of ``oids``, in order, from one ``git cat-file --batch``."""
     request = "".join(f"{oid}\n" for oid in oids).encode()
     out = _git(repo, "cat-file", "--batch", stdin=request)
-    view = memoryview(out)
     blobs = []
     pos = 0
     for oid in oids:
@@ -456,7 +460,7 @@ def _read_blobs(repo: str | Path, oids: Sequence[str]) -> list[memoryview]:
             raise ExtractionError(f"git cat-file: no blob {oid}")
         start = end + 1
         pos = start + int(header[2])
-        blobs.append(view[start:pos])
+        blobs.append(out[start:pos])
         pos += 1  # the newline after the contents
     return blobs
 
@@ -468,62 +472,62 @@ def _safe_relative(path: str) -> bool:
 
 
 def stream_revisions(
-    repo: str | Path, revisions: Iterable[str], scratch: str | Path
-) -> Iterator[tuple[str, Path, frozenset[str]]]:
-    """Advance one checkout through oldest-first ``revisions``.
+    repo: str | Path, revisions: Iterable[str]
+) -> Iterator[tuple[str, SourceListing, frozenset[str]]]:
+    """List the tree of each of oldest-first ``revisions``, straight from git.
 
-    The checkout is a new directory under ``scratch`` named after the
-    repository's directory.  The first revision's tree is listed with ``git ls-tree``, each later one
-    is diffed against its predecessor with ``git diff-tree``; the added and
-    modified blobs of a revision come from one ``git cat-file --batch`` and
-    deleted paths are unlinked.  Blobs are written as committed, with no
-    attribute filters or end-of-line conversion.  Only regular files are
-    written: symlinks, submodules and paths that would leave the checkout are
-    skipped.  After the checkout holds ``rev`` this yields ``(rev, tree,
-    changed_paths)``, the repository-relative paths whose file was written or
-    removed; the tree changes when the next revision is drawn.  A git
-    failure, such as an unknown revision, raises :class:`ExtractionError`.
+    The first revision's tree is listed with ``git ls-tree``, each later one
+    is diffed against its predecessor with ``git diff-tree``.  For each
+    revision this yields ``(rev, listing, changed_paths)``: a
+    :class:`SourceListing` of the revision's regular files keyed by blob id
+    and named after the repository's directory, and the repository-relative
+    paths of the files it added, modified or removed.  Symlinks, submodules
+    and paths that would leave the tree are never listed.  The listing holds
+    the blobs the revision added or modified, read with one ``git cat-file
+    --batch``, as committed: no attribute filters or end-of-line conversion
+    apply.  It reads any other blob on demand, one batch at a time.  Nothing
+    is written.  A git failure, such as an unknown revision, raises
+    :class:`ExtractionError`.
     """
-    tree = Path(scratch) / (Path(repo).resolve().name or "repository")
-    tree.mkdir(parents=True)
+    name = Path(repo).resolve().name or "repository"
+    read = partial(_read_blobs, repo)
+    files: dict[str, str] = {}
     previous: str | None = None
     for rev in revisions:
         if rev.startswith("-"):  # git would parse it as an option
             raise ExtractionError(f"not a revision: {rev!r}")
-        changes = [c for c in _tree_changes(repo, previous, rev) if _safe_relative(c[3])]
-        removed = [
-            path
-            for old, new, _, path in changes
-            if old in _REGULAR_MODES and new not in _REGULAR_MODES
-        ]
-        written = [(oid, path) for _, new, oid, path in changes if new in _REGULAR_MODES]
-        for path in removed:
-            target = tree / path
-            target.unlink(missing_ok=True)
-            for parent in target.parents:
-                if parent == tree:
-                    break
-                try:
-                    parent.rmdir()
-                except OSError:  # not empty
-                    break
-        blobs = _read_blobs(repo, [oid for oid, _ in written]) if written else []
-        for (_, path), data in zip(written, blobs):
-            target = tree / path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
-        yield rev, tree, frozenset(removed) | {path for _, path in written}
+        files = dict(files)  # the listings already yielded keep theirs
+        changed = set()
+        added: dict[str, str] = {}
+        for old, new, oid, path in _tree_changes(repo, previous, rev):
+            if not _safe_relative(path):
+                continue
+            if new in _REGULAR_MODES:
+                files[path] = added[path] = oid
+            elif old in _REGULAR_MODES:
+                files.pop(path, None)
+            else:
+                continue
+            changed.add(path)
+        oids = sorted(set(added.values()))
+        held = dict(zip(oids, read(oids))) if oids else {}
+        yield rev, SourceListing(name, files, held, read), frozenset(changed)
         previous = rev
 
 
 def materialize_revisions(
     repo: str | Path, revisions: Sequence[str], dest: str | Path
 ) -> list[tuple[str, Path]]:
-    """Copy each revision's tree, read by :func:`stream_revisions`, to ``dest/<rev>``."""
+    """Write each revision's regular files, listed by :func:`stream_revisions`,
+    to ``dest/<rev>``."""
     out = []
-    with tempfile.TemporaryDirectory(prefix="archdelta-revisions-") as scratch:
-        for rev, tree, _ in stream_revisions(repo, revisions, scratch):
-            target = Path(dest) / rev
-            shutil.copytree(tree, target, dirs_exist_ok=True)
-            out.append((rev, target))
+    for rev, listing, _ in stream_revisions(repo, revisions):
+        target = Path(dest) / rev
+        target.mkdir(parents=True, exist_ok=True)
+        data = listing.contents(sorted(set(listing.files.values())))
+        for path, key in listing.files.items():
+            file = target / path
+            file.parent.mkdir(parents=True, exist_ok=True)
+            file.write_bytes(data[key])
+        out.append((rev, target))
     return out

@@ -308,7 +308,7 @@ def test_c8_live_repository_replay(tmp_path):
             ["git", "clone", "--quiet", NETWORK_REPO, str(checkout)], check=True
         )
         revisions = git_revisions(checkout)
-        versions = stream_revisions(checkout, revisions, tmp_path / "versions")
+        versions = stream_revisions(checkout, revisions)
         record = replay(versions, verify_each_step=True)
         assert len(record.versions) == len(revisions)
         assert record.unique_totals["UEM"] > 0

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -259,28 +260,62 @@ def test_replay_config_value_of_the_wrong_type_exits_with_usage_error(
     assert not list(tmp_path.rglob("timeseries.csv"))
 
 
-def _documented_replay_config() -> dict:
-    """The JSON example under README's "Replay configuration"."""
+@pytest.mark.parametrize(
+    "doc, fault",
+    [
+        ({"versions": []}, "$.versions: expected at least one item"),
+        (
+            {"repository": "repo", "revisions": []},
+            "$.revisions: expected at least one item",
+        ),
+        (
+            {"versions": ["v0"], "repository": "repo"},
+            "$: expected either key 'versions' or key 'repository'",
+        ),
+        ({"out": "run"}, "$: expected either key 'versions' or key 'repository'"),
+    ],
+    ids=["no-versions", "no-revisions", "both", "neither"],
+)
+def test_replay_config_naming_no_version_exits_with_usage_error(
+    tmp_path, capsys, doc, fault
+):
+    """An empty list replays nothing, and a config that names both sources
+    would ignore one: each is an input error, and nothing is written."""
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "run"), **doc}))
+    assert run_cli("replay", config) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: replay config {config}: {fault}\n"
+    assert "Commits" not in captured.out
+    assert not (tmp_path / "run").exists()
+
+
+def _documented_replay_configs() -> list[dict]:
+    """The JSON examples under README's "Replay configuration"."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Replay configuration", 1)[1]
-    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    section = readme.split("### Replay configuration", 1)[1].split("\n#", 1)[0]
+    blocks = section.split("```json")[1:]
+    return [json.loads(block.split("```", 1)[0]) for block in blocks]
 
 
 def test_the_documented_replay_config_is_what_replay_reads():
-    """The README example passes the config reader, the reader checks each of
-    its keys, and they are the keys ``cmd_replay`` reads."""
-    doc = _documented_replay_config()
+    """Each README example passes the config reader, the reader checks each
+    of its keys, and together they name the keys ``cmd_replay`` reads."""
+    docs = _documented_replay_configs()
+    assert len(docs) == 2  # a repository replay and a versions replay
 
     def read(doc):
         return _loaded(json.dumps(doc), None, cli._read_replay_config)
 
-    assert read(doc) == doc
-    for key in doc:
-        with pytest.raises(DocumentError) as excinfo:
-            read({**doc, key: [1]})
-        assert excinfo.value.location.startswith(f"$.{key}")
+    for doc in docs:
+        assert read(doc) == doc
+        for key in doc:
+            with pytest.raises(DocumentError) as excinfo:
+                read({**doc, key: [1]})
+            assert excinfo.value.location.startswith(f"$.{key}")
     source = inspect.getsource(cli.cmd_replay)
-    assert set(re.findall(r'config(?:\.get\(|\[)"(\w+)"', source)) == set(doc)
+    documented = {key for doc in docs for key in doc}
+    assert set(re.findall(r'config(?:\.get\(|\[)"(\w+)"', source)) == documented
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -381,6 +416,32 @@ def test_git_replay_artifacts_match_directory_replay(tmp_path, capsys):
         "deltas", "ir", "summary.json", "timeseries.csv", "violations",
     ]
     assert _same_tree(tmp_path / "directories", tmp_path / "repository")
+
+
+def _snapshot(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with a file's bytes."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+def test_a_repository_replay_writes_nothing_but_its_artifacts(
+    tmp_path, monkeypatch, capsys
+):
+    """No checkout: nothing is created in the temporary directory, which
+    here does not exist, nor anywhere else but ``out``."""
+    roots = materialize_history(HISTORY_BASE, HISTORY_GIT_STEPS, tmp_path / "trees")
+    commit_versions(tmp_path / "repo", roots)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "no-temp"))
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({"repository": "repo", "out": "out"}))
+    before = _snapshot(tmp_path)
+    assert run_cli("replay", config) == 0
+    after = _snapshot(tmp_path)
+    assert not (tmp_path / "no-temp").exists()
+    assert {p: d for p, d in after.items() if p.split("/")[0] != "out"} == before
+    assert (tmp_path / "out" / "summary.json").is_file()
 
 
 @pytest.fixture

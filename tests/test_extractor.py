@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference_call_graph
 import reference_walk
-from corpus import ACCOUNT_ENTITY, ORDER_SERVICE_V0
+from corpus import ACCOUNT_ENTITY, ORDER_SERVICE_V0, git
 from strategies import components
 
 import archdelta.extractor as extractor
@@ -23,6 +23,7 @@ from archdelta.errors import AmbiguousMarkerError, ExtractionError
 from archdelta.extractor import (
     BUILD_DESCRIPTORS,
     ScanWarning,
+    SourceListing,
     discover_services,
     extract_component,
     extract_endpoints,
@@ -32,6 +33,7 @@ from archdelta.extractor import (
     scan_repository,
 )
 from archdelta.documents import deserialize_microservice_ir, serialize_microservice_ir
+from archdelta.history import stream_revisions
 from archdelta.model import (
     UNRESOLVED,
     ComponentType,
@@ -704,11 +706,12 @@ def _tree(base: Path, entries) -> Path:
     return root
 
 
-def _services(discover, root):
+def _services(discover, root, shown=""):
+    """The services ``discover`` finds, or its error, without ``shown``."""
     try:
-        return [(name, str(path)) for name, path in discover(root)]
+        return [(name, str(path).replace(shown, "")) for name, path in discover(root)]
     except ExtractionError as exc:
-        return str(exc)
+        return str(exc).replace(shown, "")
 
 
 @pytest.mark.skipif(
@@ -734,6 +737,64 @@ def test_the_walk_finds_what_the_pathlib_walk_found(entries, extensions):
             assert [(r, str(p)) for r, p in files] == [(r, str(p)) for r, p in expected]
             assert _services(discover_services, walk_root) == _services(
                 reference_walk.discover_services, walk_root
+            )
+
+
+def _committed(base: Path, root: Path) -> tuple[SourceListing, Path]:
+    """``root`` committed to a new git repository: the listing of that one
+    revision, and a checkout of the regular files it holds.
+
+    The repository is kept apart from the tree, which may hold its own
+    ``.git``; both it and the checkout are named ``tree``, as ``root`` is.
+    Every file the generated trees hold is empty.
+    """
+    repo, checkout = base / "git" / root.name, base / "checkout" / root.name
+    git(base, "init", "--quiet", "--bare", str(repo))
+    with_tree = (f"--git-dir={repo}", f"--work-tree={root}")
+    git(base, *with_tree, "add", "-A")
+    tree = git(base, *with_tree, "write-tree").strip()
+    commit = git(repo, "commit-tree", tree, "-m", "generated").strip()
+    checkout.mkdir(parents=True)
+    listed = git(repo, "ls-tree", "-r", "-z", "--full-tree", commit)
+    for entry in listed.split("\0")[:-1]:
+        meta, path = entry.split("\t", 1)
+        if meta.split(" ")[0] in ("100644", "100755"):
+            (checkout / path).parent.mkdir(parents=True, exist_ok=True)
+            (checkout / path).write_bytes(b"")
+    [(_, listing, _)] = stream_revisions(repo, [commit])
+    return listing, checkout
+
+
+@given(_TREES, st.sampled_from([(".java",), (".java", "", ".JAVA", ".xml")]))
+# git keeps no empty directory, so a descriptor-named one here holds a file
+@example([*_EVERY_CASE, (("d", "pom.xml", "notes.txt"), "file")], (".java", ""))
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+    derandomize=True,
+)
+def test_a_git_listing_walks_as_its_checkout_does(entries, extensions):
+    """A generated tree committed to git: its listing, at the root and at
+    ``src``, gives the files, their order and the services that the
+    directory walk gives over the regular files a checkout of it holds.
+    Symlinks are never listed and never checked out, so a symlinked file
+    drops out on both sides.  Thirty examples: each runs git six times."""
+    profile = replace(PROFILE, file_extensions=extensions)
+    with tempfile.TemporaryDirectory() as base:
+        listing, checkout = _committed(Path(base), _tree(Path(base), entries))
+        shown = str(checkout.parent) + "/"  # a listing shows paths from its name
+        for parts in ((), ("src",)):
+            walk_root = checkout.joinpath(*parts)
+            if not walk_root.is_dir():
+                assert not listing.joinpath(*parts).files
+                continue
+            listed = listing.joinpath(*parts)
+            walked = extractor._source_files(walk_root, profile)
+            found = extractor._listed_source_files(listed, profile)
+            assert [rel for rel, _ in found] == [rel for rel, _ in walked]
+            assert _services(discover_services, listed) == _services(
+                discover_services, walk_root, shown
             )
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,10 @@ from corpus import (
     materialize_history,
 )
 
-from archdelta import documents, history
+from archdelta import documents, extractor, history
 from archdelta.cli import main
 from archdelta.errors import ArchDeltaError
+from archdelta.extractor import SourceListing
 from archdelta.history import (
     emit_summary,
     emit_timeseries,
@@ -182,7 +184,7 @@ def test_replay_from_local_git_history(summary_versions, tmp_path):
     commit_versions(repo, summary_versions)
     revisions = git_revisions(repo)
     assert len(revisions) == 4
-    record = replay(stream_revisions(repo, revisions, tmp_path / "scratch"))
+    record = replay(stream_revisions(repo, revisions))
     assert record.per_rule_series == SUMMARY_EXPECTED_SERIES
     assert record.unique_totals == SUMMARY_EXPECTED_UNIQUE
 
@@ -238,7 +240,7 @@ def test_replay_rescans_only_services_holding_changed_paths(tmp_path, monkeypatc
                 yield "gap", tmp_path / "unreadable"
             yield version
 
-    stream = stream_revisions(repo, revisions, tmp_path / "scratch")
+    stream = stream_revisions(repo, revisions)
     record = replay(drawn(with_gap(stream)))
     assert [e.reanchored for e in record.versions] == [False] * 5 + [True, False]
     assert per_version == [
@@ -264,7 +266,7 @@ def test_git_replay_of_a_repository_that_is_one_service(tmp_path, monkeypatch):
     )
     revisions = commit_versions(tmp_path / "repo", roots)
     per_version, drawn = _counting_scans(monkeypatch)
-    stream = stream_revisions(tmp_path / "repo", revisions, tmp_path / "scratch")
+    stream = stream_revisions(tmp_path / "repo", revisions)
     names = {".": "ts-order"}
     record = replay(drawn(stream), service_names=names)
     assert per_version == [["ts-order"], ["ts-order"], []]
@@ -281,14 +283,29 @@ def test_checkpoint_rescans_every_service(tmp_path, monkeypatch):
         [{}, {ORDER_SERVICE: ORDER_SERVICE_V1}, {STATION_CONTROLLER: STATION_CONTROLLER_V2}],
     )
     per_version, drawn = _counting_scans(monkeypatch)
-    stream = stream_revisions(repo, revisions, tmp_path / "scratch")
+    stream = stream_revisions(repo, revisions)
     monkeypatch.setattr(history, "DEFAULT_CHECKPOINT_EVERY", 1)
     replay(drawn(stream))
     assert per_version == [ALL_SERVICES, ["ts-order"], ALL_SERVICES]
 
 
+def _snapshot(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with a file's bytes."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+def _contents(listing) -> dict[str, bytes]:
+    """Each listed path with its bytes."""
+    data = listing.contents(sorted(set(listing.files.values())))
+    return {path: data[key] for path, key in listing.files.items()}
+
+
 def test_git_replay_writes_no_symlink_or_submodule(tmp_path):
-    """A committed symlink is never followed out of the checkout."""
+    """A committed symlink or submodule is never listed, so never followed
+    out of the repository, and the replay writes nothing anywhere."""
     outside = tmp_path / "outside.txt"
     outside.write_text(
         LEAK_CONTROLLER.replace("class Leak", "class Outside"), encoding="utf-8"
@@ -313,16 +330,21 @@ def test_git_replay_writes_no_symlink_or_submodule(tmp_path):
             if "Leak" in c.source_path or c.id.qualified_name.endswith("Outside")
         ]
 
-    trees = []
+    listed = []
 
     def checked(stream):
-        for rev, tree, changed in stream:
-            trees.append((tree / LEAK).is_file() or (tree / LEAK).is_symlink())
-            assert not (tree / GITLINK).exists() and not (tree / GITLINK).is_symlink()
-            yield rev, tree, changed
+        for rev, listing, changed in stream:
+            files = _contents(listing)
+            listed.append(files.get(LEAK))
+            assert not [p for p in files if p == GITLINK or p.startswith(GITLINK + "/")]
+            assert LEAK in changed
+            yield rev, listing, changed
 
-    record = replay(checked(stream_revisions(repo, revisions, tmp_path / "scratch")))
-    assert trees == [True, False, True]
+    before = _snapshot(tmp_path)
+    record = replay(checked(stream_revisions(repo, revisions)))
+    assert _snapshot(tmp_path) == before
+    leak = LEAK_CONTROLLER.encode()
+    assert listed == [leak, None, leak]
     assert [leak_components(e.system) for e in record.versions] == [
         ["order.Leak"],
         [],
@@ -330,7 +352,7 @@ def test_git_replay_writes_no_symlink_or_submodule(tmp_path):
     ]
 
 
-def test_stream_revisions_writes_nothing_outside_the_checkout(tmp_path):
+def test_stream_revisions_lists_nothing_outside_the_tree(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()
     git(repo, "init", "--quiet")
@@ -340,17 +362,18 @@ def test_stream_revisions_writes_nothing_outside_the_checkout(tmp_path):
         repo, "mktree", input=f"040000 tree {inner}\t..\n100644 blob {blob}\tkept.txt\n"
     ).strip()
     commit = git(repo, "commit-tree", root, "-m", "entry named ..").strip()
-    scratch = tmp_path / "scratch"
-    [(_, tree, changed)] = stream_revisions(repo, [commit], scratch)
+    before = _snapshot(tmp_path)
+    [(_, listing, changed)] = stream_revisions(repo, [commit])
     assert changed == {"kept.txt"}
-    assert [p.relative_to(scratch).as_posix() for p in scratch.rglob("*")] == [
-        "repo",
-        "repo/kept.txt",
-    ]
+    assert dict(listing.files) == {"kept.txt": blob}
+    assert _contents(listing) == {"kept.txt": b"escaped\n"}
+    assert listing.name == "repo"
+    assert _snapshot(tmp_path) == before
 
 
 def test_stream_revisions_tracks_each_tree_exactly(tmp_path):
-    """Files become directories and back; emptied directories disappear."""
+    """Files become directories and back; a listing holds the files of its
+    own revision, whatever revisions are drawn after it."""
     trees = [
         {"svc/pom.xml": "a", "svc/doc": "file", "svc/x/y/z.txt": "deep"},
         {"svc/pom.xml": "a", "svc/doc/part.txt": "now a directory"},
@@ -364,25 +387,78 @@ def test_stream_revisions_tracks_each_tree_exactly(tmp_path):
         roots.append(tmp_path / f"t{i}")
     repo = tmp_path / "repo"
     revisions = commit_versions(repo, roots)
+    before = _snapshot(tmp_path)
     seen = []
-    for rev, tree, changed in stream_revisions(repo, revisions, tmp_path / "scratch"):
+    listings = []
+    for rev, listing, changed in stream_revisions(repo, revisions):
         seen.append(changed)
-        files = {
-            p.relative_to(tree).as_posix(): p.read_text()
-            for p in tree.rglob("*")
-            if p.is_file()
-        }
-        dirs = {p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_dir()}
+        listings.append(listing)
+        files = {p: data.decode() for p, data in _contents(listing).items()}
         assert files == trees[len(seen) - 1]
-        assert dirs == {
-            d.as_posix() for f in files for d in Path(f).parents if d != Path(".")
-        }
-    assert tree == tmp_path / "scratch" / "repo"
+        assert not [p for p in files for q in files if p.startswith(q + "/")]
+    assert [{p: d.decode() for p, d in _contents(x).items()} for x in listings] == trees
+    assert _snapshot(tmp_path) == before
     assert seen == [
         {"svc/pom.xml", "svc/doc", "svc/x/y/z.txt"},
         {"svc/doc", "svc/doc/part.txt", "svc/x/y/z.txt"},
         {"svc/pom.xml", "svc/doc", "svc/doc/part.txt", "svc/run.sh"},
     ]
+
+
+def _one_file_commit_reads(tmp_path, monkeypatch, size: int) -> dict[str, int]:
+    """The blobs requested from git, the files read and the files extracted
+    at the step of a replay that commits an edit of one file of a service of
+    ``size`` source files."""
+    unit = "svc/src/main/java/p/Unit{}.java"
+    text = "package p;\n@Service\npublic class Unit{} {{ void run() {{ }} }}\n"
+    base = {"svc/pom.xml": POM.format(name="svc")}
+    base.update({unit.format(i): text.format(i) for i in range(size)})
+    edit = {unit.format(0): text.format(0).replace("{ }", "{ run(); }")}
+    repo = tmp_path / "repo"
+    revisions = commit_versions(
+        repo, materialize_history(base, [{}, edit], tmp_path / "trees")
+    )
+    per_version: list[Counter] = []
+
+    def counted(module, name, what, count):
+        original = getattr(module, name)
+
+        def counting(*args):
+            per_version[-1][what] += count(*args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    counted(history, "_read_blobs", "blobs", lambda repo, oids: len(oids))
+    counted(SourceListing, "contents", "read", lambda listing, keys: len(keys))
+    counted(extractor, "extract_component", "extracted", lambda *args: 1)
+
+    def drawn(stream):
+        while True:
+            per_version.append(Counter())
+            try:
+                version = next(stream)
+            except StopIteration:
+                return
+            yield version
+
+    replay(drawn(stream_revisions(repo, revisions)))
+    assert per_version[0]["read"] == size
+    return dict(per_version[1])
+
+
+def test_a_one_file_commit_reads_one_file_whatever_the_service_size(
+    tmp_path, monkeypatch
+):
+    """Unchanged files are keyed by blob id, so the step of a one-file commit
+    requests one blob from git and reads and extracts one file."""
+    reads = {
+        size: _one_file_commit_reads(tmp_path / str(size), monkeypatch, size)
+        for size in (25, 97)
+    }
+    for what in ("blobs", "read", "extracted"):
+        assert reads[97][what] <= 1.5 * reads[25][what]
+    assert reads == {size: {"blobs": 1, "read": 1, "extracted": 1} for size in reads}
 
 
 def test_removed_service_marked_in_entry(history_versions, tmp_path):
@@ -437,7 +513,7 @@ def test_artifacts_do_not_depend_on_the_checkpoint_cadence(
     def versions(run):
         if source == "directories":
             return history_versions
-        return stream_revisions(repo, revisions, tmp_path / f"scratch-{run}")
+        return stream_revisions(repo, revisions)
 
     runs = {}
     for every in (1, 2, 3, 50):
