@@ -24,6 +24,12 @@ the head.  Method bodies and annotation arguments are hashed from ``code``
 and the whitespace-holding literals, never lexed again.  Each body is read
 once for its local declarations and once, backwards from each ``(``, for its
 calls; the call graph and the remote calls read the same calls.
+
+Discovery and scanning read every tree as a :class:`SourceListing`, the
+files its walk reaches in walk order, each with a content key.  A directory
+is walked once and read file by file; a git revision is listed from its
+blob ids.  A scan reads only the files whose key is unknown or not cached,
+in one batch, and extracts those.
 """
 
 from __future__ import annotations
@@ -32,14 +38,13 @@ import hashlib
 import logging
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path, PurePosixPath
-from types import MappingProxyType
+from pathlib import Path
 from typing import (
     Callable,
-    Iterable,
-    Iterator,
+    Collection,
     Mapping,
     MutableMapping,
     NamedTuple,
@@ -805,143 +810,175 @@ def _entries(path: str, prefix: str, skip: str) -> list[tuple[str, os.DirEntry]]
     return found
 
 
-def _walk(root: Path) -> Iterator[tuple[str, os.DirEntry]]:
-    """Every entry under ``root`` that is not skipped, with its ``/``-separated
-    path from ``root``, in the order of sorted paths: a directory's entries by
-    name, each directory's tree right after it.  Hidden and build output
-    directories, ``src/test`` and symlinked directories are not entered."""
-    pending = _entries(os.fspath(root), "", "")
-    while pending:
-        rel, entry = pending.pop()
-        yield rel, entry
-        name = entry.name
-        if entry.is_dir(follow_symlinks=False) and _enters(name):
-            pending += _entries(entry.path, rel + "/", _LEFT_OUT.get(name, ""))
+def walk_key(path: str) -> str:
+    """The key that sorts ``/``-separated paths into walk order: by their
+    components, so ``a/x`` precedes ``a-b``."""
+    return path.replace("/", "\0")
 
 
-def _enters(name: str) -> bool:
-    """Whether the walk enters a directory of this name."""
-    return not name.startswith(".") and name not in _PRUNED_DIRS
+# Matches "/" + a path the walk does not reach from its root: one under a
+# directory it does not enter or one a directory leaves out.
+_UNWALKED = re.compile(
+    r"/(?:\.[^/]*/|(?:" + "|".join(_PRUNED_DIRS) + ")/"
+    + "".join(rf"|{parent}/{name}(?:/|\Z)" for parent, name in _LEFT_OUT.items())
+    + ")"
+)
+# Matches each build descriptor on "/" + a path.
+_DESCRIPTOR = re.compile(
+    "/(?:" + "|".join(map(re.escape, BUILD_DESCRIPTORS)) + r")(?=/|\Z)"
+)
 
 
-def _walks(parts: Sequence[str]) -> bool:
-    """Whether the walk reaches the entry at ``parts`` from its root: it
-    enters each directory on the way, and none of them leaves the next out."""
-    for parent, name in zip(parts, parts[1:]):
-        if not _enters(parent) or _LEFT_OUT.get(parent) == name:
-            return False
-    return True
-
-
-def _suffix(name: str) -> str:
-    """``PurePath(name).suffix``; ``os.path.splitext`` differs on ``..java``."""
-    dot = name.rfind(".")
-    return name[dot:] if 0 < dot < len(name) - 1 else ""
-
-
-def _source_files(root: Path, profile: MarkerProfile) -> list[tuple[str, str]]:
-    # plain path strings: a ``Path`` interns every name it parses
-    return [
-        (rel, entry.path)
-        for rel, entry in _walk(root)
-        if _suffix(entry.name) in profile.file_extensions and entry.is_file()
-    ]
+def _suffix(path: str) -> str:
+    """``PurePosixPath(path).suffix``; ``os.path.splitext`` differs on
+    ``..java``."""
+    dot = path.rfind(".")
+    return path[dot:] if path.rfind("/") + 1 < dot < len(path) - 1 else ""
 
 
 class SourceListing:
-    """The regular files of one version of a source tree, without the tree.
+    """The source tree of one version, as the files its walk reaches.
 
-    ``files`` maps each file's ``/``-separated path to its content key, which
-    changes exactly when the content does (a git blob id).  ``held`` has the
-    bytes of some keys, and ``read`` returns the bytes of a list of others,
-    in order, in one batch.  ``path`` names the tree: the name of the
-    directory it came from, then, for a listing of a directory within it,
-    that directory's path.
-
-    Discovery and scanning take a listing where they take a directory, and
-    apply the same walk rules to its paths, counted from its root, so a
-    listing offers the few ``Path`` operations they use: ``name``,
-    ``joinpath`` and ``/`` for the listing of a directory within it, with
-    paths relative to that directory, and ``relative_to``.
+    ``files`` holds the ``/``-separated path and the content key of each
+    regular file the walk reaches from the tree's root, in walk order (see
+    :func:`walk_key`).  A key changes exactly when the content does; ``None``
+    stands for the SHA-256 of the bytes, known once they are read.
+    ``descriptors`` holds the path of each build descriptor the walk reaches,
+    a file or a directory.  ``contents(files)`` reads a batch of ``files`` and
+    returns the bytes of each by its path.  ``joinpath`` gives the tree of a
+    directory within this one, as discovery returns it.  :meth:`of` lists a
+    directory, walked once on first use: a file that fails to read comes back
+    from ``contents`` as its ``OSError``, and ``joinpath`` gives a ``Path``.
+    :class:`KeyedListing` lists a git revision by blob id.
     """
 
-    __slots__ = ("path", "files", "_held", "_read")
+    name: str
+    _walked: tuple[list[tuple[str, str | None]], list[str]]
+
+    @staticmethod
+    def of(tree: SourceTree) -> SourceListing:
+        """``tree`` if it is a listing, else the listing of the directory."""
+        return tree if isinstance(tree, SourceListing) else _DirectoryListing(Path(tree))
+
+    @property
+    def files(self) -> list[tuple[str, str | None]]:
+        return self._walked[0]
+
+    @property
+    def descriptors(self) -> list[str]:
+        return self._walked[1]
+
+    def sources(self, extensions: Collection[str]) -> list[tuple[str, str | None]]:
+        """Each of ``files`` whose suffix, as ``PurePath.suffix`` takes it, is
+        one of ``extensions``."""
+        return [file for file in self.files if _suffix(file[0]) in extensions]
+
+
+class _DirectoryListing(SourceListing):
+    def __init__(self, root: Path):
+        self.root = root
+        # "." and ".." name no directory; a symlink keeps its own name
+        self.name = root.resolve().name if root.name in ("", "..") else root.name
+
+    @cached_property
+    def _walked(self) -> tuple[list[tuple[str, str | None]], list[str]]:
+        """One walk of the directory, in the order of sorted paths: a
+        directory's entries by name, each directory's tree right after it.
+        Hidden and build output directories, ``src/test`` and symlinked
+        directories are not entered; a symlinked file counts."""
+        if not self.root.is_dir():
+            raise ExtractionError(f"not a readable directory: {self.root}")
+        files: list[tuple[str, str | None]] = []
+        descriptors = []
+        pending = _entries(os.fspath(self.root), "", "")
+        while pending:
+            rel, entry = pending.pop()
+            name = entry.name
+            if entry.is_dir(follow_symlinks=False):
+                if not name.startswith(".") and name not in _PRUNED_DIRS:
+                    pending += _entries(entry.path, rel + "/", _LEFT_OUT.get(name, ""))
+            elif entry.is_file():
+                files.append((rel, None))
+            # a plain file needs no lookup; a link or a directory does
+            if name in BUILD_DESCRIPTORS and (entry.is_file() or os.path.exists(entry.path)):
+                descriptors.append(rel)
+        return files, descriptors
+
+    def joinpath(self, *parts: str) -> Path:
+        return self.root.joinpath(*parts)
+
+    def contents(self, files: Sequence[tuple[str, str | None]]) -> dict[str, bytes | OSError]:
+        base = os.path.join(self.root, "")
+        found: dict[str, bytes | OSError] = {}
+        for rel, _ in files:
+            try:
+                with open(base + rel, "rb") as f:
+                    found[rel] = f.read()
+            except OSError as exc:  # gone or unreadable since the walk
+                found[rel] = exc
+        return found
+
+
+class KeyedListing(SourceListing):
+    """The listing of a tree held elsewhere, such as a git revision.
+
+    ``keys`` maps the path of each regular file of the tree to its content
+    key, and ``paths`` holds those paths in walk order.  ``held`` has the
+    bytes of some keys, and ``read`` returns the bytes of others, in order,
+    in one batch.  The listing of a directory within the tree is the slice
+    of ``paths`` below it, and the walk rules apply from there.
+    """
 
     def __init__(
         self,
-        path: str,
-        files: Mapping[str, str],
+        name: str,
+        paths: Sequence[str],
+        keys: Mapping[str, str],
         held: Mapping[str, bytes],
         read: Callable[[list[str]], Sequence[bytes]],
     ):
-        self.path = path
-        self.files = MappingProxyType(files)
-        self._held = held
-        self._read = read
+        self.path = self.name = name
+        self.paths, self.keys, self._held, self._read_keys = paths, keys, held, read
+        self._prefix = ""  # the listed directory's path and "/", or "" at the root
 
-    @property
-    def name(self) -> str:
-        return self.path.rsplit("/", 1)[-1]
+    @cached_property
+    def _walked(self) -> tuple[list[tuple[str, str | None]], list[str]]:
+        low = walk_key(self._prefix)
+        start = bisect_left(self.paths, low, key=walk_key)
+        stop = bisect_left(self.paths, low[:-1] + "\1", key=walk_key) if low else None
+        cut = len(self._prefix)
+        files: list[tuple[str, str | None]] = []
+        descriptors: dict[str, None] = {}
+        for path in self.paths[start:stop]:
+            rel = "/" + path[cut:]
+            if not _UNWALKED.search(rel):
+                files.append((rel[1:], self.keys[path]))
+            for m in _DESCRIPTOR.finditer(rel):
+                if not _UNWALKED.search(rel, 0, m.end()):
+                    descriptors[rel[1 : m.end()]] = None
+        return files, list(descriptors)
 
-    def joinpath(self, *parts: str) -> SourceListing:
+    def joinpath(self, *parts: str) -> KeyedListing:
         if not parts:
             return self
         sub = "/".join(parts)
-        prefix = sub + "/"
-        start = len(prefix)
-        files = {p[start:]: k for p, k in self.files.items() if p.startswith(prefix)}
-        return SourceListing(f"{self.path}/{sub}", files, self._held, self._read)
+        listing = KeyedListing(self.name, self.paths, self.keys, self._held, self._read_keys)
+        listing.path, listing.name = f"{self.path}/{sub}", sub.rsplit("/", 1)[-1]
+        listing._prefix = f"{self._prefix}{sub}/"
+        return listing
 
-    def __truediv__(self, rel: str) -> SourceListing:
-        return self if rel == "." else self.joinpath(*rel.split("/"))
-
-    def relative_to(self, other: SourceListing) -> PurePosixPath:
-        return PurePosixPath(self.path).relative_to(other.path)
-
-    def contents(self, keys: Iterable[str]) -> dict[str, bytes]:
-        """The bytes of each of ``keys``: held ones as held, the others from
-        one ``read``."""
-        found: dict[str, bytes] = {}
-        missing = []
-        for key in keys:
-            data = self._held.get(key)
-            if data is None:
-                missing.append(key)
-            else:
-                found[key] = data
-        if missing:
-            found.update(zip(missing, self._read(missing)))
-        return found
+    def contents(self, files: Sequence[tuple[str, str | None]]) -> dict[str, bytes | OSError]:
+        held = self._held
+        missing = list(dict.fromkeys(key for _, key in files if key not in held))
+        found = dict(zip(missing, self._read_keys(missing))) if missing else {}
+        return {rel: held[key] if key in held else found[key] for rel, key in files}
 
     def __str__(self) -> str:
         return self.path
 
 
-def _listed_source_files(
-    listing: SourceListing, profile: MarkerProfile
-) -> list[tuple[str, str]]:
-    """(path, key) of each source file of ``listing`` the walk reaches, in
-    walk order: sorted by path components, so ``a/x`` precedes ``a-b``."""
-    found = []
-    for path, key in listing.files.items():
-        parts = path.split("/")
-        if _suffix(parts[-1]) in profile.file_extensions and _walks(parts):
-            found.append((parts, path, key))
-    found.sort()  # paths differ, so keys are never compared
-    return [(path, key) for _, path, key in found]
-
-
-def _listed_descriptor_dirs(listing: SourceListing) -> set[tuple[str, ...]]:
-    """Each directory of ``listing`` holding a build descriptor the walk
-    reaches, as the names of its path; a directory so named counts."""
-    found = set()
-    for path in listing.files:
-        parts = path.split("/")
-        for k, part in enumerate(parts):
-            if part in BUILD_DESCRIPTORS and _walks(parts[: k + 1]):
-                found.add(tuple(parts[:k]))
-    return found
-
+# A source tree as discovery and scanning take it: a directory or a listing.
+SourceTree = str | Path | SourceListing
 
 # (service, relative path) -> (content key, extraction result)
 ExtractionCache = MutableMapping[tuple[str, str], "tuple[str, Component | None]"]
@@ -949,46 +986,8 @@ ExtractionCache = MutableMapping[tuple[str, str], "tuple[str, Component | None]"
 _NOT_CACHED = ("", None)
 
 
-def _read_files(
-    root: Path, profile: MarkerProfile, sink: list[ScanWarning]
-) -> Iterator[tuple[str, str, bytes]]:
-    """(path, SHA-256 digest, bytes) of each source file under ``root``, in
-    walk order; a file that cannot be read is a warning."""
-    for rel, path in _source_files(root, profile):
-        try:
-            with open(path, "rb") as f:
-                data = f.read()
-        except OSError as exc:  # gone or unreadable since it was listed
-            sink.append(ScanWarning(rel, f"unreadable: {exc}"))
-            logger.warning("skipping %s: %s", rel, exc)
-            continue
-        yield rel, hashlib.sha256(data).hexdigest(), data
-
-
-def _listed_files(
-    listing: SourceListing,
-    profile: MarkerProfile,
-    service_name: str,
-    cache: ExtractionCache | None,
-) -> list[tuple[str, str, bytes | None]]:
-    """(path, key, bytes) of each source file of ``listing``, in walk order.
-    Only the files whose key the cache lacks are read, all in one batch; the
-    bytes of the others are None."""
-    files = _listed_source_files(listing, profile)
-    if cache is None:
-        misses = {key for _, key in files}
-    else:
-        misses = {
-            key
-            for rel, key in files
-            if cache.get((service_name, rel), _NOT_CACHED)[0] != key
-        }
-    data = listing.contents(sorted(misses))
-    return [(rel, key, data.get(key)) for rel, key in files]
-
-
 def scan_repository(
-    root_path: str | Path | SourceListing,
+    root_path: SourceTree,
     profile: MarkerProfile,
     service_name: str,
     version_id: str,
@@ -998,33 +997,40 @@ def scan_repository(
 ) -> MicroserviceIR:
     """Scan one microservice source tree into its per-service representation.
 
-    The tree is a directory or a :class:`SourceListing`.  Per-file failures,
-    a file that cannot be read among them, never abort the scan; they are
-    logged and, when a ``warnings`` list is supplied, collected there.
-    Nothing is cached for a file that cannot be read.  Passing a ``cache``
-    makes repeated scans over evolving trees re-parse only changed files.
-    It holds one entry per file path, the result for the content read last,
-    so it grows with the tree and not with its history; a file that returns
-    to an earlier content is extracted again, and its notes are reported
-    again.  A directory's files are each read and keyed by the SHA-256 of
-    their bytes.  A listing's files are keyed by their content keys, and
-    only those whose key the cache lacks are read.
+    The tree is a directory or a :class:`SourceListing`; a directory is
+    scanned as its listing.  Per-file failures, a file that cannot be read
+    among them, never abort the scan; they are logged and, when a
+    ``warnings`` list is supplied, collected there.  Nothing is cached for a
+    file that cannot be read.  Passing a ``cache`` makes repeated scans over
+    evolving trees re-parse only changed files.  It holds one entry per file
+    path, the result for the content read last, so it grows with the tree
+    and not with its history; a file that returns to an earlier content is
+    extracted again, and its notes are reported again.  Only the files whose
+    content key is unknown or differs from the cached one are read, in one
+    batch; a file of a directory is keyed by the SHA-256 of its bytes.
     """
     sink = warnings if warnings is not None else []
-    if isinstance(root_path, SourceListing):
-        files: Iterable[tuple[str, str, bytes | None]] = _listed_files(
-            root_path, profile, service_name, cache
-        )
-    else:
-        root = Path(root_path)
-        if not root.is_dir():
-            raise ExtractionError(f"not a readable directory: {root}")
-        files = _read_files(root, profile, sink)
+    listing = SourceListing.of(root_path)
+    files = listing.sources(profile.file_extensions)
+    cached = {} if cache is None else cache
+    stale = [
+        (rel, key)
+        for rel, key in files
+        if key is None or cached.get((service_name, rel), _NOT_CACHED)[0] != key
+    ]
+    read = listing.contents(stale)
     components: dict[ComponentId, Component] = {}
-    for rel, key, data in files:
-        cached = cache.get((service_name, rel)) if cache is not None else None
-        if cached is not None and cached[0] == key:
-            comp = cached[1]
+    for rel, key in files:
+        if rel in read:
+            data = read[rel]
+            if isinstance(data, OSError):
+                sink.append(ScanWarning(rel, f"unreadable: {data}"))
+                logger.warning("skipping %s: %s", rel, data)
+                continue
+            key = key or hashlib.sha256(data).hexdigest()
+        hit = cached.get((service_name, rel), _NOT_CACHED)
+        if hit[0] == key:
+            comp = hit[1]
         else:
             comp = None
             try:
@@ -1037,8 +1043,7 @@ def scan_repository(
             except Exception as exc:  # totality: degrade to a warning
                 sink.append(ScanWarning(rel, str(exc)))
                 logger.warning("skipping %s: %s", rel, exc)
-            if cache is not None:
-                cache[service_name, rel] = (key, comp)
+            cached[service_name, rel] = (key, comp)
         if comp is None:
             continue
         if comp.id in components:
@@ -1059,8 +1064,35 @@ def scan_repository(
     return ir
 
 
+def _service_roots(
+    listing: SourceListing, name_overrides: Mapping[str, str] | None = None
+) -> list[tuple[str, tuple[str, ...]]]:
+    """Each service of ``listing`` by name: its name and the names of its
+    root's path from the tree's root."""
+    # each descriptor's directory, sorted, so a directory's descendants
+    # follow it directly
+    candidates = sorted({tuple(path.split("/")[:-1]) for path in listing.descriptors})
+    leaves = [
+        c
+        for c, after in zip(candidates, candidates[1:] + [None])
+        if after is None or after[: len(c)] != c
+    ] or [()]
+    overrides = dict(name_overrides or {})
+    seen: dict[str, tuple[str, ...]] = {}
+    for parts in leaves:
+        base = parts[-1] if parts else listing.name
+        name = overrides.get("/".join(parts) or ".") or overrides.get(base) or base
+        if name in seen:
+            raise ExtractionError(
+                f"service name {name!r} maps to both "
+                f"{listing.joinpath(*seen[name])} and {listing.joinpath(*parts)}"
+            )
+        seen[name] = parts
+    return sorted(seen.items())
+
+
 def discover_services(
-    root_path: str | Path | SourceListing,
+    root_path: SourceTree,
     name_overrides: Mapping[str, str] | None = None,
 ) -> list[tuple[str, Path | SourceListing]]:
     """Find microservice roots under a checkout or in a :class:`SourceListing`.
@@ -1070,39 +1102,8 @@ def discover_services(
     be overridden by relative path or directory name.  Each root is returned
     as the checkout's directory, or as the listing of that directory.
     """
-    # each descriptor's directory, as the names of its path from ``root``
-    if isinstance(root_path, SourceListing):
-        root: Path | SourceListing = root_path
-        candidates = sorted(_listed_descriptor_dirs(root_path))
-    else:
-        root = Path(root_path)
-        if not root.is_dir():
-            raise ExtractionError(f"not a readable directory: {root}")
-        candidates = sorted(
-            {
-                tuple(rel.split("/")[:-1])
-                for rel, entry in _walk(root)
-                if entry.name in BUILD_DESCRIPTORS and os.path.exists(entry.path)
-            }
-        )
-    overrides = dict(name_overrides or {})
-    # sorted, a directory's descendants follow it directly
-    leaves = [
-        c
-        for c, after in zip(candidates, candidates[1:] + [None])
-        if after is None or after[: len(c)] != c
-    ] or [()]
-    services: list[tuple[str, Path | SourceListing]] = []
-    seen: dict[str, Path | SourceListing] = {}
-    for parts in leaves:
-        path = root.joinpath(*parts)
-        rel = "/".join(parts) or "."
-        name = overrides.get(rel) or overrides.get(path.name) or path.name
-        if name in seen:
-            raise ExtractionError(
-                f"service name {name!r} maps to both {seen[name]} and {path}"
-            )
-        seen[name] = path
-        services.append((name, path))
-    services.sort(key=lambda item: item[0])
-    return services
+    listing = SourceListing.of(root_path)
+    return [
+        (name, listing.joinpath(*parts))
+        for name, parts in _service_roots(listing, name_overrides)
+    ]

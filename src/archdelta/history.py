@@ -3,11 +3,13 @@
 Each step extracts the changed services (a content-addressed cache makes
 unchanged files free), computes per-service deltas, applies them to the
 moving baseline, evaluates the rules and records everything.  A version's
-tree is a checkout directory or a :class:`SourceListing`.  The git
-revisions read by :func:`stream_revisions` are listings keyed by blob id,
-read straight from git objects with no checkout, so an unchanged file is
-never read.  They name the paths changed since the previous revision, and a
-version that does rescans only the services holding them.
+tree, a checkout directory or a listing, is read as one
+:class:`SourceListing`, and each service root is kept as its path from the
+tree's root.  The git revisions read by :func:`stream_revisions` are
+listings keyed by blob id, read straight from git objects with no checkout,
+so an unchanged file is never read.  They name the paths changed since the
+previous revision, and a version that does rescans only the services
+holding them.
 Per-service version ids are content digests, so an increment and a
 from-scratch reconstruction of the same sources are label-identical, which
 is what the chain-integrity check compares.
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 import logging
 import subprocess
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
 from functools import partial
+from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .delta import compute_delta
@@ -32,12 +36,15 @@ from .documents import (
 )
 from .errors import ArchDeltaError, ExtractionError
 from .extractor import (
-    BUILD_DESCRIPTORS,
+    _DESCRIPTOR,
     ExtractionCache,
+    KeyedListing,
     ScanWarning,
     SourceListing,
-    discover_services,
+    SourceTree,
+    _service_roots,
     scan_repository,
+    walk_key,
 )
 from .linker import DEFAULT_OVERLAP_THRESHOLD, build_system_ir
 from .merge import apply_delta, remove_service
@@ -81,47 +88,21 @@ class EvolutionRecord:
     scan_warnings: list[ScanWarning] = field(default_factory=list)
 
 
-# A checkout root or a listing of the tree, optionally labeled, optionally
-# with the repository-relative POSIX paths that differ from the previous
-# version's tree (None: unknown).
-Tree = str | Path | SourceListing
-Version = Tree | tuple[str, Tree] | tuple[str, Tree, Collection[str] | None]
+# A tree, a checkout root or a listing, optionally labeled, optionally with
+# the repository-relative POSIX paths that differ from the previous version's
+# tree (None: unknown).
+Version = (
+    SourceTree | tuple[str, SourceTree] | tuple[str, SourceTree, Collection[str] | None]
+)
 
 
-def _tree(root: Tree) -> Path | SourceListing:
-    return root if isinstance(root, SourceListing) else Path(root)
-
-
-def _normalize_versions(
-    versions: Iterable[Version],
-) -> Iterator[tuple[str, Path | SourceListing, frozenset[str] | None]]:
-    for item in versions:
-        if isinstance(item, tuple):
-            label, root, *rest = item
-            changed = rest[0] if rest else None
-            yield (
-                str(label),
-                _tree(root),
-                None if changed is None else frozenset(changed),
-            )
-        else:
-            root = _tree(item)
-            yield root.name, root, None
-
-
-# Discovered services of a version: (name, root relative to the tree's).
-Services = list[tuple[str, str]]
-
-
-def _holds_changed_path(service_root: str, changed: frozenset[str]) -> bool:
-    if service_root == ".":
-        return bool(changed)
-    prefix = service_root + "/"
-    return any(path.startswith(prefix) for path in changed)
+# Discovered services of a version: (name, the names of its root's path from
+# the tree's root).
+Services = list[tuple[str, tuple[str, ...]]]
 
 
 def _extract(
-    root: Path | SourceListing,
+    root: SourceListing,
     changed: frozenset[str] | None,
     previous: tuple[Services, dict[str, MicroserviceIR]] | None,
     profile: MarkerProfile,
@@ -140,25 +121,20 @@ def _extract(
     if (
         previous is not None
         and changed is not None
-        and not any(
-            part in BUILD_DESCRIPTORS for path in changed for part in path.split("/")
-        )
+        and not any(_DESCRIPTOR.search("/" + path) for path in changed)
     ):
         services, previous_irs = previous
     else:
-        services = [
-            (name, path.relative_to(root).as_posix())
-            for name, path in discover_services(root, service_names)
-        ]
+        services = _service_roots(root, service_names)
         previous_irs = {}
     irs: dict[str, MicroserviceIR] = {}
-    for name, rel in services:
-        if name in previous_irs and not _holds_changed_path(rel, changed):
+    for name, parts in services:
+        prefix = "".join(part + "/" for part in parts)
+        if name in previous_irs and not any(p.startswith(prefix) for p in changed):
             irs[name] = previous_irs[name]
             continue
-        ir = scan_repository(
-            root / rel, profile, name, version_id="", warnings=warnings, cache=cache
-        )
+        tree = root.joinpath(*parts)
+        ir = scan_repository(tree, profile, name, "", warnings=warnings, cache=cache)
         irs[name] = with_content_version(ir)
     return services, irs
 
@@ -244,7 +220,11 @@ def replay(
     since_checkpoint = 0
     unchecked: str | None = None  # the label of an increment not yet compared
 
-    for label, root, changed in _normalize_versions(versions):
+    for item in versions:
+        label, tree, *rest = item if isinstance(item, tuple) else (None, item)
+        root = SourceListing.of(tree)
+        label = root.name if label is None else str(label)
+        changed = None if not rest or rest[0] is None else frozenset(rest[0])
         anchor = prev_system is None or need_reanchor
         checkpoint = not anchor and since_checkpoint >= DEFAULT_CHECKPOINT_EVERY
         previous = None if anchor or checkpoint else (prev_services, prev_irs)
@@ -473,15 +453,17 @@ def _safe_relative(path: str) -> bool:
 
 def stream_revisions(
     repo: str | Path, revisions: Iterable[str]
-) -> Iterator[tuple[str, SourceListing, frozenset[str]]]:
+) -> Iterator[tuple[str, KeyedListing, frozenset[str]]]:
     """List the tree of each of oldest-first ``revisions``, straight from git.
 
     The first revision's tree is listed with ``git ls-tree``, each later one
     is diffed against its predecessor with ``git diff-tree``.  For each
     revision this yields ``(rev, listing, changed_paths)``: a
-    :class:`SourceListing` of the revision's regular files keyed by blob id
+    :class:`KeyedListing` of the revision's regular files keyed by blob id
     and named after the repository's directory, and the repository-relative
-    paths of the files it added, modified or removed.  Symlinks, submodules
+    paths of the files it added, modified or removed.  The paths are kept in
+    walk order from revision to revision, by bisection on the changes, so the
+    listing of one service is a slice of them.  Symlinks, submodules
     and paths that would leave the tree are never listed.  The listing holds
     the blobs the revision added or modified, read with one ``git cat-file
     --batch``, as committed: no attribute filters or end-of-line conversion
@@ -492,26 +474,32 @@ def stream_revisions(
     name = Path(repo).resolve().name or "repository"
     read = partial(_read_blobs, repo)
     files: dict[str, str] = {}
+    paths: list[str] = []  # the keys of files, in walk order
     previous: str | None = None
     for rev in revisions:
         if rev.startswith("-"):  # git would parse it as an option
             raise ExtractionError(f"not a revision: {rev!r}")
-        files = dict(files)  # the listings already yielded keep theirs
+        # the listings already yielded keep theirs
+        files, paths = dict(files), list(paths)
         changed = set()
         added: dict[str, str] = {}
         for old, new, oid, path in _tree_changes(repo, previous, rev):
             if not _safe_relative(path):
                 continue
             if new in _REGULAR_MODES:
+                if path not in files:
+                    insort(paths, path, key=walk_key)
                 files[path] = added[path] = oid
             elif old in _REGULAR_MODES:
-                files.pop(path, None)
+                if files.pop(path, None) is not None:
+                    del paths[bisect_left(paths, walk_key(path), key=walk_key)]
             else:
                 continue
             changed.add(path)
         oids = sorted(set(added.values()))
         held = dict(zip(oids, read(oids))) if oids else {}
-        yield rev, SourceListing(name, files, held, read), frozenset(changed)
+        listing = KeyedListing(name, paths, MappingProxyType(files), held, read)
+        yield rev, listing, frozenset(changed)
         previous = rev
 
 
@@ -524,10 +512,9 @@ def materialize_revisions(
     for rev, listing, _ in stream_revisions(repo, revisions):
         target = Path(dest) / rev
         target.mkdir(parents=True, exist_ok=True)
-        data = listing.contents(sorted(set(listing.files.values())))
-        for path, key in listing.files.items():
+        for path, data in listing.contents(list(listing.keys.items())).items():
             file = target / path
             file.parent.mkdir(parents=True, exist_ok=True)
-            file.write_bytes(data[key])
+            file.write_bytes(data)
         out.append((rev, target))
     return out

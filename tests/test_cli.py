@@ -166,6 +166,15 @@ def test_replay_relative_out_resolves_against_the_config(
     assert run_cli("replay", config, "--out", "cli-artifacts") == 0
     assert (elsewhere / "cli-artifacts" / "timeseries.csv").is_file()
     assert not (config_dir / "cli-artifacts").exists()
+    # a version given as ".." is named after the directory it resolves to
+    plain = tmp_path / "plain"
+    (plain / "config").mkdir(parents=True)
+    (plain / "A.java").write_text("package p;\n@Service\npublic class A { }\n")
+    config = plain / "config" / "replay.json"
+    config.write_text(json.dumps({"versions": [".."], "out": "artifacts"}))
+    assert run_cli("replay", config) == 0
+    ir = deserialize_ir((plain / "config" / "artifacts" / "ir" / "0.json").read_bytes())
+    assert list(ir.services) == ["plain"]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import pickle
+import shutil
 import sys
 import tempfile
 import time
@@ -22,6 +23,7 @@ import archdelta.model as model
 from archdelta.errors import AmbiguousMarkerError, ExtractionError
 from archdelta.extractor import (
     BUILD_DESCRIPTORS,
+    KeyedListing,
     ScanWarning,
     SourceListing,
     discover_services,
@@ -31,6 +33,7 @@ from archdelta.extractor import (
     parse_unit,
     resolve_call_graph,
     scan_repository,
+    walk_key,
 )
 from archdelta.documents import deserialize_microservice_ir, serialize_microservice_ir
 from archdelta.history import stream_revisions
@@ -83,7 +86,22 @@ def test_fixture_service_extraction(history_versions):
     ]
 
 
-def test_unparseable_file_degrades_to_warning(tmp_path):
+def _as_tree(provider: str, root: Path):
+    """``root`` itself, or the git listing of the files it holds now."""
+    if provider == "directory":
+        return root
+    git(root, "init", "--quiet")
+    git(root, "add", "-A")
+    git(root, "commit", "--quiet", "--allow-empty", "-m", "scanned")
+    [(_, listing, _)] = stream_revisions(root, [git(root, "rev-parse", "HEAD").strip()])
+    return listing
+
+
+PROVIDERS = pytest.mark.parametrize("provider", ["directory", "git"])
+
+
+@PROVIDERS
+def test_unparseable_file_degrades_to_warning(tmp_path, provider):
     good = tmp_path / "src" / "A.java"
     good.parent.mkdir(parents=True)
     good.write_text(
@@ -97,10 +115,52 @@ def test_unparseable_file_degrades_to_warning(tmp_path):
         "package p;\n@Service\npublic class Broken { public void x() { \n"
     )
     warnings: list[ScanWarning] = []
-    ir = scan_repository(tmp_path, PROFILE, "svc", "v0", warnings=warnings)
+    tree = _as_tree(provider, tmp_path)
+    ir = scan_repository(tree, PROFILE, "svc", "v0", warnings=warnings)
     assert len(ir.components) == 5
     assert len(warnings) == 1
     assert "Broken" in warnings[0].path
+
+
+def test_both_providers_scan_a_tree_alike(tmp_path):
+    """A directory and the git listing of its files give the same
+    representation and the same warnings, in the same order."""
+    unit = "package p;\n@Service\npublic class {} {{ public void go() {{ }} }}\n"
+    files = {
+        "src/main/java/p/A.java": unit.format("A"),
+        "src/main/java/p/Broken.java": "package p;\n@Service\npublic class Broken {\n",
+        "src/main/java/p/E.java": "package p;\n@Entity\npublic class E { }\n",
+        "src/main/test/p/M.java": unit.format("M"),
+        "src/test/java/p/T.java": unit.format("T"),
+        ".hidden/H.java": unit.format("H"),
+        "target/O.java": unit.format("O"),
+        "a-b.java": unit.format("X"),  # a duplicate unit, after a/x.java
+        "a/x.java": unit.format("X"),
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    scans = {}
+    for provider in ("directory", "git"):
+        warnings: list[ScanWarning] = []
+        ir = scan_repository(
+            _as_tree(provider, tmp_path), PROFILE, "svc", "v0", warnings=warnings
+        )
+        scans[provider] = (serialize_microservice_ir(ir), warnings)
+    assert scans["directory"] == scans["git"]
+    document, warnings = scans["git"]
+    components = deserialize_microservice_ir(document).components.values()
+    assert sorted(c.source_path for c in components) == [
+        "a/x.java",
+        "src/main/java/p/A.java",
+        "src/main/java/p/E.java",
+        "src/main/test/p/M.java",
+    ]
+    assert [w.path for w in warnings] == [
+        "a-b.java",
+        "src/main/java/p/Broken.java",
+        "src/main/java/p/E.java",
+    ]
 
 
 def test_duplicate_endpoint_in_a_service_is_a_warning_and_both_are_kept(tmp_path):
@@ -268,12 +328,13 @@ def test_entity_excludes_static_and_transient():
 
 def test_unreadable_file_degrades_to_warning(tmp_path, monkeypatch):
     (tmp_path / "A.java").write_text(ACCOUNT_ENTITY)
-    listed = extractor._source_files
+    walked = extractor._DirectoryListing._walked.func
 
-    def listing(root, profile):  # names a file that is gone when it is read
-        return [("Gone.java", str(tmp_path / "Gone.java")), *listed(root, profile)]
+    def listing(self):  # names a file that is gone when it is read
+        files, descriptors = walked(self)
+        return [("Gone.java", None), *files], descriptors
 
-    monkeypatch.setattr(extractor, "_source_files", listing)
+    monkeypatch.setattr(extractor._DirectoryListing, "_walked", property(listing))
     warnings: list[ScanWarning] = []
     cache: dict = {}
     ir = scan_repository(tmp_path, PROFILE, "svc", "v0", warnings=warnings, cache=cache)
@@ -300,8 +361,12 @@ def test_scan_is_deterministic(history_versions):
     assert first == second
 
 
-def test_extraction_cache_reproduces_uncached_scan(history_versions):
+@PROVIDERS
+def test_extraction_cache_reproduces_uncached_scan(history_versions, tmp_path, provider):
     root = history_versions[0] / "ts-order"
+    if provider == "git":
+        shutil.copytree(root, tmp_path / "ts-order")
+        root = _as_tree(provider, tmp_path / "ts-order")
     cache: dict = {}
     cached_once = scan_repository(root, PROFILE, "ts-order", "v0", cache=cache)
     cached_twice = scan_repository(root, PROFILE, "ts-order", "v0", cache=cache)
@@ -313,7 +378,8 @@ def test_extraction_cache_reproduces_uncached_scan(history_versions):
     )
 
 
-def test_extraction_cache_holds_one_entry_per_file_path(tmp_path):
+@PROVIDERS
+def test_extraction_cache_holds_one_entry_per_file_path(tmp_path, provider):
     # Each edit replaces the edited file's entry; the other file's result is
     # reused as the very same object.  A file back at an earlier content is
     # extracted again, so its notes are reported again.
@@ -321,19 +387,20 @@ def test_extraction_cache_holds_one_entry_per_file_path(tmp_path):
     (tmp_path / "E.java").write_text(empty)
     (tmp_path / "F.java").write_text("package p;\n@Entity\npublic class F { int a; }\n")
     cache: dict = {}
-    first = scan_repository(tmp_path, PROFILE, "svc", "v0", cache=cache)
+    first = scan_repository(_as_tree(provider, tmp_path), PROFILE, "svc", "v0", cache=cache)
     for n in range(5):
         (tmp_path / "E.java").write_text(
             f"package p;\n@Entity\npublic class E {{ int f{n}; }}\n"
         )
-        ir = scan_repository(tmp_path, PROFILE, "svc", f"v{n}", cache=cache)
+        tree = _as_tree(provider, tmp_path)
+        ir = scan_repository(tree, PROFILE, "svc", f"v{n}", cache=cache)
         assert sorted(cache) == [("svc", "E.java"), ("svc", "F.java")]
         [f] = [c for c in ir.components.values() if c.id.qualified_name == "p.F"]
         assert f is cache["svc", "F.java"][1]
     (tmp_path / "E.java").write_text(empty)
     warnings: list[ScanWarning] = []
     again = scan_repository(
-        tmp_path, PROFILE, "svc", "v0", warnings=warnings, cache=cache
+        _as_tree(provider, tmp_path), PROFILE, "svc", "v0", warnings=warnings, cache=cache
     )
     assert any("no instance fields" in w.message for w in warnings)
     assert serialize_microservice_ir(again) == serialize_microservice_ir(first)
@@ -349,10 +416,17 @@ def test_discover_services_name_override(history_versions):
     assert [name for name, _ in found] == ["orders", "ts-station", "ts-user"]
 
 
-def test_discover_services_plain_tree_is_single_service(tmp_path):
+def test_discover_services_plain_tree_is_single_service(tmp_path, monkeypatch):
     (tmp_path / "src").mkdir()
     found = discover_services(tmp_path)
     assert found == [(tmp_path.name, tmp_path)]
+    # "." and ".." are named after the directory they resolve to
+    monkeypatch.chdir(tmp_path / "src")
+    assert discover_services(Path("..")) == [(tmp_path.name, Path(".."))]
+    monkeypatch.chdir(tmp_path)
+    assert discover_services(Path(".")) == [(tmp_path.name, Path("."))]
+    up = tmp_path / "src" / ".."
+    assert discover_services(up) == [(tmp_path.name, up)]
 
 
 def test_paths_are_normalized_after_scan(history_versions):
@@ -732,7 +806,11 @@ def test_the_walk_finds_what_the_pathlib_walk_found(entries, extensions):
         for walk_root in (root, root / "src"):
             if not walk_root.is_dir():
                 continue
-            files = extractor._source_files(walk_root, profile)
+            listing = SourceListing.of(walk_root)
+            files = [
+                (rel, walk_root / rel)
+                for rel, _ in listing.sources(profile.file_extensions)
+            ]
             expected = reference_walk._source_files(walk_root, profile)
             assert [(r, str(p)) for r, p in files] == [(r, str(p)) for r, p in expected]
             assert _services(discover_services, walk_root) == _services(
@@ -766,8 +844,16 @@ def _committed(base: Path, root: Path) -> tuple[SourceListing, Path]:
 
 
 @given(_TREES, st.sampled_from([(".java",), (".java", "", ".JAVA", ".xml")]))
-# git keeps no empty directory, so a descriptor-named one here holds a file
-@example([*_EVERY_CASE, (("d", "pom.xml", "notes.txt"), "file")], (".java", ""))
+# git keeps no empty directory, so a descriptor-named one here holds a file,
+# one the walk reaches or one it does not
+@example(
+    [
+        *_EVERY_CASE,
+        (("d", "pom.xml", "notes.txt"), "file"),
+        (("e", "pom.xml", "target", "A.java"), "file"),
+    ],
+    (".java", ""),
+)
 @settings(
     max_examples=30,
     deadline=None,
@@ -790,12 +876,41 @@ def test_a_git_listing_walks_as_its_checkout_does(entries, extensions):
                 assert not listing.joinpath(*parts).files
                 continue
             listed = listing.joinpath(*parts)
-            walked = extractor._source_files(walk_root, profile)
-            found = extractor._listed_source_files(listed, profile)
+            walked = SourceListing.of(walk_root).sources(extensions)
+            found = listed.sources(extensions)
             assert [rel for rel, _ in found] == [rel for rel, _ in walked]
             assert _services(discover_services, listed) == _services(
                 discover_services, walk_root, shown
             )
+
+
+class _Visited(list):
+    """A list that counts the items read from it."""
+
+    visits = 0
+
+    def __getitem__(self, index):
+        found = super().__getitem__(index)
+        self.visits += len(found) if isinstance(index, slice) else 1
+        return found
+
+    def __iter__(self):
+        self.visits += len(self)
+        return super().__iter__()
+
+
+def test_the_listing_of_a_service_visits_its_own_paths():
+    """The listing of one service of a keyed tree is a slice of the tree's
+    paths, found by bisection: it visits about as many paths among 96
+    services as among 20."""
+    visits = {}
+    for count in (20, 96):
+        tree = [f"svc-{s:02d}/src/F{f:02d}.java" for s in range(count) for f in range(40)]
+        paths = _Visited(sorted(tree, key=walk_key))
+        listing = KeyedListing("repo", paths, dict.fromkeys(tree, "key"), {}, list)
+        assert len(listing.joinpath("svc-07").files) == 40
+        visits[count] = paths.visits
+    assert visits[96] <= 1.5 * visits[20]
 
 
 # Targets the extractor never writes, beside well-formed ones; "m/٣" has a

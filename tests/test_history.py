@@ -28,7 +28,7 @@ from corpus import (
 from archdelta import documents, extractor, history
 from archdelta.cli import main
 from archdelta.errors import ArchDeltaError
-from archdelta.extractor import SourceListing
+from archdelta.extractor import KeyedListing
 from archdelta.history import (
     emit_summary,
     emit_timeseries,
@@ -118,6 +118,7 @@ def test_timeseries_columns_do_not_depend_on_rule_order(history_versions):
 
 def test_self_healing_skips_unreadable_version(history_versions, tmp_path):
     chain = list(history_versions[:4])
+    chain[1] = chain[1] / "ts-order" / ".."  # labeled after v1 all the same
     chain.insert(2, tmp_path / "missing-checkout")
     record = replay(chain)
     assert len(record.versions) == 4
@@ -299,8 +300,7 @@ def _snapshot(root: Path) -> dict[str, bytes | None]:
 
 def _contents(listing) -> dict[str, bytes]:
     """Each listed path with its bytes."""
-    data = listing.contents(sorted(set(listing.files.values())))
-    return {path: data[key] for path, key in listing.files.items()}
+    return listing.contents(listing.files)
 
 
 def test_git_replay_writes_no_symlink_or_submodule(tmp_path):
@@ -395,6 +395,7 @@ def test_stream_revisions_tracks_each_tree_exactly(tmp_path):
         listings.append(listing)
         files = {p: data.decode() for p, data in _contents(listing).items()}
         assert files == trees[len(seen) - 1]
+        assert list(files) == sorted(files, key=lambda p: p.split("/"))  # walk order
         assert not [p for p in files for q in files if p.startswith(q + "/")]
     assert [{p: d.decode() for p, d in _contents(x).items()} for x in listings] == trees
     assert _snapshot(tmp_path) == before
@@ -430,7 +431,7 @@ def _one_file_commit_reads(tmp_path, monkeypatch, size: int) -> dict[str, int]:
         monkeypatch.setattr(module, name, counting)
 
     counted(history, "_read_blobs", "blobs", lambda repo, oids: len(oids))
-    counted(SourceListing, "contents", "read", lambda listing, keys: len(keys))
+    counted(KeyedListing, "contents", "read", lambda listing, keys: len(keys))
     counted(extractor, "extract_component", "extracted", lambda *args: 1)
 
     def drawn(stream):
